@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race serve-smoke scale-smoke flight-smoke cover bench bench-json bench-scale bench-sketch bench-matrix benchcmp benchcheck benchobs examples experiments quick clean
+.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race serve-smoke scale-smoke flight-smoke bench-smoke cover bench bench-json bench-scale bench-sketch bench-matrix benchcmp benchcheck benchobs examples experiments quick clean
 
-all: build vet lint test test-alloc race serve-smoke scale-smoke flight-smoke escape-gate
+all: build vet lint test test-alloc race serve-smoke scale-smoke flight-smoke bench-smoke escape-gate
 
 build:
 	$(GO) build ./...
@@ -110,6 +110,13 @@ flight-smoke:
 		bin/obsbundle $$d $$d >/dev/null || exit 1; \
 	done
 	@echo "flight-smoke: ok"
+
+# The certified-run benchmark (perfbench/, see BENCHMARK.json) is its own
+# Go module, so the root `go test ./...` skips it. Vet and test it here
+# so a library change cannot break the benchmark unnoticed. Its tests run
+# every workload at a tiny scale: a few seconds, offline.
+bench-smoke:
+	(cd perfbench && $(GO) vet ./... && $(GO) test ./...)
 
 cover:
 	$(GO) test -cover ./internal/...

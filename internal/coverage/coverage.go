@@ -67,12 +67,9 @@ type Index struct {
 	rangeEnd []int
 
 	// Selection scratch reused across SelectSeeds runs: the CELF heap
-	// backing array, the per-node gain upper bounds, the selected marks
-	// (reset after each run), and the topSum bounded min-heap.
-	selEntries  []celfEntry
-	selGains    []int64
-	selSelected []bool
-	topScratch  []int64
+	// backing array and the frontier of the Λᵘ top-L walk.
+	selEntries []celfEntry
+	topWalk    []frontierItem[int64]
 
 	// Optional observability hooks (nil-safe): build duration (total and
 	// split by serial/parallel path) and postings placed per CSR rebuild.
@@ -557,6 +554,91 @@ func (h *celfHeap) pop() celfEntry {
 	return top
 }
 
+// topSum returns the sum of the l largest gains stored in the heap — the
+// top-L term of the Λᵘ prefix bound — without modifying the heap. less
+// orders by gain first, so no entry's gain exceeds its parent's, and
+// the largest gain not yet taken always sits on the frontier: the root,
+// then the children of every entry already taken. The frontier is kept
+// as a max-heap of positions, so l steps cost O(l log l) however many
+// entries the heap holds. Zero gains are never enqueued (all gains are
+// non-negative, so nothing below a zero can add to the sum). f is
+// caller-owned frontier scratch, reused across walks.
+//
+//subsim:hotpath
+func (h *celfHeap) topSum(l int, f *[]frontierItem[int64]) int64 {
+	e := h.entries
+	q := (*f)[:0]
+	if len(e) > 0 && e[0].gain > 0 {
+		q = frontierPush(q, e[0].gain, 0)
+	}
+	var sum int64
+	for ; l > 0 && len(q) > 0; l-- {
+		var top frontierItem[int64]
+		top, q = frontierPop(q)
+		sum += top.gain
+		c := 2*int(top.pos) + 1
+		for end := min(c+2, len(e)); c < end; c++ {
+			if e[c].gain > 0 {
+				q = frontierPush(q, e[c].gain, c)
+			}
+		}
+	}
+	*f = q
+	return sum
+}
+
+// frontierItem is one candidate of a frontier walk (celfHeap.topSum,
+// hllHeap.topSum): a heap position and the gain stored there. A walk
+// keeps its candidates in a max-heap by gain, which holds at most l+1
+// items for l steps.
+type frontierItem[G int64 | float64] struct {
+	gain G
+	pos  int32
+}
+
+// frontierPush adds the candidate at heap position pos to the frontier
+// q and returns the grown frontier.
+//
+//subsim:hotpath
+func frontierPush[G int64 | float64](q []frontierItem[G], gain G, pos int) []frontierItem[G] {
+	q = append(q, frontierItem[G]{gain: gain, pos: int32(pos)})
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p].gain >= q[i].gain {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	return q
+}
+
+// frontierPop removes the candidate with the largest gain from the
+// non-empty frontier q and returns it with the shrunk frontier.
+//
+//subsim:hotpath
+func frontierPop[G int64 | float64](q []frontierItem[G]) (frontierItem[G], []frontierItem[G]) {
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].gain > q[c].gain {
+			c++
+		}
+		if q[i].gain >= q[c].gain {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	return top, q
+}
+
 // SelectSeeds runs the (revised) greedy max-coverage algorithm with lazy
 // marginal evaluation and computes the Λᵘ upper bound along the way.
 //
@@ -567,15 +649,16 @@ func (h *celfHeap) pop() celfEntry {
 //
 // The upper bound is evaluated at prefix 0, at every power-of-two prefix,
 // and at the final prefix; the minimum is returned. Skipping intermediate
-// prefixes can only loosen the bound, never invalidate it, and keeps the
-// bound's cost at O(n log K · log k) instead of O(n·k).
+// prefixes can only loosen the bound, never invalidate it. Each
+// evaluation reads its top-L gains off the heap (celfHeap.topSum), so
+// the bound costs O(L log L · log k) per run, independent of n.
 //
 // The first CELF round (the initial gains Degree(v) for all n nodes and
 // the entry fill) is partitioned across workers when SetWorkers(w>1)
 // was configured; the heapify and the lazy-greedy loop stay serial.
-// Per-run scratch (heap backing array, gain vector, selected marks) is
-// reused across calls, so repeated selection rounds on a warm index do
-// not allocate beyond the returned Seeds/Coverage slices.
+// Per-run scratch (heap backing array, walk frontier) is reused across
+// calls, so repeated selection rounds on a warm index do not allocate
+// beyond the returned Seeds/Coverage slices.
 //
 //subsim:parallel
 func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
@@ -603,37 +686,10 @@ func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
 	if cap(x.selEntries) < x.n {
 		x.selEntries = make([]celfEntry, 0, x.n)
 	}
-	if len(x.selGains) < x.n {
-		x.selGains = make([]int64, x.n)
-	}
-	if len(x.selSelected) < x.n {
-		x.selSelected = make([]bool, x.n) // reset to all-false after every run
-	}
-	var h celfHeap
-	h.outDeg = tie
-	h.entries = x.selEntries[:0]
-	gains := x.selGains[:x.n] // latest computed gain per node (a valid upper bound)
-	selected := x.selSelected[:x.n]
+	h := celfHeap{outDeg: tie}
 
 	secG := x.secGains.Enter()
-	if x.workers > 1 && x.n >= parallelGainsMinNodes {
-		// Per-worker interval records come out of the runTimed wrapper
-		// around each gains sub-pass (parallel.go).
-		h.entries = x.parallelInitialGains(h.entries, gains, opt.Exclude)
-	} else {
-		r := x.ring(0)
-		t0 := r.Now()
-		for v := 0; v < x.n; v++ {
-			if opt.Exclude != nil && opt.Exclude[v] {
-				gains[v] = 0 // keeps the reused gain vector topSum-safe
-				continue
-			}
-			g := x.heads[v+1] - x.heads[v]
-			gains[v] = g
-			h.entries = append(h.entries, celfEntry{gain: g, node: int32(v), iter: 0})
-		}
-		r.Record(timeline.PhaseGains, t0, r.Now())
-	}
+	h.entries = x.initialEntries(x.selEntries, opt.Exclude)
 	h.init()
 	secG.Exit()
 
@@ -645,7 +701,7 @@ func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
 
 	// Upper bound at prefix 0: Base + sum of the topL largest initial
 	// coverages.
-	res.tightenUpper(opt.Base + x.topSum(gains, selected, topL))
+	res.tightenUpper(opt.Base + h.topSum(topL, &x.topWalk))
 
 	secS := x.secSelect.Enter()
 	rSel := x.ring(0)
@@ -665,12 +721,9 @@ func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
 			// Stale: recompute the exact marginal and reinsert.
 			pick.gain = x.marginal(pick.node)
 			pick.iter = round - 1
-			gains[pick.node] = pick.gain
 			h.push(pick)
 		}
 		v := pick.node
-		selected[v] = true
-		gains[v] = 0
 		for _, id := range x.posting(v) {
 			if x.covered[id] != x.run {
 				x.covered[id] = x.run
@@ -681,22 +734,17 @@ func (x *Index) SelectSeeds(opt GreedyOptions) GreedyResult {
 		res.Coverage = append(res.Coverage, opt.Base+cum)
 
 		if int(round) == nextBoundAt || int(round) == k {
-			// Stored gains upper-bound each node's current marginal
-			// (submodularity), so their topL sum dominates the true
-			// maxMC sum at this prefix.
-			res.tightenUpper(opt.Base + cum + x.topSum(gains, selected, topL))
+			// The heap holds exactly the unselected candidates, and each
+			// stored gain upper-bounds its node's current marginal
+			// (submodularity), so their topL sum dominates the true maxMC
+			// sum at this prefix.
+			res.tightenUpper(opt.Base + cum + h.topSum(topL, &x.topWalk))
 			nextBoundAt *= 2
 		}
 	}
 	rSel.Record(timeline.PhaseSelect, tSel, rSel.Now())
 	secS.Exit()
-	// Recycle the scratch: clear the selected marks (only the picked
-	// seeds are set) and keep the heap's backing array, which push may
-	// have regrown.
-	for _, v := range res.Seeds {
-		selected[v] = false
-	}
-	x.selEntries = h.entries[:0]
+	x.selEntries = h.entries[:0] // push may have regrown the backing array
 	return res
 }
 
@@ -717,67 +765,5 @@ func (x *Index) marginal(v int32) int64 {
 func (r *GreedyResult) tightenUpper(bound int64) {
 	if bound < r.CoverageUpper {
 		r.CoverageUpper = bound
-	}
-}
-
-// topSum returns the sum of the topL largest values among unselected
-// nodes, via a bounded insertion buffer in O(n log topL). The buffer is
-// index-level scratch reused across calls.
-func (x *Index) topSum(gains []int64, selected []bool, topL int) int64 {
-	if topL <= 0 {
-		return 0
-	}
-	if cap(x.topScratch) < topL {
-		x.topScratch = make([]int64, 0, topL)
-	}
-	s, buf := topSumInt64(x.topScratch[:0], gains, selected, topL)
-	x.topScratch = buf
-	return s
-}
-
-// topSumInt64 is the bounded-insertion top-L sum shared by the exact
-// backends (Index and Sharded compute identical Λᵘ prefix bounds
-// through it): the sum of the topL largest gains among unselected
-// nodes. best is caller-owned scratch with capacity >= topL, length 0;
-// the possibly regrown buffer is returned for reuse.
-func topSumInt64(best []int64, gains []int64, selected []bool, topL int) (int64, []int64) {
-	for v, g := range gains {
-		if selected[v] || g == 0 {
-			continue
-		}
-		if len(best) < topL {
-			best = append(best, g)
-			if len(best) == topL {
-				insertionSortInt64(best)
-			}
-			continue
-		}
-		if g > best[0] {
-			// Replace the minimum and restore order by insertion.
-			best[0] = g
-			for i := 1; i < len(best) && best[i] < best[i-1]; i++ {
-				best[i], best[i-1] = best[i-1], best[i]
-			}
-		}
-	}
-	if len(best) < topL {
-		insertionSortInt64(best)
-	}
-	var s int64
-	for _, g := range best {
-		s += g
-	}
-	return s, best[:0]
-}
-
-// insertionSortInt64 sorts ascending in place without the interface
-// boxing of sort.Slice (topSum runs on the selection path, where that
-// closure allocation is measurable across CELF rounds). The buffers are
-// at most topL ≈ k elements, where insertion sort is fine.
-func insertionSortInt64(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
 	}
 }

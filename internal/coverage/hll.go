@@ -200,13 +200,14 @@ type HLL struct {
 
 	memGauge *obs.IntGauge
 
-	// Reused scratch: the selected-union sketch, CELF heap backing,
-	// gain vector, selected marks, topSum buffer, and absorb spans.
+	// Reused scratch: the selected-union sketch, CELF heap backing, the
+	// initial-gain vector, the frontier and values of the Λᵘ top-L walk,
+	// and absorb spans.
 	cov         []uint8
 	selEntries  []hllEntry
 	selGains    []float64
-	selSelected []bool
-	topScratch  []float64
+	topWalk     []frontierItem[float64]
+	topVals     []float64
 	spanScratch []hllSpan
 }
 
@@ -557,6 +558,41 @@ func (h *hllHeap) pop() hllEntry {
 	return top
 }
 
+// topSum is celfHeap.topSum over float gains: the sum of the l largest
+// positive gains stored in the heap, read off its frontier without
+// modifying it. The walk takes values in descending order; they are
+// buffered in vals and summed ascending, the order in which a sorted
+// top-L buffer sums them, so rounding — and with it every bit of the
+// bound — is independent of how the values were found. f and vals are
+// caller-owned scratch, reused across walks.
+//
+//subsim:hotpath
+func (h *hllHeap) topSum(l int, f *[]frontierItem[float64], vals *[]float64) float64 {
+	e := h.entries
+	q := (*f)[:0]
+	if len(e) > 0 && e[0].gain > 0 {
+		q = frontierPush(q, e[0].gain, 0)
+	}
+	taken := (*vals)[:0]
+	for len(taken) < l && len(q) > 0 {
+		var top frontierItem[float64]
+		top, q = frontierPop(q)
+		taken = append(taken, top.gain)
+		c := 2*int(top.pos) + 1
+		for end := min(c+2, len(e)); c < end; c++ {
+			if e[c].gain > 0 {
+				q = frontierPush(q, e[c].gain, c)
+			}
+		}
+	}
+	var sum float64
+	for i := len(taken) - 1; i >= 0; i-- {
+		sum += taken[i]
+	}
+	*f, *vals = q, taken
+	return sum
+}
+
 // marginalSketch estimates the marginal gain of v on top of the current
 // selected-union sketch — |cov ∪ block(v)| − |cov| — clamped
 // non-negative (union estimates are not exactly monotone).
@@ -571,9 +607,9 @@ func (h *HLL) marginalSketch(v int32, covEst float64) float64 {
 	return g
 }
 
-// parallelInitialGains fills gains[v] for every node by disjoint node
-// ranges. Each gain is a pure per-node function of the register file,
-// so worker count cannot change a value.
+// parallelInitialGains fills gains[v] for every non-excluded node by
+// disjoint node ranges. Each gain is a pure per-node function of the
+// register file, so worker count cannot change a value.
 func (h *HLL) parallelInitialGains(gains []float64, exclude []bool) {
 	workers := h.workers
 	runParallel(workers, func(w int) {
@@ -581,7 +617,6 @@ func (h *HLL) parallelInitialGains(gains []float64, exclude []bool) {
 		hi := h.n * (w + 1) / workers
 		for v := lo; v < hi; v++ {
 			if exclude != nil && exclude[v] {
-				gains[v] = 0
 				continue
 			}
 			sum, zeros := hllRawSum(h.block(int32(v)))
@@ -625,12 +660,8 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 	if len(h.selGains) < h.n {
 		h.selGains = make([]float64, h.n)
 	}
-	if len(h.selSelected) < h.n {
-		h.selSelected = make([]bool, h.n) // reset to all-false after every run
-	}
 	heap := hllHeap{entries: h.selEntries[:0], outDeg: tie}
-	gains := h.selGains[:h.n]
-	selected := h.selSelected[:h.n]
+	gains := h.selGains[:h.n] // initial gains; excluded nodes' slots are never read
 	for i := range h.cov {
 		h.cov[i] = 0
 	}
@@ -640,7 +671,6 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 	} else {
 		for v := 0; v < h.n; v++ {
 			if opt.Exclude != nil && opt.Exclude[v] {
-				gains[v] = 0
 				continue
 			}
 			sum, zeros := hllRawSum(h.block(int32(v)))
@@ -660,7 +690,7 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 		Coverage:      make([]int64, 0, k),
 		CoverageUpper: int64(h.numSets) + opt.Base, // trivial bound; tightened below
 	}
-	h.upperAt(&res, opt.Base, 0, gains, selected, topL)
+	h.upperAt(&res, &heap, opt.Base, 0, topL)
 
 	covEst := 0.0
 	nextBoundAt := 1
@@ -675,12 +705,9 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 			}
 			pick.gain = h.marginalSketch(pick.node, covEst)
 			pick.iter = round - 1
-			gains[pick.node] = pick.gain
 			heap.push(pick)
 		}
 		v := pick.node
-		selected[v] = true
-		gains[v] = 0
 		MergeRegisters(h.cov, h.block(v))
 		sum, zeros := hllRawSum(h.cov)
 		covEst = hllEstimate(sum, zeros, h.m)
@@ -688,73 +715,20 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 		res.Coverage = append(res.Coverage, opt.Base+h.clampCount(covEst))
 
 		if int(round) == nextBoundAt || int(round) == k {
-			h.upperAt(&res, opt.Base, covEst, gains, selected, topL)
+			h.upperAt(&res, &heap, opt.Base, covEst, topL)
 			nextBoundAt *= 2
 		}
 	}
-	// Recycle the scratch: clear the selected marks and keep the heap's
-	// backing array, which push may have regrown.
-	for _, v := range res.Seeds {
-		selected[v] = false
-	}
-	h.selEntries = heap.entries[:0]
+	h.selEntries = heap.entries[:0] // push may have regrown the backing array
 	return res
 }
 
 // upperAt tightens Λᵘ with the prefix bound at the current covered
-// estimate: Base + covered + sum of the topL largest stored gains, all
-// inflated by the certified relative error so the sketch-valued bound
-// still dominates the exact one.
-func (h *HLL) upperAt(res *GreedyResult, base int64, covEst float64, gains []float64, selected []bool, topL int) {
-	b := (float64(base) + covEst + h.topSumFloat(gains, selected, topL)) * (1 + h.relErr)
+// estimate: Base + covered + sum of the topL largest gains stored in the
+// heap (which holds exactly the unselected candidates), all inflated by
+// the certified relative error so the sketch-valued bound still
+// dominates the exact one.
+func (h *HLL) upperAt(res *GreedyResult, heap *hllHeap, base int64, covEst float64, topL int) {
+	b := (float64(base) + covEst + heap.topSum(topL, &h.topWalk, &h.topVals)) * (1 + h.relErr)
 	res.tightenUpper(int64(math.Ceil(b)))
-}
-
-// topSumFloat is topSum over float gains: the sum of the topL largest
-// values among unselected nodes via a bounded insertion buffer.
-func (h *HLL) topSumFloat(gains []float64, selected []bool, topL int) float64 {
-	if topL <= 0 {
-		return 0
-	}
-	if cap(h.topScratch) < topL {
-		h.topScratch = make([]float64, 0, topL)
-	}
-	best := h.topScratch[:0]
-	for v, g := range gains {
-		if selected[v] || g <= 0 {
-			continue
-		}
-		if len(best) < topL {
-			best = append(best, g)
-			if len(best) == topL {
-				insertionSortFloat64(best)
-			}
-			continue
-		}
-		if g > best[0] {
-			best[0] = g
-			for i := 1; i < len(best) && best[i] < best[i-1]; i++ {
-				best[i], best[i-1] = best[i-1], best[i]
-			}
-		}
-	}
-	if len(best) < topL {
-		insertionSortFloat64(best)
-	}
-	var s float64
-	for _, g := range best {
-		s += g
-	}
-	h.topScratch = best[:0]
-	return s
-}
-
-// insertionSortFloat64 sorts ascending in place (see insertionSortInt64
-// for why sort.Slice stays off the selection path).
-func insertionSortFloat64(a []float64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

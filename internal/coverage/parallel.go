@@ -1,5 +1,5 @@
 // Parallel coverage kernels: the node-range-partitioned delta CSR
-// rebuild and the partitioned initial-gain pass of SelectSeeds.
+// rebuild and the partitioned initial-entry fill of SelectSeeds.
 //
 // Both paths are byte-identical to their serial counterparts — the
 // repo's worker-independence invariant (TestPipelineEquivalence) demands
@@ -15,7 +15,7 @@
 //     each worker block-copying the old posting lists of its nodes and
 //     scanning the delta in ascending set-id order, so every posting
 //     list comes out ascending exactly as the serial scatter leaves it;
-//   - the initial-gain pass partitions the node space into equal ranges
+//   - the initial-entry fill partitions the node space into equal ranges
 //     with per-range entry slots derived from a prefix sum over the
 //     non-excluded counts, so the CELF entry order (ascending node id)
 //     is preserved.
@@ -38,7 +38,7 @@ import (
 var parallelBuildMinDelta = 1 << 12
 
 // parallelGainsMinNodes is the smallest node count worth fanning out
-// the SelectSeeds initial-gain pass for.
+// the SelectSeeds initial-entry fill for.
 var parallelGainsMinNodes = 1 << 12
 
 // runParallel executes fn(w) for w in [0, workers): workers-1 goroutines
@@ -260,60 +260,65 @@ func (x *Index) placeRange(newPost []int32, newHeads []int64, lo, hi int, data [
 	}
 }
 
-// parallelInitialGains is the partitioned first CELF round: the initial
-// marginal gain of every node is its posting-list length, read straight
-// off the CSR heads, and the entry array is filled through per-range
-// slots so the order (ascending node id, exclusions skipped) matches the
-// serial append loop exactly. entries must have capacity >= n.
-func (x *Index) parallelInitialGains(entries []celfEntry, gains []int64, exclude []bool) []celfEntry {
-	workers := x.workers
-	x.growPartialScratch(workers)
-	x.runTimed(timeline.PhaseGains, workers, func(w int) {
-		lo := x.n * w / workers
-		hi := x.n * (w + 1) / workers
-		x.partial[w] = gainsRange(gains, x.heads, exclude, lo, hi)
-	})
-	var totalEntries int64
-	for w := 0; w < workers; w++ {
-		totalEntries, x.partial[w] = totalEntries+x.partial[w], totalEntries // partial becomes the slot base
+// initialEntries is the first CELF round: one entry per non-excluded
+// node in ascending node order, its gain the node's posting-list length
+// read straight off the CSR heads. With SetWorkers(w>1) on a large
+// enough node space the fill is partitioned into equal node ranges,
+// each writing its prefix-summed slots, so the array matches the serial
+// fill exactly. entries must have capacity >= n.
+func (x *Index) initialEntries(entries []celfEntry, exclude []bool) []celfEntry {
+	workers := 1
+	if x.workers > 1 && x.n >= parallelGainsMinNodes {
+		workers = x.workers
 	}
-	entries = entries[:totalEntries]
+	x.growPartialScratch(workers)
+	entries = entries[:entrySlots(x.partial, exclude, x.n)]
+	if workers == 1 {
+		r := x.ring(0)
+		t0 := r.Now()
+		fillEntriesRange(entries, x.heads, exclude, 0, x.n, 0)
+		r.Record(timeline.PhaseGains, t0, r.Now())
+		return entries
+	}
 	x.runTimed(timeline.PhaseGains, workers, func(w int) {
-		lo := x.n * w / workers
-		hi := x.n * (w + 1) / workers
-		fillEntriesRange(entries, gains, exclude, lo, hi, int(x.partial[w]))
+		fillEntriesRange(entries, x.heads, exclude, x.n*w/workers, x.n*(w+1)/workers, int(x.partial[w]))
 	})
 	return entries
 }
 
-// gainsRange writes the initial gain of every node in [lo, hi) —
-// posting length, or 0 for excluded nodes so the reused gain vector
-// stays topSum-safe — and returns the number of non-excluded nodes.
-//
-//subsim:hotpath
-func gainsRange(gains []int64, heads []int64, exclude []bool, lo, hi int) int64 {
-	var cnt int64
-	for v := lo; v < hi; v++ {
-		if exclude != nil && exclude[v] {
-			gains[v] = 0
+// entrySlots splits the node space [0, n) into len(base) equal ranges,
+// sets base[w] to the first entry slot of range w — the number of
+// non-excluded nodes before it — and returns the total entry count.
+func entrySlots(base []int64, exclude []bool, n int) int64 {
+	workers := len(base)
+	var total int64
+	for w := 0; w < workers; w++ {
+		base[w] = total
+		lo, hi := n*w/workers, n*(w+1)/workers
+		if exclude == nil {
+			total += int64(hi - lo)
 			continue
 		}
-		gains[v] = heads[v+1] - heads[v]
-		cnt++
+		for _, ex := range exclude[lo:hi] {
+			if !ex {
+				total++
+			}
+		}
 	}
-	return cnt
+	return total
 }
 
 // fillEntriesRange writes the CELF entries of the non-excluded nodes in
-// [lo, hi) into their prefix-summed slots.
+// [lo, hi) into consecutive slots from slot, each gain the node's
+// posting-list length under heads.
 //
 //subsim:hotpath
-func fillEntriesRange(entries []celfEntry, gains []int64, exclude []bool, lo, hi, slot int) {
+func fillEntriesRange(entries []celfEntry, heads []int64, exclude []bool, lo, hi, slot int) {
 	for v := lo; v < hi; v++ {
 		if exclude != nil && exclude[v] {
 			continue
 		}
-		entries[slot] = celfEntry{gain: gains[v], node: int32(v), iter: 0}
+		entries[slot] = celfEntry{gain: heads[v+1] - heads[v], node: int32(v)}
 		slot++
 	}
 }

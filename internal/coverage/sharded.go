@@ -37,9 +37,9 @@
 //   - CSR rebuilds: each dirty shard rebuilds its own index (the same
 //     delta counting sort as Index.buildSerial) with no cross-shard
 //     data; lanes pick up shards round-robin.
-//   - First CELF round: node-range partition, gains[v] summed over all
-//     shard heads, entries filled through prefix-summed slots exactly
-//     like Index.parallelInitialGains.
+//   - First CELF round: node-range partition, each entry's gain summed
+//     over all shard heads, entries filled through prefix-summed slots
+//     exactly like Index.initialEntries.
 //   - Every later CELF round: a stale heap top's marginal is recomputed
 //     as per-shard partials (each lane walks only its shards' posting
 //     lists against its shards' covered stamps — disjoint state), and
@@ -107,14 +107,12 @@ type Sharded struct {
 	workers int
 
 	// Selection scratch reused across SelectSeeds runs, mirroring the
-	// global index's: CELF heap backing, per-node gain upper bounds,
-	// selected marks, topSum buffer, per-lane reduce partials, and the
-	// entry-slot bases of the partitioned first round.
-	selEntries  []celfEntry
-	selGains    []int64
-	selSelected []bool
-	topScratch  []int64
-	partial     []int64
+	// global index's: CELF heap backing, the frontier of the Λᵘ top-L
+	// walk, and the per-lane reduce partials (also the entry-slot bases
+	// of the partitioned first round).
+	selEntries []celfEntry
+	topWalk    []frontierItem[int64]
+	partial    []int64
 
 	// Observability hooks (nil-safe), sharing the index-build metric
 	// family with *Index: rebuild durations land on the same histograms,
@@ -636,42 +634,39 @@ func (x *Sharded) commitSeed(v int32) int64 {
 	return d
 }
 
-// parallelInitialGains is the partitioned first CELF round over shard
-// sums: gains[v] is the sum of v's posting lengths across shards, and
-// entries are filled through per-range prefix-summed slots so the order
-// (ascending node id, exclusions skipped) matches the serial loop
-// exactly — the same construction as the global index's.
-func (x *Sharded) parallelInitialGains(entries []celfEntry, gains []int64, exclude []bool) []celfEntry {
-	workers := x.workers
-	x.growPartial(workers)
-	x.runTimed(timeline.PhaseGains, workers, func(w int) {
-		lo := x.n * w / workers
-		hi := x.n * (w + 1) / workers
-		x.partial[w] = x.gainsRangeSharded(gains, exclude, lo, hi)
-	})
-	var totalEntries int64
-	for w := 0; w < workers; w++ {
-		totalEntries, x.partial[w] = totalEntries+x.partial[w], totalEntries // partial becomes the slot base
+// initialEntries is the first CELF round over shard sums: one entry per
+// non-excluded node in ascending node order, its gain the sum of the
+// node's posting lengths across shards, filled through per-range
+// prefix-summed slots when parallel — the same construction as the
+// global index's.
+func (x *Sharded) initialEntries(entries []celfEntry, exclude []bool) []celfEntry {
+	workers := 1
+	if x.workers > 1 && x.n >= parallelGainsMinNodes {
+		workers = x.workers
 	}
-	entries = entries[:totalEntries]
+	x.growPartial(workers)
+	entries = entries[:entrySlots(x.partial, exclude, x.n)]
+	if workers == 1 {
+		r := x.ring(0)
+		t0 := r.Now()
+		x.fillEntriesRange(entries, exclude, 0, x.n, 0)
+		r.Record(timeline.PhaseGains, t0, r.Now())
+		return entries
+	}
 	x.runTimed(timeline.PhaseGains, workers, func(w int) {
-		lo := x.n * w / workers
-		hi := x.n * (w + 1) / workers
-		fillEntriesRange(entries, gains, exclude, lo, hi, int(x.partial[w]))
+		x.fillEntriesRange(entries, exclude, x.n*w/workers, x.n*(w+1)/workers, int(x.partial[w]))
 	})
 	return entries
 }
 
-// gainsRangeSharded writes the shard-summed initial gain of every node
-// in [lo, hi) — or 0 for excluded nodes, keeping the reused gain vector
-// topSum-safe — and returns the number of non-excluded nodes.
+// fillEntriesRange writes the CELF entries of the non-excluded nodes in
+// [lo, hi) into consecutive slots from slot, each gain the node's
+// posting lengths summed over all shards.
 //
 //subsim:hotpath
-func (x *Sharded) gainsRangeSharded(gains []int64, exclude []bool, lo, hi int) int64 {
-	var cnt int64
+func (x *Sharded) fillEntriesRange(entries []celfEntry, exclude []bool, lo, hi, slot int) {
 	for v := lo; v < hi; v++ {
 		if exclude != nil && exclude[v] {
-			gains[v] = 0
 			continue
 		}
 		var g int64
@@ -679,10 +674,9 @@ func (x *Sharded) gainsRangeSharded(gains []int64, exclude []bool, lo, hi int) i
 			sh := &x.shards[s]
 			g += sh.heads[v+1] - sh.heads[v]
 		}
-		gains[v] = g
-		cnt++
+		entries[slot] = celfEntry{gain: g, node: int32(v)}
+		slot++
 	}
-	return cnt
 }
 
 // SelectSeeds runs the identical lazy-greedy CELF algorithm as the
@@ -720,39 +714,10 @@ func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 	if cap(x.selEntries) < x.n {
 		x.selEntries = make([]celfEntry, 0, x.n)
 	}
-	if len(x.selGains) < x.n {
-		x.selGains = make([]int64, x.n)
-	}
-	if len(x.selSelected) < x.n {
-		x.selSelected = make([]bool, x.n) // reset to all-false after every run
-	}
-	var h celfHeap
-	h.outDeg = tie
-	h.entries = x.selEntries[:0]
-	gains := x.selGains[:x.n]
-	selected := x.selSelected[:x.n]
+	h := celfHeap{outDeg: tie}
 
 	secG := x.secGains.Enter()
-	if x.workers > 1 && x.n >= parallelGainsMinNodes {
-		h.entries = x.parallelInitialGains(h.entries, gains, opt.Exclude)
-	} else {
-		r := x.ring(0)
-		t0 := r.Now()
-		for v := 0; v < x.n; v++ {
-			if opt.Exclude != nil && opt.Exclude[v] {
-				gains[v] = 0
-				continue
-			}
-			var g int64
-			for s := range x.shards {
-				sh := &x.shards[s]
-				g += sh.heads[v+1] - sh.heads[v]
-			}
-			gains[v] = g
-			h.entries = append(h.entries, celfEntry{gain: g, node: int32(v), iter: 0})
-		}
-		r.Record(timeline.PhaseGains, t0, r.Now())
-	}
+	h.entries = x.initialEntries(x.selEntries, opt.Exclude)
 	h.init()
 	secG.Exit()
 
@@ -761,7 +726,7 @@ func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 		Coverage:      make([]int64, 0, k),
 		CoverageUpper: int64(x.NumSets()) + opt.Base, // trivial bound; tightened below
 	}
-	res.tightenUpper(opt.Base + x.topSum(gains, selected, topL))
+	res.tightenUpper(opt.Base + h.topSum(topL, &x.topWalk))
 
 	secS := x.secSelect.Enter()
 	rSel := x.ring(0)
@@ -782,46 +747,24 @@ func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 			// shards when the posting mass warrants it) and reinsert.
 			pick.gain = x.marginal(pick.node)
 			pick.iter = round - 1
-			gains[pick.node] = pick.gain
 			h.push(pick)
 		}
 		v := pick.node
-		selected[v] = true
-		gains[v] = 0
 		cum += x.commitSeed(v)
 		res.Seeds = append(res.Seeds, v)
 		res.Coverage = append(res.Coverage, opt.Base+cum)
 
 		if int(round) == nextBoundAt || int(round) == k {
-			// Stored gains upper-bound each node's current marginal
-			// (submodularity), so their topL sum dominates the true
-			// maxMC sum at this prefix.
-			res.tightenUpper(opt.Base + cum + x.topSum(gains, selected, topL))
+			// The heap holds exactly the unselected candidates, and each
+			// stored gain upper-bounds its node's current marginal
+			// (submodularity), so their topL sum dominates the true maxMC
+			// sum at this prefix.
+			res.tightenUpper(opt.Base + cum + h.topSum(topL, &x.topWalk))
 			nextBoundAt *= 2
 		}
 	}
 	rSel.Record(timeline.PhaseSelect, tSel, rSel.Now())
 	secS.Exit()
-	// Recycle the scratch: clear the selected marks (only the picked
-	// seeds are set) and keep the heap's backing array.
-	for _, v := range res.Seeds {
-		selected[v] = false
-	}
-	x.selEntries = h.entries[:0]
+	x.selEntries = h.entries[:0] // push may have regrown the backing array
 	return res
-}
-
-// topSum returns the sum of the topL largest gains among unselected
-// nodes through the shared bounded-insertion helper, against
-// estimator-level scratch.
-func (x *Sharded) topSum(gains []int64, selected []bool, topL int) int64 {
-	if topL <= 0 {
-		return 0
-	}
-	if cap(x.topScratch) < topL {
-		x.topScratch = make([]int64, 0, topL)
-	}
-	s, buf := topSumInt64(x.topScratch[:0], gains, selected, topL)
-	x.topScratch = buf
-	return s
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"subsim/internal/rng"
 )
@@ -77,20 +78,19 @@ func GenPreferentialAttachment(n, deg int, undirected bool, r *rng.Source) (*Gra
 			targets = append(targets, u, v)
 		}
 	}
-	picked := make(map[int32]struct{}, deg)
+	// picked keeps each node's distinct targets in draw order: the
+	// Bernoulli draws below interleave with this loop, so iterating in
+	// any other order would change which reverse edges a seed produces.
+	picked := make([]int32, 0, deg)
 	for u := int32(deg) + 1; u < int32(n); u++ {
-		clear(picked)
+		picked = picked[:0]
 		for len(picked) < deg {
 			t := targets[r.Intn(len(targets))]
-			if t == u {
-				continue
+			if t != u && !slices.Contains(picked, t) {
+				picked = append(picked, t)
 			}
-			if _, dup := picked[t]; dup {
-				continue
-			}
-			picked[t] = struct{}{}
 		}
-		for t := range picked {
+		for _, t := range picked {
 			if undirected {
 				if err := b.AddUndirected(u, t, 0); err != nil {
 					return nil, err

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -416,6 +418,33 @@ func TestGenPreferentialAttachmentDirected(t *testing.T) {
 	}
 	if !asym {
 		t.Fatal("directed PA produced a symmetric graph")
+	}
+}
+
+// TestGenPreferentialAttachmentPinned pins the directed PA graph a fixed
+// seed produces: node count, edge count, and the FNV-1a hash of every
+// (source, target) in-edge pair in CSR order, each id little-endian
+// uint32. The benchmark's subsim-wc workload checks this same
+// fingerprint, so a change that reorders the generator's draws fails
+// here first.
+func TestGenPreferentialAttachmentPinned(t *testing.T) {
+	g, err := GenPreferentialAttachment(20000, 8, false, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for v := int32(0); v < int32(g.N()); v++ {
+		src, _ := g.InNeighbors(v)
+		for _, u := range src {
+			binary.LittleEndian.PutUint32(buf[:4], uint32(u))
+			binary.LittleEndian.PutUint32(buf[4:], uint32(v))
+			_, _ = h.Write(buf[:]) // hash.Hash writes never fail
+		}
+	}
+	if g.N() != 20000 || g.M() != 239849 || h.Sum64() != 0x8f38c4c17e4615ab {
+		t.Fatalf("PA(20000, 8, seed 7) = n %d, m %d, hash %#x; want n 20000, m 239849, hash 0x8f38c4c17e4615ab",
+			g.N(), g.M(), h.Sum64())
 	}
 }
 

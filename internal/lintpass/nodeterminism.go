@@ -11,13 +11,16 @@ import (
 // set, seed pick, and bound they produce is certified reproducible by
 // TestPipelineEquivalence, so all randomness must flow through the
 // seedable streams of internal/rng and no wall-clock value may reach an
-// algorithm decision.
+// algorithm decision. internal/graph belongs here too: its seeded
+// generators build the graphs that runs and benchmarks pin by
+// fingerprint.
 var algorithmPackages = []string{
 	"internal/rrset",
 	"internal/im",
 	"internal/core",
 	"internal/sampling",
 	"internal/coverage",
+	"internal/graph",
 }
 
 // forbiddenRandImports are the stdlib randomness sources algorithm

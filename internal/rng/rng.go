@@ -15,9 +15,20 @@ import "math"
 // Source is a xoshiro256++ pseudo-random generator. The zero value is not
 // usable; construct one with New. Source is not safe for concurrent use;
 // give each goroutine its own Source (see Split).
+//
+// Every draw writes the state, so two goroutines whose Sources share a
+// cache line stall each other on every draw (false sharing). A Source is
+// therefore padded to sourceSize bytes, two cache lines: the allocator
+// serves that size class at sourceSize-aligned addresses, so each Source
+// New or Split returns owns its lines, including the neighbouring line
+// that x86 cores prefetch in pairs.
 type Source struct {
 	s0, s1, s2, s3 uint64
+	_              [sourceSize - 32]byte
 }
+
+// sourceSize is the padded size of a Source: two 64-byte cache lines.
+const sourceSize = 128
 
 // splitmix64 advances a 64-bit state and returns the next output. It is
 // used to expand a single seed word into the four xoshiro state words, as

@@ -5,7 +5,24 @@ import (
 	"math/bits"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestSourceOwnsCacheLines pins the padding that keeps the Sources of
+// concurrent workers off each other's cache lines: a Source fills two
+// lines, and every Source New or Split returns starts on a sourceSize
+// boundary, so no two of them share a line or an adjacent-line pair.
+func TestSourceOwnsCacheLines(t *testing.T) {
+	if got := unsafe.Sizeof(Source{}); got != sourceSize {
+		t.Fatalf("Sizeof(Source) = %d, want %d", got, sourceSize)
+	}
+	base := New(1)
+	for i := 0; i < 64; i++ {
+		if p := uintptr(unsafe.Pointer(base.Split())); p%sourceSize != 0 {
+			t.Fatalf("Source %d at %#x, not %d-byte aligned", i, p, sourceSize)
+		}
+	}
+}
 
 func TestSeedDeterminism(t *testing.T) {
 	a, b := New(42), New(42)
