@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race serve-smoke scale-smoke flight-smoke bench-smoke cover bench bench-json bench-scale bench-sketch bench-matrix benchcmp benchcheck benchobs examples experiments quick clean
+.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race serve-smoke scale-smoke flight-smoke bench-smoke cover bench bench-kernel bench-json bench-scale bench-sketch bench-matrix benchcmp benchcheck benchobs examples experiments quick clean
 
 all: build vet lint test test-alloc race serve-smoke scale-smoke flight-smoke bench-smoke escape-gate
 
@@ -124,6 +124,13 @@ cover:
 bench:
 	@mkdir -p bin
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bin/bench_output.txt
+
+# SUBSIM generation alone on the certified-run benchmark's two graphs,
+# reporting ns/set and ns/edge (ROADMAP item 4's per-edge number) in
+# seconds. `make bench` runs it too, with everything else.
+bench-kernel:
+	@mkdir -p bin
+	$(GO) test ./internal/rrset -run '^$$' -bench SubsimKernel -benchmem 2>&1 | tee bin/bench_kernel.txt
 
 # RR-pipeline benchmark suite (generate, index, select, end-to-end).
 BENCH_RR = BenchmarkFillIndex|BenchmarkGenerateSingle|BenchmarkSelectSeeds|BenchmarkOPIMC_E2E

@@ -41,17 +41,11 @@ type Graph struct {
 
 	inToOut []int64 // position of each in-edge's twin in the out arrays
 
-	// uniformIn is true when, for every node, all incoming edges carry
-	// the same probability (WC, WC variant and Uniform IC). inProb,
-	// inLog1mP and inTouched are then per-node: the shared probability,
-	// log1p(-probability) (the precomputed denominator for geometric
-	// skip sampling), and 1-(1-p)^d — the probability that subset
-	// sampling the node's d in-edges yields at least one element, which
-	// lets the generator skip untouched nodes with a single comparison.
-	uniformIn bool
-	inProb    []float64
-	inLog1mP  []float64
-	inTouched []float64
+	// inHead holds one InHeader per node when, for every node, all
+	// incoming edges carry the same probability (WC, WC variant and
+	// Uniform IC), and is nil otherwise: it is the single piece of
+	// equal-probability fast-path state.
+	inHead []InHeader
 
 	sortedIn bool // in-edges sorted by descending weight per node
 
@@ -101,25 +95,36 @@ func (g *Graph) OutNeighbors(v int32) (targets []int32, probs []float64) {
 	return g.outAdj[lo:hi], g.outW[lo:hi]
 }
 
-// UniformInProb reports whether all incoming edges of every node share a
-// per-node probability, and if so returns that probability and its
-// precomputed log1p(-p) for node v. RR set generators use this to select
-// the geometric-skip fast path.
-func (g *Graph) UniformInProb(v int32) (p, log1mP float64, ok bool) {
-	if !g.uniformIn {
-		return 0, 0, false
-	}
-	return g.inProb[v], g.inLog1mP[v], true
+// InHeader is everything the geometric-skip fast path needs about one
+// node v whose d in-edges share probability p, packed into 32 bytes so
+// that a reverse-BFS step on v touches one cache line before it reads
+// v's in-edge sources.
+type InHeader struct {
+	Off int64 // position of v's first in-edge: its sources are InAdj()[Off : Off+Deg]
+	Deg int64 // in-degree d
+	// LogP is log1p(-p), the precomputed geometric-skip denominator:
+	// -Inf when p = 1, and 0 when p = 0 or d = 0.
+	LogP float64
+	// Touched is 1-(1-p)^d, the chance that subset sampling v's in-edges
+	// yields at least one of them, which lets a generator skip an
+	// untouched node with a single comparison.
+	Touched float64
 }
 
-// UniformInTouched returns 1-(1-p)^d for node v on the equal-probability
-// fast path: the chance that activating v's d in-neighbors samples at
-// least one of them. Callers must have checked UniformIn.
-func (g *Graph) UniformInTouched(v int32) float64 { return g.inTouched[v] }
+// UniformInHeaders returns one InHeader per node when every node's
+// incoming edges share one probability (WC, WC variant and Uniform IC),
+// and nil otherwise. The slice aliases the graph's internal storage and
+// must not be modified.
+func (g *Graph) UniformInHeaders() []InHeader { return g.inHead }
+
+// InAdj returns the source node of every in-edge, node by node in CSR
+// order: the in-edges of v are the positions InNeighbors(v) covers. The
+// slice aliases the graph's internal storage and must not be modified.
+func (g *Graph) InAdj() []int32 { return g.inAdj }
 
 // UniformIn reports whether the graph-wide equal-in-probability fast path
 // is available.
-func (g *Graph) UniformIn() bool { return g.uniformIn }
+func (g *Graph) UniformIn() bool { return g.inHead != nil }
 
 // SortedIn reports whether each node's in-edges are sorted by descending
 // probability, the precondition of the index-free general-IC sampler.
@@ -246,43 +251,33 @@ func (g *Graph) setInWeight(i int64, p float64) {
 }
 
 // detectUniformIn scans the graph and enables the equal-in-probability
-// fast path when every node's incoming edges share one probability.
+// fast path when every node's incoming edges share one probability. On
+// any other graph it drops the previous model's headers.
 func (g *Graph) detectUniformIn() {
-	n := int(g.n)
-	prob := make([]float64, n)
-	for v := 0; v < n; v++ {
+	g.inHead = nil
+	head := make([]InHeader, g.n)
+	for v := range head {
 		lo, hi := g.inOff[v], g.inOff[v+1]
-		if lo == hi {
-			continue
-		}
-		p := g.inW[lo]
-		for i := lo + 1; i < hi; i++ {
-			if g.inW[i] != p {
-				g.uniformIn = false
-				g.inProb = nil
-				g.inLog1mP = nil
-				return
+		h := InHeader{Off: lo, Deg: hi - lo}
+		if hi > lo {
+			p := g.inW[lo]
+			for i := lo + 1; i < hi; i++ {
+				if g.inW[i] != p {
+					return
+				}
+			}
+			switch {
+			case p >= 1:
+				h.LogP = math.Inf(-1)
+				h.Touched = 1
+			case p > 0:
+				h.LogP = math.Log1p(-p)
+				h.Touched = -math.Expm1(float64(h.Deg) * h.LogP)
 			}
 		}
-		prob[v] = p
+		head[v] = h
 	}
-	g.uniformIn = true
-	g.inProb = prob
-	g.inLog1mP = make([]float64, n)
-	g.inTouched = make([]float64, n)
-	for v, p := range prob {
-		d := g.inOff[v+1] - g.inOff[v]
-		switch {
-		case p >= 1:
-			g.inLog1mP[v] = math.Inf(-1)
-			if d > 0 {
-				g.inTouched[v] = 1
-			}
-		case p > 0:
-			g.inLog1mP[v] = math.Log1p(-p)
-			g.inTouched[v] = -math.Expm1(float64(d) * g.inLog1mP[v])
-		}
-	}
+	g.inHead = head
 }
 
 // SortInEdges reorders each node's incoming edges by descending

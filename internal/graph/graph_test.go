@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -136,24 +137,68 @@ func TestEdgesRoundTrip(t *testing.T) {
 }
 
 func TestUniformInDetection(t *testing.T) {
-	g := mustBuild(t, 3, []Edge{{0, 2, 0.5}, {1, 2, 0.5}, {0, 1, 0.9}})
+	// Node 0 has no in-edges; node 1 one edge at p=1; node 2 two at
+	// p=0.5; node 3 one at p=0.
+	g := mustBuild(t, 4, []Edge{{0, 2, 0.5}, {1, 2, 0.5}, {0, 1, 1}, {2, 3, 0}})
 	if !g.UniformIn() {
 		t.Fatal("per-node-equal weights not detected")
 	}
-	p, logP, ok := g.UniformInProb(2)
-	if !ok || p != 0.5 {
-		t.Fatalf("UniformInProb(2) = %v %v", p, ok)
+	head := g.UniformInHeaders()
+	want := []InHeader{
+		{Off: 0, Deg: 0},
+		{Off: 0, Deg: 1, LogP: math.Inf(-1), Touched: 1},
+		{Off: 1, Deg: 2, LogP: math.Log1p(-0.5), Touched: 0.75},
+		{Off: 3, Deg: 1},
 	}
-	if math.Abs(logP-math.Log1p(-0.5)) > 1e-15 {
-		t.Fatalf("log1p mismatch: %v", logP)
+	if len(head) != len(want) {
+		t.Fatalf("%d headers, want %d", len(head), len(want))
+	}
+	for v, w := range want {
+		h := head[v]
+		if h.Off != w.Off || h.Deg != w.Deg || h.LogP != w.LogP || math.Abs(h.Touched-w.Touched) > 1e-15 {
+			t.Errorf("header %d = %+v, want %+v", v, h, w)
+		}
+		sources, _ := g.InNeighbors(int32(v))
+		if got := g.InAdj()[h.Off : h.Off+h.Deg]; !slices.Equal(got, sources) {
+			t.Errorf("header %d spans sources %v, InNeighbors gives %v", v, got, sources)
+		}
 	}
 
 	g2 := mustBuild(t, 3, []Edge{{0, 2, 0.5}, {1, 2, 0.4}})
 	if g2.UniformIn() {
 		t.Fatal("unequal weights reported uniform")
 	}
-	if _, _, ok := g2.UniformInProb(2); ok {
-		t.Fatal("UniformInProb ok on skewed graph")
+	if head := g2.UniformInHeaders(); head != nil {
+		t.Fatalf("skewed graph holds %d headers", len(head))
+	}
+}
+
+// TestUniformInHeadersTrackModel: reweighting to a skewed model drops
+// the previous model's headers, and reweighting back rebuilds exactly
+// the headers of a freshly weighted graph.
+func TestUniformInHeadersTrackModel(t *testing.T) {
+	gen := func() *Graph {
+		g, err := GenErdosRenyi(200, 1500, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g := gen()
+	g.AssignWC()
+	if g.UniformInHeaders() == nil {
+		t.Fatal("WC graph has no headers")
+	}
+	g.AssignExponential(rng.New(2), 1)
+	g.SortInEdges()
+	if g.UniformIn() || g.UniformInHeaders() != nil {
+		t.Fatal("skewed graph still exposes the WC headers")
+	}
+	g.AssignWC()
+	fresh := gen()
+	fresh.AssignWC()
+	if !slices.Equal(g.UniformInHeaders(), fresh.UniformInHeaders()) {
+		t.Fatal("headers after WC → Exponential → WC differ from a fresh WC graph")
 	}
 }
 

@@ -25,7 +25,7 @@ type SubsimBucketed struct {
 // node.
 func NewSubsimBucketed(g *graph.Graph, jump bool) *SubsimBucketed {
 	sb := &SubsimBucketed{
-		t:        newTraversal(g, 0),
+		t:        newTraversal(g),
 		samplers: make([]*sampling.Bucketed, g.N()),
 	}
 	for v := int32(0); v < int32(g.N()); v++ {
@@ -52,11 +52,10 @@ func (sb *SubsimBucketed) Stats() Stats { return sb.stats }
 func (sb *SubsimBucketed) ResetStats() { sb.stats = Stats{} }
 
 // Clone returns an independent generator sharing the (immutable) per-node
-// samplers, with scratch sized from the parent's observed average RR-set
-// size.
+// samplers.
 func (sb *SubsimBucketed) Clone() Generator {
 	return &SubsimBucketed{
-		t:        newTraversal(sb.t.g, scratchHint(sb.stats)),
+		t:        newTraversal(sb.t.g),
 		samplers: sb.samplers,
 	}
 }
@@ -89,9 +88,8 @@ func (sb *SubsimBucketed) generate(r *rng.Source, root int32, sentinel []bool, b
 		return set
 	}
 	g := sb.t.g
-	for len(sb.t.queue) > 0 {
-		u := sb.t.queue[len(sb.t.queue)-1]
-		sb.t.queue = sb.t.queue[:len(sb.t.queue)-1]
+	for head := base; head < len(set); head++ {
+		u := set[head]
 		sampler := sb.samplers[u]
 		if sampler == nil {
 			continue

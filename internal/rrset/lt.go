@@ -26,7 +26,7 @@ type LT struct {
 // node must sum to at most 1 (graph.AssignLT guarantees exactly 1).
 func NewLT(g *graph.Graph) *LT {
 	lt := &LT{
-		t:     newTraversal(g, 0),
+		t:     newTraversal(g),
 		sumIn: make([]float64, g.N()),
 	}
 	for v := int32(0); v < int32(g.N()); v++ {
@@ -44,10 +44,9 @@ func (lt *LT) Stats() Stats { return lt.stats }
 // ResetStats zeroes the counters.
 func (lt *LT) ResetStats() { lt.stats = Stats{} }
 
-// Clone returns an independent generator sharing the cached weight sums,
-// with scratch sized from the parent's observed average RR-set size.
+// Clone returns an independent generator sharing the cached weight sums.
 func (lt *LT) Clone() Generator {
-	return &LT{t: newTraversal(lt.t.g, scratchHint(lt.stats)), sumIn: lt.sumIn}
+	return &LT{t: newTraversal(lt.t.g), sumIn: lt.sumIn}
 }
 
 // Generate performs the reverse random walk from root and returns a
@@ -77,6 +76,7 @@ func (lt *LT) generate(r *rng.Source, root int32, sentinel []bool, buf []int32) 
 		return set
 	}
 	g := lt.t.g
+	uniform := g.UniformIn()
 	cur := root
 	for {
 		sources, probs := g.InNeighbors(cur)
@@ -88,7 +88,7 @@ func (lt *LT) generate(r *rng.Source, root int32, sentinel []bool, buf []int32) 
 			break
 		}
 		var next int32 = -1
-		if p, _, ok := g.UniformInProb(cur); ok {
+		if uniform {
 			// Equal weights: stop with probability 1-sum, otherwise a
 			// uniform in-neighbor. One random draw, O(1).
 			lt.stats.EdgesExamined++
@@ -96,7 +96,7 @@ func (lt *LT) generate(r *rng.Source, root int32, sentinel []bool, buf []int32) 
 			if u >= sum {
 				break
 			}
-			idx := int(u / p)
+			idx := int(u / probs[0])
 			if idx >= len(sources) { // numeric slack at the boundary
 				idx = len(sources) - 1
 			}

@@ -42,8 +42,12 @@ type RRSet []int32
 // for the vanilla generator, geometric draws and landings for SUBSIM —
 // which is the abstract cost measure of Lemma 4.
 type Stats struct {
-	Sets          int64
-	Nodes         int64
+	Sets  int64
+	Nodes int64
+	// EdgesExamined counts edge examinations. SUBSIM's equal-probability
+	// path draws a whole BFS level's landings before it resolves any, so
+	// when a sentinel stops the traversal, the landings already drawn
+	// for the rest of that level still count.
 	EdgesExamined int64
 	// SentinelHits counts the sets whose traversal was truncated by a
 	// sentinel node (including a sentinel root), the directly measurable
@@ -97,8 +101,9 @@ type Generator interface {
 	// ResetStats zeroes the counters.
 	ResetStats()
 	// Clone returns a generator with fresh scratch space and zeroed
-	// stats for use by another goroutine. Scratch capacity is seeded
-	// from the parent's observed average RR-set size.
+	// stats for use by another goroutine. Hint-sized scratch (SUBSIM's
+	// frontier) is seeded from the parent's observed average RR-set
+	// size.
 	Clone() Generator
 }
 
@@ -121,8 +126,8 @@ func GenerateRandomInto(gen Generator, a *Arena, r *rng.Source, sentinel []bool)
 	return gen.GenerateInto(a, r, RandomRoot(r, gen.Graph()), sentinel)
 }
 
-// defaultScratchCap is the scratch capacity a fresh traversal starts
-// with before any RR-set size has been observed. Clones of warmed
+// defaultScratchCap is the scratch capacity a fresh SUBSIM frontier
+// starts with before any RR-set size has been observed. Clones of warmed
 // generators size their scratch from the parent's running average
 // instead (see scratchHint).
 const defaultScratchCap = 32
@@ -150,29 +155,23 @@ func scratchHint(s Stats) int {
 }
 
 // traversal is the shared reverse-BFS state: an epoch-stamped visited
-// array (cleared in O(1) by bumping the epoch), a reusable queue, and a
-// reusable scratch buffer for the compatibility Generate path. The hit
-// flag records whether the current traversal stopped on a sentinel, so
-// generators can count Stats.SentinelHits without threading a return
-// value through every traversal path.
+// array (cleared in O(1) by bumping the epoch) and a reusable scratch
+// buffer for the compatibility Generate path. The BFS queue is the RR
+// set itself: nodes are appended in activation order, so a generator
+// expands set[base], set[base+1], … until it catches up with the tail.
+// The hit flag records whether the current traversal stopped on a
+// sentinel, so generators can count Stats.SentinelHits without threading
+// a return value through every traversal path.
 type traversal struct {
 	g       *graph.Graph
 	visited []uint32
 	epoch   uint32
-	queue   []int32
 	scratch []int32 // reused root-set buffer for the compat Generate path
 	hit     bool
 }
 
-func newTraversal(g *graph.Graph, hint int) traversal {
-	if hint <= 0 {
-		hint = defaultScratchCap
-	}
-	return traversal{
-		g:       g,
-		visited: make([]uint32, g.N()),
-		queue:   make([]int32, 0, hint),
-	}
+func newTraversal(g *graph.Graph) traversal {
+	return traversal{g: g, visited: make([]uint32, g.N())}
 }
 
 // begin starts a new traversal from root, appending the root to buf
@@ -189,18 +188,16 @@ func (t *traversal) begin(root int32, sentinel []bool, buf []int32) (set []int32
 	}
 	t.hit = false
 	t.visited[root] = t.epoch
-	t.queue = t.queue[:0]
 	set = append(buf, root)
 	if sentinel != nil && sentinel[root] {
 		t.hit = true
 		return set, true
 	}
-	t.queue = append(t.queue, root)
 	return set, false
 }
 
-// activate marks w visited and appends it to set and queue. It reports
-// whether the whole traversal must stop because w is a sentinel.
+// activate marks w visited and appends it to set, which enqueues it. It
+// reports whether the whole traversal must stop because w is a sentinel.
 //
 //subsim:hotpath
 func (t *traversal) activate(w int32, sentinel []bool, set *[]int32) (stop bool) {
@@ -210,7 +207,6 @@ func (t *traversal) activate(w int32, sentinel []bool, set *[]int32) (stop bool)
 		t.hit = true
 		return true
 	}
-	t.queue = append(t.queue, w)
 	return false
 }
 

@@ -10,14 +10,17 @@ import (
 )
 
 // allGenerators returns every IC generator kind over g, keyed by name.
+// NewSubsim comes first because it may sort g's in-edges in place, and
+// the bucketed samplers address in-edges by position, so they must be
+// built over the final order.
 func allGenerators(g *graph.Graph) map[string]Generator {
-	gens := map[string]Generator{
+	sub := NewSubsim(g)
+	return map[string]Generator{
+		"subsim":   sub,
 		"vanilla":  NewVanilla(g),
 		"bucketed": NewSubsimBucketed(g, false),
 		"jump":     NewSubsimBucketed(g, true),
 	}
-	gens["subsim"] = NewSubsim(g) // may sort in-edges; last so others see same graph either way
-	return gens
 }
 
 func TestRRSetContainsRootFirst(t *testing.T) {

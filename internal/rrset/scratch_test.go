@@ -9,7 +9,7 @@ import (
 // TestScratchHintColdStart pins the scratch-sizing policy, cold start
 // first: with no observed sets the hint must be the documented default,
 // never zero (a zero hint would make every fresh clone eat log2(size)
-// queue reallocations on its first traversal).
+// frontier reallocations on its first traversal).
 func TestScratchHintColdStart(t *testing.T) {
 	if got := scratchHint(Stats{}); got != defaultScratchCap {
 		t.Errorf("cold start hint = %d, want defaultScratchCap %d", got, defaultScratchCap)
@@ -28,16 +28,17 @@ func TestScratchHintColdStart(t *testing.T) {
 	}
 }
 
-// TestNewTraversalColdStart checks the traversal constructor honours the
-// hint and defends against non-positive ones.
+// TestNewTraversalColdStart checks that the SUBSIM frontier scratch,
+// the traversal's only hint-sized buffer, honours the hint and defends
+// against non-positive ones.
 func TestNewTraversalColdStart(t *testing.T) {
-	g := graph.GenLine(10, 1)
 	for _, tc := range []struct{ hint, want int }{
 		{0, defaultScratchCap}, {-5, defaultScratchCap}, {100, 100},
 	} {
-		tr := newTraversal(g, tc.hint)
-		if cap(tr.queue) != tc.want {
-			t.Errorf("newTraversal(hint=%d): queue cap %d, want %d", tc.hint, cap(tr.queue), tc.want)
+		f := newFrontier(tc.hint)
+		if cap(f.heads) != tc.want || cap(f.landings) != tc.want {
+			t.Errorf("newFrontier(hint=%d): heads cap %d, landings cap %d, want %d",
+				tc.hint, cap(f.heads), cap(f.landings), tc.want)
 		}
 	}
 }
@@ -48,13 +49,13 @@ func TestCloneScratchSizing(t *testing.T) {
 	g := graph.GenLine(200, 1)
 	gen := NewSubsim(g)
 	cold := gen.Clone().(*Subsim)
-	if got := cap(cold.t.queue); got != defaultScratchCap {
-		t.Errorf("cold clone queue cap = %d, want %d", got, defaultScratchCap)
+	if got := cap(cold.f.landings); got != defaultScratchCap {
+		t.Errorf("cold clone frontier cap = %d, want %d", got, defaultScratchCap)
 	}
 	// Fake a warmed parent whose average exceeds the default floor.
 	gen.stats = Stats{Sets: 4, Nodes: 400}
 	warm := gen.Clone().(*Subsim)
-	if got, want := cap(warm.t.queue), scratchHint(gen.stats); got != want {
-		t.Errorf("warm clone queue cap = %d, want %d", got, want)
+	if got, want := cap(warm.f.landings), scratchHint(gen.stats); got != want {
+		t.Errorf("warm clone frontier cap = %d, want %d", got, want)
 	}
 }

@@ -31,6 +31,7 @@ import (
 //     which is where the classic per-bucket log-h overhead went.
 type Subsim struct {
 	t     traversal
+	f     frontier
 	stats Stats
 	// buckets[v] describes node v's descending-sorted in-edge buckets
 	// (bucket j spans 1-indexed positions [2^j, 2^{j+1})). Nil when the
@@ -58,7 +59,7 @@ type bucketInfo struct {
 // and unsorted in-edges, they are sorted in place (a one-time O(m log n)
 // preprocessing shared by all clones).
 func NewSubsim(g *graph.Graph) *Subsim {
-	s := &Subsim{t: newTraversal(g, 0)}
+	s := &Subsim{t: newTraversal(g), f: newFrontier(0)}
 	if !g.UniformIn() {
 		g.SortInEdges()
 		s.buckets = buildBucketInfo(g)
@@ -111,11 +112,12 @@ func (s *Subsim) ResetStats() { s.stats = Stats{} }
 
 // Clone returns an independent generator for another goroutine, sharing
 // the immutable precomputed bucket tables and the (concurrency-safe)
-// skip histogram; scratch is sized from the parent's observed average
-// RR-set size.
+// skip histogram; the frontier scratch is sized from the parent's
+// observed average RR-set size.
 func (s *Subsim) Clone() Generator {
 	return &Subsim{
-		t:        newTraversal(s.t.g, scratchHint(s.stats)),
+		t:        newTraversal(s.t.g),
+		f:        newFrontier(scratchHint(s.stats)),
 		buckets:  s.buckets,
 		skipHist: s.skipHist,
 	}
@@ -149,13 +151,31 @@ func (s *Subsim) generate(r *rng.Source, root int32, sentinel []bool, buf []int3
 		return set
 	}
 	g := s.t.g
-	if g.UniformIn() {
-		s.generateUniform(r, g, sentinel, &set)
+	if table := g.UniformInHeaders(); table != nil {
+		set = s.generateUniform(r, table, g.InAdj(), sentinel, set, base)
 	} else {
-		s.generateSorted(r, g, sentinel, &set)
+		set = s.generateSorted(r, g, sentinel, set, base)
 	}
 	s.note(len(set) - base)
 	return set
+}
+
+// frontier is the reused per-level scratch of generateUniform: the
+// gathered headers of one BFS level's nodes, and the in-edge positions
+// their landings drew.
+type frontier struct {
+	heads    []graph.InHeader
+	landings []int64
+}
+
+func newFrontier(hint int) frontier {
+	if hint <= 0 {
+		hint = defaultScratchCap
+	}
+	return frontier{
+		heads:    make([]graph.InHeader, 0, hint),
+		landings: make([]int64, 0, hint),
+	}
 }
 
 // firstLanding converts a uniform u < touched into the 1-indexed position
@@ -178,54 +198,80 @@ func firstLanding(u, logHead float64, size int64) int64 {
 
 // generateUniform is the Algorithm 3 fast path: one geometric skip stream
 // per activated node, entered only when a single uniform says the node's
-// in-neighbor scan produces at least one landing.
+// in-neighbor scan produces at least one landing. It walks the RR set
+// one BFS level at a time (the level is the run of set entries appended
+// while the previous level was resolved), in three passes whose loads do
+// not depend on each other, so the CPU overlaps their cache misses
+// instead of waiting on each in turn: gatherHeads, drawLandings, then
+// resolving each landing to its source node against the visited stamps.
 //
 //subsim:hotpath
-func (s *Subsim) generateUniform(r *rng.Source, g *graph.Graph, sentinel []bool, set *[]int32) {
-	for len(s.t.queue) > 0 {
-		u := s.t.queue[len(s.t.queue)-1]
-		s.t.queue = s.t.queue[:len(s.t.queue)-1]
-		sources, _ := g.InNeighbors(u)
-		if len(sources) == 0 {
-			continue
-		}
-		s.stats.EdgesExamined++
-		u0 := r.Float64()
-		touched := g.UniformInTouched(u)
-		if u0 >= touched {
-			continue
-		}
-		_, logP, _ := g.UniformInProb(u)
-		h := int64(len(sources))
-		pos := firstLanding(u0, logP, h) - 1
-		for {
-			s.stats.EdgesExamined++
-			w := sources[pos]
-			if !s.t.seen(w) {
-				if s.t.activate(w, sentinel, set) {
-					return
-				}
+func (s *Subsim) generateUniform(r *rng.Source, table []graph.InHeader, adj []int32, sentinel []bool, set []int32, base int) []int32 {
+	for lo := base; lo < len(set); {
+		level := set[lo:]
+		lo = len(set)
+		s.f.heads = gatherHeads(s.f.heads[:0], table, level)
+		s.f.landings = s.drawLandings(r, s.f.landings[:0], s.f.heads)
+		s.stats.EdgesExamined += int64(len(s.f.heads) + len(s.f.landings))
+		for _, pos := range s.f.landings {
+			w := adj[pos]
+			if !s.t.seen(w) && s.t.activate(w, sentinel, &set) {
+				return set
 			}
-			skip := r.GeometricFromLog(logP)
+		}
+	}
+	return set
+}
+
+// gatherHeads appends to dst the header, looked up in table, of every
+// node of level that has in-edges.
+//
+//subsim:hotpath
+func gatherHeads(dst, table []graph.InHeader, level []int32) []graph.InHeader {
+	for _, u := range level {
+		if h := table[u]; h.Deg > 0 {
+			dst = append(dst, h)
+		}
+	}
+	return dst
+}
+
+// drawLandings appends to landings the in-edge position of every landing
+// of every node in heads, in order: one uniform decides whether a node's
+// scan lands at all, and a geometric skip stream walks its landings.
+//
+//subsim:hotpath
+func (s *Subsim) drawLandings(r *rng.Source, landings []int64, heads []graph.InHeader) []int64 {
+	for i := range heads {
+		h := &heads[i]
+		u0 := r.Float64()
+		if u0 >= h.Touched {
+			continue
+		}
+		pos := firstLanding(u0, h.LogP, h.Deg) - 1
+		for {
+			landings = append(landings, h.Off+pos)
+			skip := r.GeometricFromLog(h.LogP)
 			if hist := s.skipHist; hist != nil {
 				hist.Observe(skip)
 			}
-			if skip >= h-pos {
+			if skip >= h.Deg-pos {
 				break
 			}
 			pos += skip
 		}
 	}
+	return landings
 }
 
 // generateSorted is the Section 3.3 index-free general-IC path over
 // descending-sorted in-edges, with per-bucket first-landing shortcuts.
 //
 //subsim:hotpath
-func (s *Subsim) generateSorted(r *rng.Source, g *graph.Graph, sentinel []bool, set *[]int32) {
-	for len(s.t.queue) > 0 {
-		u := s.t.queue[len(s.t.queue)-1]
-		s.t.queue = s.t.queue[:len(s.t.queue)-1]
+func (s *Subsim) generateSorted(r *rng.Source, g *graph.Graph, sentinel []bool, set []int32, base int) []int32 {
+	// An unsigned cursor lets the compiler prove set[next] in bounds.
+	for next := uint(base); next < uint(len(set)); next++ {
+		u := set[next]
 		sources, probs := g.InNeighbors(u)
 		if len(sources) == 0 {
 			continue
@@ -255,8 +301,8 @@ func (s *Subsim) generateSorted(r *rng.Source, g *graph.Graph, sentinel []bool, 
 				if p := probs[pos-1]; p >= head || r.Float64()*head < p {
 					w := sources[pos-1]
 					if !s.t.seen(w) {
-						if s.t.activate(w, sentinel, set) {
-							return
+						if s.t.activate(w, sentinel, &set) {
+							return set
 						}
 					}
 				}
@@ -271,6 +317,7 @@ func (s *Subsim) generateSorted(r *rng.Source, g *graph.Graph, sentinel []bool, 
 			}
 		}
 	}
+	return set
 }
 
 func (s *Subsim) note(size int) {

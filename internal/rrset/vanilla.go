@@ -18,7 +18,7 @@ type Vanilla struct {
 
 // NewVanilla returns a vanilla IC generator over g.
 func NewVanilla(g *graph.Graph) *Vanilla {
-	return &Vanilla{t: newTraversal(g, 0)}
+	return &Vanilla{t: newTraversal(g)}
 }
 
 // Graph returns the underlying graph.
@@ -30,10 +30,9 @@ func (v *Vanilla) Stats() Stats { return v.stats }
 // ResetStats zeroes the counters.
 func (v *Vanilla) ResetStats() { v.stats = Stats{} }
 
-// Clone returns an independent generator for another goroutine, sized
-// from the parent's observed average RR-set size.
+// Clone returns an independent generator for another goroutine.
 func (v *Vanilla) Clone() Generator {
-	return &Vanilla{t: newTraversal(v.t.g, scratchHint(v.stats))}
+	return &Vanilla{t: newTraversal(v.t.g)}
 }
 
 // Generate performs the reverse stochastic BFS from root and returns a
@@ -63,10 +62,8 @@ func (v *Vanilla) generate(r *rng.Source, root int32, sentinel []bool, buf []int
 		return set
 	}
 	g := v.t.g
-	for len(v.t.queue) > 0 {
-		u := v.t.queue[len(v.t.queue)-1]
-		v.t.queue = v.t.queue[:len(v.t.queue)-1]
-		sources, probs := g.InNeighbors(u)
+	for head := base; head < len(set); head++ {
+		sources, probs := g.InNeighbors(set[head])
 		v.stats.EdgesExamined += int64(len(sources))
 		for i, w := range sources {
 			if v.t.seen(w) || !r.Bernoulli(probs[i]) {

@@ -16,12 +16,15 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // selectionGoldenPath holds the committed seeds and certified bounds of
-// every selectionCases run. It was recorded with the full-scan Λᵘ
+// every selectionCases run. It was first recorded with the full-scan Λᵘ
 // implementation (a bounded-insertion top-L sum over every node's stored
-// gain) that the CELF-heap frontier walk replaced, so it pins that the
-// walk changed no pick and no bound bit. Regenerate with
-// `go test . -run SelectionGolden -update` only after a change that is
-// meant to move results.
+// gain) that the CELF-heap frontier walk replaced, which pinned that the
+// walk changed no pick and no bound bit. It was re-recorded once, with
+// no selection code changed, when the RR generators' draw order changed
+// (frontier-batched SUBSIM, FIFO traversal); the generators'
+// distribution tests in internal/rrset back that re-record. Regenerate
+// with `go test . -run SelectionGolden -update` only after a change that
+// is meant to move results.
 var selectionGoldenPath = filepath.Join("testdata", "selection_golden.json")
 
 // selectionGolden is one recorded run: its seeds in pick order and the
