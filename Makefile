@@ -51,10 +51,11 @@ test:
 	@mkdir -p bin
 	$(GO) test ./... 2>&1 | tee bin/test_output.txt
 
-# Allocation-regression gate: the generate→store→index pipeline must
-# stay allocation-free per RR set in steady state (see BENCH_rrset.json),
-# including across repeated FillIndex→SelectSeeds rounds (the CSR double
-# buffers and selection scratch are reused, not reallocated), and the
+# Allocation-regression gate: the generate→index pipeline must stay
+# allocation-free per RR set in steady state (see BENCH_rrset.json),
+# including across repeated Fill→SelectSeeds rounds (the shard arenas,
+# CSR double buffers and selection scratch are reused, not reallocated),
+# and the
 # always-on flight recorder must journal and sample without allocating.
 test-alloc:
 	$(GO) test ./internal/im -run 'AllocFree|AmortizedAllocs|RoundsAllocs' -v
@@ -157,15 +158,15 @@ benchcheck:
 	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -check arena-csr,current
 
 # Worker-scaling suite for the parallel coverage pipeline: the
-# phase-split benchmarks (arena→store splice, delta CSR index build,
-# first CELF round) at workers 1/4/8 plus the end-to-end RR-pipeline
+# phase-split benchmarks (first CELF round, full selection with the
+# per-round fan-out) at workers 1/4/8 plus the end-to-end RR-pipeline
 # shapes, recorded under the "parallel-cover" label. The regression gate
 # pins only the serial (_W1) variants against the arena-csr baseline —
 # those are machine-independent, while the W4/W8-vs-W1 ratios depend on
 # the recording host's core count (on a single core they measure pure
 # partitioning overhead and stay informational).
-BENCH_SCALE_IM = BenchmarkSplice_|BenchmarkFillSharded_|BenchmarkShardedSelectSeeds_|$(BENCH_RR)
-BENCH_SCALE_COV = BenchmarkIndexBuild_|BenchmarkSelectGains_
+BENCH_SCALE_IM = BenchmarkShardedSelectSeeds_|$(BENCH_RR)
+BENCH_SCALE_COV = BenchmarkSelectGains_
 bench-scale:
 	@mkdir -p bin
 	$(GO) test ./internal/im -run '^$$' -bench '$(BENCH_SCALE_IM)' -benchmem 2>&1 | tee bin/bench_scale.txt
@@ -174,10 +175,10 @@ bench-scale:
 	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -check arena-csr,parallel-cover -filter '_W1$$'
 
 # Coverage-estimator memory/time crossover: the fill→select path through
-# the exact CSR index vs the HLL sketch backend on the largest bench
+# the exact engine vs the HLL sketch backend on the largest bench
 # graph, recorded under the "sketch-cover" label. The "index-bytes"
 # extra column is the evidence: the sketch's register file stays at
-# m bytes/node while the exact index grows with θ. The gate re-checks
+# m bytes/node while the exact engine grows with θ. The gate re-checks
 # ns/op of the recorded pair so a sketch slowdown can't creep in.
 bench-sketch:
 	@mkdir -p bin
@@ -186,7 +187,7 @@ bench-sketch:
 	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -check sketch-cover,sketch-cover
 
 # Workers×graph scaling matrix: sweep the full pipeline (generate,
-# splice, delta CSR build, select) over worker counts, compute per-phase
+# delta CSR build, select) over worker counts, compute per-phase
 # speedup/efficiency curves and least-squares Amdahl serial-fraction
 # fits, and record them into BENCH_rrset.json under the "scale-matrix"
 # label. On a host where GOMAXPROCS < max workers the run (and the

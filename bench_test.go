@@ -292,7 +292,8 @@ func BenchmarkAblation_Geometric(b *testing.B) {
 }
 
 // BenchmarkAblation_LazyGreedy measures seed selection over a realistic
-// RR collection (the coverage index dominates IM node-selection time).
+// RR collection in the exact coverage engine (the coverage index
+// dominates IM node-selection time).
 func BenchmarkAblation_LazyGreedy(b *testing.B) {
 	g := benchGraph(b, 5000, 8, "wc")
 	gen := subsim.NewRRGenerator(g, subsim.GenSubsim)
@@ -301,7 +302,7 @@ func BenchmarkAblation_LazyGreedy(b *testing.B) {
 	for v := range outDeg {
 		outDeg[v] = int32(g.OutDegree(int32(v)))
 	}
-	idx := coverage.NewIndex(g.N(), outDeg)
+	idx := coverage.NewSharded(g.N(), outDeg, 1)
 	for _, set := range sets {
 		idx.Add(set)
 	}

@@ -13,8 +13,8 @@
 //	-eps     approximation parameter ε (default 0.1)
 //	-seed    RNG seed (default 2020)
 //	-workers RR-generation parallelism (default GOMAXPROCS)
-//	-estimator coverage backend: "exact" (CSR index), "hll" (sketch) or
-//	         "sharded" (shard-parallel exact engine, zero-splice fill)
+//	-estimator coverage backend: "exact" (sharded CSR index) or "hll"
+//	         (sketch)
 //	-sketch-p  HLL register exponent p in [4,16] (0 = default 8)
 //	-bound   sample-complexity analysis: "imm" (worst-case) or "tight"
 //	-k       comma-separated k sweep for fig1/fig4/fig5
@@ -55,7 +55,7 @@ func main() {
 	seed := flag.Uint64("seed", 2020, "random seed")
 	workers := flag.Int("workers", 0, "RR generation workers (0 = GOMAXPROCS)")
 	ks := flag.String("k", "", "comma-separated k sweep (overrides default)")
-	estimator := flag.String("estimator", "exact", "coverage backend: exact, hll or sharded")
+	estimator := flag.String("estimator", "exact", "coverage backend: exact or hll")
 	sketchP := flag.Int("sketch-p", 0, "HLL register exponent p in [4,16] (0 = default)")
 	bound := flag.String("bound", "imm", "sample-complexity bound: imm or tight")
 	quick := flag.Bool("quick", false, "tiny smoke-test configuration")

@@ -14,11 +14,10 @@
 //	-eps     approximation parameter ε
 //	-seed    RNG seed
 //	-workers RR-generation parallelism (0 = GOMAXPROCS)
-//	-estimator coverage backend: exact (CSR inverted index, default),
-//	         hll (HyperLogLog sketches: θ-independent memory, estimates
-//	         within the backend's certified relative error) or sharded
-//	         (shard-parallel exact engine: zero-splice fill, parallel
-//	         CELF rounds, byte-identical results to exact)
+//	-estimator coverage backend: exact (per-worker shards with CSR
+//	         inverted indexes, default) or hll (HyperLogLog sketches:
+//	         θ-independent memory, estimates within the backend's
+//	         certified relative error)
 //	-sketch-p HLL register-index width p, 2^p registers per node
 //	         (0 = default 8, i.e. 256 B/node, ~6.5% relative error)
 //	-bound   sample-complexity analysis capping θ: imm (worst-case
@@ -101,7 +100,7 @@ func main() {
 	eps := flag.Float64("eps", 0.1, "approximation parameter epsilon")
 	seed := flag.Uint64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "RR generation workers (0 = GOMAXPROCS)")
-	estimator := flag.String("estimator", "exact", "coverage backend: exact, hll or sharded")
+	estimator := flag.String("estimator", "exact", "coverage backend: exact or hll")
 	sketchP := flag.Int("sketch-p", 0, "HLL precision p (2^p registers/node, 0 = default)")
 	bound := flag.String("bound", "imm", "sample-complexity bound: imm or tight")
 	mc := flag.Int("mc", 10000, "forward simulations for spread estimate (0 = skip)")

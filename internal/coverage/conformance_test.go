@@ -10,14 +10,13 @@ import (
 
 // Compile-time: every backend satisfies the Estimator contract.
 var (
-	_ Estimator = (*Index)(nil)
 	_ Estimator = (*HLL)(nil)
 	_ Estimator = (*Sharded)(nil)
 )
 
 // estimatorCase is one backend under conformance test. tol(want)
 // returns the absolute slack allowed on a count query whose true value
-// is want: zero for the exact backends, RelError-scaled (with a small
+// is want: zero for the exact engine, RelError-scaled (with a small
 // additive floor for tiny counts) for sketches.
 type estimatorCase struct {
 	name string
@@ -35,14 +34,15 @@ func sketchTol(e Estimator, want int64) int64 {
 	return int64(math.Ceil(6*e.RelError()*float64(want))) + 4
 }
 
-// conformanceCases enumerates the three coverage backends. Sharded runs
-// with a shard count different from every tested worker count, so any
-// accidental shard/worker coupling would show up.
+// conformanceCases enumerates the two coverage backends, the exact
+// engine at two shard counts: the serial S=1 engine ("exact") and S=3
+// ("sharded"), a shard count different from every tested worker count,
+// so any accidental shard/worker coupling would show up.
 func conformanceCases() []estimatorCase {
 	return []estimatorCase{
 		{
 			name: "exact",
-			make: func(n int, outDeg []int32) Estimator { return NewIndex(n, outDeg) },
+			make: func(n int, outDeg []int32) Estimator { return NewSharded(n, outDeg, 1) },
 			kind: EstimatorExact,
 			tol:  exactTol,
 		},
@@ -55,7 +55,7 @@ func conformanceCases() []estimatorCase {
 		{
 			name: "sharded",
 			make: func(n int, outDeg []int32) Estimator { return NewSharded(n, outDeg, 3) },
-			kind: EstimatorSharded,
+			kind: EstimatorExact,
 			tol:  exactTol,
 		},
 	}
@@ -75,7 +75,7 @@ func TestEstimatorConformance(t *testing.T) {
 	for v := range outDeg {
 		outDeg[v] = int32(r.Intn(30))
 	}
-	exactRes := indexFromSets(n, outDeg, sets).SelectSeeds(GreedyOptions{K: 8})
+	exactRes := shardedFromSets(n, 1, outDeg, sets).SelectSeeds(GreedyOptions{K: 8})
 
 	for _, tc := range conformanceCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,7 +83,7 @@ func TestEstimatorConformance(t *testing.T) {
 			if e.N() != n {
 				t.Fatalf("N() = %d, want %d", e.N(), n)
 			}
-			if e.Kind() != tc.kind || e.Kind().String() != tc.name {
+			if k, err := ParseEstimator(e.Kind().String()); e.Kind() != tc.kind || err != nil || k != tc.kind {
 				t.Fatalf("Kind() = %v (%q), want %v", e.Kind(), e.Kind().String(), tc.kind)
 			}
 			if re := e.RelError(); re < 0 || (tc.tol(e, 1000) == 0) != (re == 0) {
@@ -125,8 +125,9 @@ func TestEstimatorConformance(t *testing.T) {
 			}
 
 			// Greedy quality: the true (brute-force) coverage of the picked
-			// seeds must be within 10% of the exact backend's pick — exact
-			// backends match it exactly, the sketch may trade a little.
+			// seeds must be within 10% of the serial exact engine's pick —
+			// the exact engine matches it exactly at any shard count, the
+			// sketch may trade a little.
 			res := e.SelectSeeds(GreedyOptions{K: 8})
 			if len(res.Seeds) != 8 {
 				t.Fatalf("SelectSeeds returned %d seeds, want 8", len(res.Seeds))
@@ -139,7 +140,7 @@ func TestEstimatorConformance(t *testing.T) {
 			if e.RelError() == 0 {
 				for i := range exactRes.Seeds {
 					if res.Seeds[i] != exactRes.Seeds[i] || res.Coverage[i] != exactRes.Coverage[i] {
-						t.Fatalf("exact-class backend diverged from Index at pick %d: (%d,%d) vs (%d,%d)",
+						t.Fatalf("exact backend diverged from the S=1 engine at pick %d: (%d,%d) vs (%d,%d)",
 							i, res.Seeds[i], res.Coverage[i], exactRes.Seeds[i], exactRes.Coverage[i])
 					}
 				}

@@ -8,12 +8,24 @@ import (
 	"subsim/internal/rrset"
 )
 
-func indexFromSets(n int, outDeg []int32, sets [][]int32) *Index {
-	x := NewIndex(n, outDeg)
+// shardedFromSets builds the exact engine from explicit sets through
+// the per-set Add path, which routes by collection index.
+func shardedFromSets(n, shards int, outDeg []int32, sets [][]int32) *Sharded {
+	x := NewSharded(n, outDeg, shards)
 	for _, s := range sets {
 		x.Add(rrset.RRSet(s))
 	}
 	return x
+}
+
+// exactFromSets builds the exact engine over sets at every shard count
+// the brute-force tests cover: the serial S=1 engine and a multi-shard
+// one, whose every answer is a sum over shards.
+func exactFromSets(n int, outDeg []int32, sets [][]int32) []*Sharded {
+	return []*Sharded{
+		shardedFromSets(n, 1, outDeg, sets),
+		shardedFromSets(n, 3, outDeg, sets),
+	}
 }
 
 // bruteCoverage counts sets intersecting seeds.
@@ -55,34 +67,36 @@ func bruteBestK(n int, sets [][]int32, k int) int64 {
 
 func TestCoverageOfMatchesBruteForce(t *testing.T) {
 	sets := [][]int32{{0, 1}, {1, 2}, {3}, {0, 3}, {4}}
-	x := indexFromSets(5, nil, sets)
-	cases := [][]int32{{}, {0}, {1}, {0, 1}, {3, 4}, {0, 1, 2, 3, 4}}
-	for _, seeds := range cases {
-		if got, want := x.CoverageOf(seeds), bruteCoverage(sets, seeds); got != want {
-			t.Errorf("CoverageOf(%v) = %d, want %d", seeds, got, want)
+	for _, x := range exactFromSets(5, nil, sets) {
+		cases := [][]int32{{}, {0}, {1}, {0, 1}, {3, 4}, {0, 1, 2, 3, 4}}
+		for _, seeds := range cases {
+			if got, want := x.CoverageOf(seeds), bruteCoverage(sets, seeds); got != want {
+				t.Errorf("CoverageOf(%v) = %d, want %d", seeds, got, want)
+			}
 		}
-	}
-	if x.NumSets() != 5 || x.N() != 5 {
-		t.Fatal("counts wrong")
-	}
-	if x.Degree(1) != 2 {
-		t.Fatalf("Degree(1) = %d", x.Degree(1))
+		if x.NumSets() != 5 || x.N() != 5 {
+			t.Fatal("counts wrong")
+		}
+		if x.Degree(1) != 2 {
+			t.Fatalf("Degree(1) = %d", x.Degree(1))
+		}
 	}
 }
 
 func TestGreedySingleSeedIsOptimal(t *testing.T) {
 	sets := [][]int32{{0, 1}, {1, 2}, {1}, {3}, {3}, {3}}
-	x := indexFromSets(4, nil, sets)
-	res := x.SelectSeeds(GreedyOptions{K: 1})
-	if len(res.Seeds) != 1 {
-		t.Fatal("wrong seed count")
-	}
-	// Node 1 and node 3 both cover 3 sets; tie-break by id picks 1.
-	if res.Seeds[0] != 1 {
-		t.Fatalf("picked %d", res.Seeds[0])
-	}
-	if res.Coverage[0] != 3 {
-		t.Fatalf("coverage %d", res.Coverage[0])
+	for _, x := range exactFromSets(4, nil, sets) {
+		res := x.SelectSeeds(GreedyOptions{K: 1})
+		if len(res.Seeds) != 1 {
+			t.Fatal("wrong seed count")
+		}
+		// Node 1 and node 3 both cover 3 sets; tie-break by id picks 1.
+		if res.Seeds[0] != 1 {
+			t.Fatalf("picked %d", res.Seeds[0])
+		}
+		if res.Coverage[0] != 3 {
+			t.Fatalf("coverage %d", res.Coverage[0])
+		}
 	}
 }
 
@@ -94,13 +108,14 @@ func TestGreedyMatchesKnownSelection(t *testing.T) {
 		{1, 0}, {1}, // node 1 covers 2, marginal after 0 is 1
 		{2}, {2}, // node 2 covers 2, marginal 2
 	}
-	x := indexFromSets(3, nil, sets)
-	res := x.SelectSeeds(GreedyOptions{K: 2})
-	if res.Seeds[0] != 0 || res.Seeds[1] != 2 {
-		t.Fatalf("greedy picked %v", res.Seeds)
-	}
-	if res.Coverage[1] != 6 {
-		t.Fatalf("total coverage %d", res.Coverage[1])
+	for _, x := range exactFromSets(3, nil, sets) {
+		res := x.SelectSeeds(GreedyOptions{K: 2})
+		if res.Seeds[0] != 0 || res.Seeds[1] != 2 {
+			t.Fatalf("greedy picked %v", res.Seeds)
+		}
+		if res.Coverage[1] != 6 {
+			t.Fatalf("total coverage %d", res.Coverage[1])
+		}
 	}
 }
 
@@ -123,14 +138,15 @@ func TestGreedyApproximationGuarantee(t *testing.T) {
 			}
 		}
 		k := 1 + r.Intn(3)
-		x := indexFromSets(n, nil, sets)
-		res := x.SelectSeeds(GreedyOptions{K: k})
-		opt := bruteBestK(n, sets, k)
-		if float64(res.TotalCoverage(0)) < (1-1.0/2.718281829)*float64(opt)-1e-9 {
-			t.Fatalf("trial %d: greedy %d below (1-1/e)·opt (%d)", trial, res.TotalCoverage(0), opt)
-		}
-		if res.CoverageUpper < opt {
-			t.Fatalf("trial %d: upper bound %d below optimum %d", trial, res.CoverageUpper, opt)
+		for _, x := range exactFromSets(n, nil, sets) {
+			res := x.SelectSeeds(GreedyOptions{K: k})
+			opt := bruteBestK(n, sets, k)
+			if float64(res.TotalCoverage(0)) < (1-1.0/2.718281829)*float64(opt)-1e-9 {
+				t.Fatalf("trial %d: greedy %d below (1-1/e)·opt (%d)", trial, res.TotalCoverage(0), opt)
+			}
+			if res.CoverageUpper < opt {
+				t.Fatalf("trial %d: upper bound %d below optimum %d", trial, res.CoverageUpper, opt)
+			}
 		}
 	}
 }
@@ -212,15 +228,16 @@ func TestLazyGreedyMatchesEagerGreedy(t *testing.T) {
 			if revised {
 				od = outDeg
 			}
-			x := indexFromSets(n, od, sets)
-			lazy := x.SelectSeeds(GreedyOptions{K: k, Revised: revised}).Seeds
-			eager := naiveGreedy(n, sets, k, od)
-			if len(lazy) != len(eager) {
-				return false
-			}
-			for i := range lazy {
-				if lazy[i] != eager[i] {
+			for _, x := range exactFromSets(n, od, sets) {
+				lazy := x.SelectSeeds(GreedyOptions{K: k, Revised: revised}).Seeds
+				eager := naiveGreedy(n, sets, k, od)
+				if len(lazy) != len(eager) {
 					return false
+				}
+				for i := range lazy {
+					if lazy[i] != eager[i] {
+						return false
+					}
 				}
 			}
 		}
@@ -236,60 +253,67 @@ func TestRevisedTieBreakPrefersOutDegree(t *testing.T) {
 	// out-degree and must win under Revised greedy.
 	sets := [][]int32{{0, 1}}
 	outDeg := []int32{1, 5, 0}
-	x := indexFromSets(3, outDeg, sets)
-	res := x.SelectSeeds(GreedyOptions{K: 1, Revised: true})
-	if res.Seeds[0] != 1 {
-		t.Fatalf("revised greedy picked %d", res.Seeds[0])
-	}
-	// Classic greedy breaks ties by id instead.
-	res = x.SelectSeeds(GreedyOptions{K: 1})
-	if res.Seeds[0] != 0 {
-		t.Fatalf("classic greedy picked %d", res.Seeds[0])
+	for _, x := range exactFromSets(3, outDeg, sets) {
+		res := x.SelectSeeds(GreedyOptions{K: 1, Revised: true})
+		if res.Seeds[0] != 1 {
+			t.Fatalf("revised greedy picked %d", res.Seeds[0])
+		}
+		// Classic greedy breaks ties by id instead.
+		res = x.SelectSeeds(GreedyOptions{K: 1})
+		if res.Seeds[0] != 0 {
+			t.Fatalf("classic greedy picked %d", res.Seeds[0])
+		}
 	}
 }
 
 func TestRevisedWithoutOutDegPanics(t *testing.T) {
-	x := indexFromSets(2, nil, [][]int32{{0}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Revised without out-degrees did not panic")
-		}
-	}()
-	x.SelectSeeds(GreedyOptions{K: 1, Revised: true})
+	for _, x := range exactFromSets(2, nil, [][]int32{{0}}) {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("S=%d: Revised without out-degrees did not panic", x.NumShards())
+				}
+			}()
+			x.SelectSeeds(GreedyOptions{K: 1, Revised: true})
+		}()
+	}
 }
 
 func TestBaseOffset(t *testing.T) {
 	sets := [][]int32{{0}, {1}}
-	x := indexFromSets(2, nil, sets)
-	res := x.SelectSeeds(GreedyOptions{K: 2, Base: 10})
-	if res.Coverage[0] != 11 || res.Coverage[1] != 12 {
-		t.Fatalf("coverage with base: %v", res.Coverage)
-	}
-	if res.CoverageUpper < 12 {
-		t.Fatalf("upper bound %d below achievable 12", res.CoverageUpper)
-	}
-	if res.TotalCoverage(10) != 12 {
-		t.Fatalf("TotalCoverage %d", res.TotalCoverage(10))
+	for _, x := range exactFromSets(2, nil, sets) {
+		res := x.SelectSeeds(GreedyOptions{K: 2, Base: 10})
+		if res.Coverage[0] != 11 || res.Coverage[1] != 12 {
+			t.Fatalf("coverage with base: %v", res.Coverage)
+		}
+		if res.CoverageUpper < 12 {
+			t.Fatalf("upper bound %d below achievable 12", res.CoverageUpper)
+		}
+		if res.TotalCoverage(10) != 12 {
+			t.Fatalf("TotalCoverage %d", res.TotalCoverage(10))
+		}
 	}
 }
 
 func TestTotalCoverageEmpty(t *testing.T) {
-	x := indexFromSets(3, nil, nil)
-	res := x.SelectSeeds(GreedyOptions{K: 0, Base: 7})
-	if res.TotalCoverage(7) != 7 {
-		t.Fatal("empty selection should return base")
+	for _, x := range exactFromSets(3, nil, nil) {
+		res := x.SelectSeeds(GreedyOptions{K: 0, Base: 7})
+		if res.TotalCoverage(7) != 7 {
+			t.Fatal("empty selection should return base")
+		}
 	}
 }
 
 func TestTopLBound(t *testing.T) {
 	// With TopL=2 the prefix-0 bound is the two largest degrees.
 	sets := [][]int32{{0}, {0}, {1}, {2}}
-	x := indexFromSets(3, nil, sets)
-	res := x.SelectSeeds(GreedyOptions{K: 1, TopL: 2})
-	// Upper bound candidates: prefix 0 → 2+1 = 3; after pick (node 0,
-	// cum 2) → 2 + (1+1) = 4. Min is 3.
-	if res.CoverageUpper != 3 {
-		t.Fatalf("TopL bound %d, want 3", res.CoverageUpper)
+	for _, x := range exactFromSets(3, nil, sets) {
+		res := x.SelectSeeds(GreedyOptions{K: 1, TopL: 2})
+		// Upper bound candidates: prefix 0 → 2+1 = 3; after pick (node 0,
+		// cum 2) → 2 + (1+1) = 4. Min is 3.
+		if res.CoverageUpper != 3 {
+			t.Fatalf("TopL bound %d, want 3", res.CoverageUpper)
+		}
 	}
 }
 
@@ -310,9 +334,13 @@ func TestUpperBoundDominatesAnyKSet(t *testing.T) {
 			}
 		}
 		k := 1 + r.Intn(3)
-		x := indexFromSets(n, nil, sets)
-		res := x.SelectSeeds(GreedyOptions{K: k})
-		return res.CoverageUpper >= bruteBestK(n, sets, k)
+		best := bruteBestK(n, sets, k)
+		for _, x := range exactFromSets(n, nil, sets) {
+			if x.SelectSeeds(GreedyOptions{K: k}).CoverageUpper < best {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -320,50 +348,53 @@ func TestUpperBoundDominatesAnyKSet(t *testing.T) {
 }
 
 func TestSelectSeedsClampsK(t *testing.T) {
-	x := indexFromSets(3, nil, [][]int32{{0}})
-	res := x.SelectSeeds(GreedyOptions{K: 10})
-	if len(res.Seeds) != 3 {
-		t.Fatalf("selected %d seeds", len(res.Seeds))
-	}
-	res = x.SelectSeeds(GreedyOptions{K: -1})
-	if len(res.Seeds) != 0 {
-		t.Fatal("negative k selected seeds")
+	for _, x := range exactFromSets(3, nil, [][]int32{{0}}) {
+		res := x.SelectSeeds(GreedyOptions{K: 10})
+		if len(res.Seeds) != 3 {
+			t.Fatalf("selected %d seeds", len(res.Seeds))
+		}
+		res = x.SelectSeeds(GreedyOptions{K: -1})
+		if len(res.Seeds) != 0 {
+			t.Fatal("negative k selected seeds")
+		}
 	}
 }
 
 func TestRepeatedSelectionsAreIndependent(t *testing.T) {
 	sets := [][]int32{{0, 1}, {1, 2}, {2}}
-	x := indexFromSets(3, nil, sets)
-	first := x.SelectSeeds(GreedyOptions{K: 2})
-	// Growing the index and re-selecting must reflect the new state and
-	// not any leftover covered marks.
-	x.Add(rrset.RRSet{0})
-	x.Add(rrset.RRSet{0})
-	second := x.SelectSeeds(GreedyOptions{K: 2})
-	if second.Seeds[0] != 0 {
-		t.Fatalf("after growth, first pick %d", second.Seeds[0])
-	}
-	if first.TotalCoverage(0) != 3 {
-		t.Fatalf("first selection coverage %d", first.TotalCoverage(0))
-	}
-	if second.TotalCoverage(0) != 5 {
-		t.Fatalf("second selection coverage %d", second.TotalCoverage(0))
+	for _, x := range exactFromSets(3, nil, sets) {
+		first := x.SelectSeeds(GreedyOptions{K: 2})
+		// Growing the index and re-selecting must reflect the new state and
+		// not any leftover covered marks.
+		x.Add(rrset.RRSet{0})
+		x.Add(rrset.RRSet{0})
+		second := x.SelectSeeds(GreedyOptions{K: 2})
+		if second.Seeds[0] != 0 {
+			t.Fatalf("after growth, first pick %d", second.Seeds[0])
+		}
+		if first.TotalCoverage(0) != 3 {
+			t.Fatalf("first selection coverage %d", first.TotalCoverage(0))
+		}
+		if second.TotalCoverage(0) != 5 {
+			t.Fatalf("second selection coverage %d", second.TotalCoverage(0))
+		}
 	}
 }
 
 func TestExcludeSkipsNodes(t *testing.T) {
 	sets := [][]int32{{0}, {0}, {1}}
-	x := indexFromSets(3, []int32{9, 1, 5}, sets)
-	res := x.SelectSeeds(GreedyOptions{K: 2, Revised: true, Exclude: []bool{true, false, false}})
-	for _, s := range res.Seeds {
-		if s == 0 {
-			t.Fatalf("excluded node selected: %v", res.Seeds)
+	for _, x := range exactFromSets(3, []int32{9, 1, 5}, sets) {
+		res := x.SelectSeeds(GreedyOptions{K: 2, Revised: true, Exclude: []bool{true, false, false}})
+		for _, s := range res.Seeds {
+			if s == 0 {
+				t.Fatalf("excluded node selected: %v", res.Seeds)
+			}
 		}
-	}
-	if len(res.Seeds) != 2 {
-		t.Fatalf("selected %v", res.Seeds)
-	}
-	if res.Seeds[0] != 1 {
-		t.Fatalf("first pick %d, want 1", res.Seeds[0])
+		if len(res.Seeds) != 2 {
+			t.Fatalf("selected %v", res.Seeds)
+		}
+		if res.Seeds[0] != 1 {
+			t.Fatalf("first pick %d, want 1", res.Seeds[0])
+		}
 	}
 }

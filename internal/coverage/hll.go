@@ -185,9 +185,9 @@ var parallelAbsorbMinSets = 1 << 10
 // HLL is the sketch coverage estimator: one HyperLogLog register block
 // per node over the stream of absorbed RR-set ids. It implements
 // Estimator with memory fixed at n·2^p bytes regardless of θ and does
-// not retain the sets themselves. Like *Index it is append-only and not
-// safe for concurrent mutation; a nil *HLL is an empty, inert
-// estimator and every exported method tolerates it.
+// not retain the sets themselves. It is append-only and not safe for
+// concurrent mutation; a nil *HLL is an empty, inert estimator and every
+// exported method tolerates it.
 type HLL struct {
 	n       int
 	outDeg  []int32
@@ -204,7 +204,7 @@ type HLL struct {
 	// initial-gain vector, the frontier and values of the Λᵘ top-L walk,
 	// and absorb spans.
 	cov         []uint8
-	selEntries  []hllEntry
+	selEntries  []celfEntry[float64]
 	selGains    []float64
 	topWalk     []frontierItem[float64]
 	topVals     []float64
@@ -308,7 +308,7 @@ func (h *HLL) RelError() float64 {
 
 // MemoryBytes reports the resident footprint of the coverage state:
 // the register file plus the union scratch block. RR sets themselves
-// are not retained — unlike the exact index, the footprint does not
+// are not retained — unlike the exact engine, the footprint does not
 // grow with θ.
 func (h *HLL) MemoryBytes() int64 {
 	if h == nil {
@@ -455,144 +455,6 @@ func (h *HLL) CoverageOf(seeds []int32) int64 {
 	return h.clampCount(hllEstimate(sum, zeros, h.m))
 }
 
-// hllEntry is one lazy-greedy heap element over estimated gains.
-type hllEntry struct {
-	gain float64
-	node int32
-	iter int32 // selection round the gain was computed in
-}
-
-// hllHeap mirrors celfHeap for float-valued gains. The comparison is a
-// total order (node ids are unique) and never tests floats for
-// equality, so pops are deterministic.
-type hllHeap struct {
-	entries []hllEntry
-	outDeg  []int32 // nil disables the out-degree tie-break
-}
-
-func (h *hllHeap) Len() int { return len(h.entries) }
-
-// less orders entries by gain, then the optional out-degree tie-break,
-// then node id.
-//
-//subsim:hotpath
-func (h *hllHeap) less(i, j int) bool {
-	a, b := h.entries[i], h.entries[j]
-	if a.gain > b.gain {
-		return true
-	}
-	if a.gain < b.gain {
-		return false
-	}
-	if h.outDeg != nil && h.outDeg[a.node] != h.outDeg[b.node] {
-		return h.outDeg[a.node] > h.outDeg[b.node]
-	}
-	return a.node < b.node
-}
-
-// swap exchanges two entries in place.
-//
-//subsim:hotpath
-func (h *hllHeap) swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-
-// init establishes the heap invariant in O(n).
-func (h *hllHeap) init() {
-	n := len(h.entries)
-	for i := n/2 - 1; i >= 0; i-- {
-		h.siftDown(i, n)
-	}
-}
-
-// siftDown restores the invariant below i over the first n entries.
-//
-//subsim:hotpath
-func (h *hllHeap) siftDown(i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		best := l
-		if r := l + 1; r < n && h.less(r, l) {
-			best = r
-		}
-		if !h.less(best, i) {
-			return
-		}
-		h.swap(i, best)
-		i = best
-	}
-}
-
-// siftUp restores the invariant above i.
-//
-//subsim:hotpath
-func (h *hllHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-// push adds an entry, keeping the invariant.
-//
-//subsim:hotpath
-func (h *hllHeap) push(e hllEntry) {
-	h.entries = append(h.entries, e)
-	h.siftUp(len(h.entries) - 1)
-}
-
-// pop removes and returns the maximum entry.
-//
-//subsim:hotpath
-func (h *hllHeap) pop() hllEntry {
-	n := len(h.entries) - 1
-	h.swap(0, n)
-	top := h.entries[n]
-	h.entries = h.entries[:n]
-	h.siftDown(0, n)
-	return top
-}
-
-// topSum is celfHeap.topSum over float gains: the sum of the l largest
-// positive gains stored in the heap, read off its frontier without
-// modifying it. The walk takes values in descending order; they are
-// buffered in vals and summed ascending, the order in which a sorted
-// top-L buffer sums them, so rounding — and with it every bit of the
-// bound — is independent of how the values were found. f and vals are
-// caller-owned scratch, reused across walks.
-//
-//subsim:hotpath
-func (h *hllHeap) topSum(l int, f *[]frontierItem[float64], vals *[]float64) float64 {
-	e := h.entries
-	q := (*f)[:0]
-	if len(e) > 0 && e[0].gain > 0 {
-		q = frontierPush(q, e[0].gain, 0)
-	}
-	taken := (*vals)[:0]
-	for len(taken) < l && len(q) > 0 {
-		var top frontierItem[float64]
-		top, q = frontierPop(q)
-		taken = append(taken, top.gain)
-		c := 2*int(top.pos) + 1
-		for end := min(c+2, len(e)); c < end; c++ {
-			if e[c].gain > 0 {
-				q = frontierPush(q, e[c].gain, c)
-			}
-		}
-	}
-	var sum float64
-	for i := len(taken) - 1; i >= 0; i-- {
-		sum += taken[i]
-	}
-	*f, *vals = q, taken
-	return sum
-}
-
 // marginalSketch estimates the marginal gain of v on top of the current
 // selected-union sketch — |cov ∪ block(v)| − |cov| — clamped
 // non-negative (union estimates are not exactly monotone).
@@ -625,7 +487,7 @@ func (h *HLL) parallelInitialGains(gains []float64, exclude []bool) {
 	})
 }
 
-// SelectSeeds runs the same lazy-greedy CELF loop as the exact index,
+// SelectSeeds runs the same lazy-greedy CELF loop as the exact engine,
 // with marginal gains estimated by sketch union instead of posting-list
 // walks. The Λᵘ prefix bound is inflated by the backend's certified
 // relative error so it still upper-bounds the exact Λᵘ the certified
@@ -635,32 +497,15 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 	if h == nil {
 		return GreedyResult{}
 	}
-	k := opt.K
-	if k > h.n {
-		k = h.n
-	}
-	if k < 0 {
-		k = 0
-	}
-	topL := opt.TopL
-	if topL <= 0 {
-		topL = k
-	}
-	var tie []int32
-	if opt.Revised {
-		if h.outDeg == nil {
-			panic("coverage: Revised greedy requires out-degrees")
-		}
-		tie = h.outDeg
-	}
+	k, topL, tie := selectParams(opt, h.n, h.outDeg)
 
 	if cap(h.selEntries) < h.n {
-		h.selEntries = make([]hllEntry, 0, h.n)
+		h.selEntries = make([]celfEntry[float64], 0, h.n)
 	}
 	if len(h.selGains) < h.n {
 		h.selGains = make([]float64, h.n)
 	}
-	heap := hllHeap{entries: h.selEntries[:0], outDeg: tie}
+	heap := celfHeap[float64]{entries: h.selEntries[:0], outDeg: tie}
 	gains := h.selGains[:h.n] // initial gains; excluded nodes' slots are never read
 	for i := range h.cov {
 		h.cov[i] = 0
@@ -681,7 +526,7 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 		if opt.Exclude != nil && opt.Exclude[v] {
 			continue
 		}
-		heap.entries = append(heap.entries, hllEntry{gain: gains[v], node: int32(v)})
+		heap.entries = append(heap.entries, celfEntry[float64]{gain: gains[v], node: int32(v)})
 	}
 	heap.init()
 
@@ -695,7 +540,7 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 	covEst := 0.0
 	nextBoundAt := 1
 	for round := int32(1); int(round) <= k && heap.Len() > 0; round++ {
-		var pick hllEntry
+		var pick celfEntry[float64]
 		for {
 			pick = heap.pop()
 			if pick.iter == round-1 || pick.gain <= 0 {
@@ -728,7 +573,7 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 // heap (which holds exactly the unselected candidates), all inflated by
 // the certified relative error so the sketch-valued bound still
 // dominates the exact one.
-func (h *HLL) upperAt(res *GreedyResult, heap *hllHeap, base int64, covEst float64, topL int) {
+func (h *HLL) upperAt(res *GreedyResult, heap *celfHeap[float64], base int64, covEst float64, topL int) {
 	b := (float64(base) + covEst + heap.topSum(topL, &h.topWalk, &h.topVals)) * (1 + h.relErr)
 	res.tightenUpper(int64(math.Ceil(b)))
 }

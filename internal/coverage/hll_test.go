@@ -305,7 +305,7 @@ func TestHLLSelectSeedsQuality(t *testing.T) {
 		}
 		sets[i] = s
 	}
-	exact := NewIndex(n, nil)
+	exact := NewSharded(n, nil, 1)
 	h := NewHLL(n, nil, 0)
 	for _, s := range sets {
 		exact.Add(rrset.RRSet(s))

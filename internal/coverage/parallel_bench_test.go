@@ -6,59 +6,27 @@ import (
 	"subsim/internal/rng"
 )
 
-// benchSets draws a workload shaped like the 2000-set FillIndex batch of
-// the im benchmarks: 2000 sets over 5000 nodes, sizes in [1, 30].
+// benchSets draws a workload shaped like the 2000-set fill batch of the
+// im benchmarks: count sets over 5000 nodes, sizes in [1, 30].
 func benchSets(count int) ([][]int32, int) {
 	const n = 5000
 	r := rng.New(17)
 	return randomSets(r, n, count, 30), n
 }
 
-// benchIndexBuild isolates the delta CSR inverted-index rebuild: the
-// flat store is filled once, then each iteration resets the index state
-// (heads zeroed, delta cursor rewound) and rebuilds the full CSR through
-// ensureIndexed, reusing the steady-state double buffers. The W variants
-// share identical output — the worker count only partitions the
-// counting/placement passes — so their ratio is the build speedup.
-func benchIndexBuild(b *testing.B, workers int) {
-	b.Helper()
-	sets, n := benchSets(2000)
-	x := NewIndex(n, nil)
-	x.SetWorkers(workers)
-	for _, s := range sets {
-		x.Add(s)
-	}
-	x.ensureIndexed() // warm: grows all scratch to steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		x.indexed = 0
-		for j := range x.heads {
-			x.heads[j] = 0
-		}
-		b.StartTimer()
-		x.ensureIndexed()
-	}
-	b.ReportMetric(float64(len(sets)), "sets/op")
-}
-
-func BenchmarkIndexBuild_W1(b *testing.B) { benchIndexBuild(b, 1) }
-func BenchmarkIndexBuild_W4(b *testing.B) { benchIndexBuild(b, 4) }
-func BenchmarkIndexBuild_W8(b *testing.B) { benchIndexBuild(b, 8) }
-
 // benchSelectGains isolates the first CELF round: SelectSeeds with K=1
-// on a warm index is dominated by the initial-gain fill over all n nodes
-// plus the heapify, the part the parallel gains pass partitions.
+// on a warm engine (one shard per worker, as im.NewEstimator builds it)
+// is dominated by the initial-gain fill over all n nodes plus the
+// heapify, the part the parallel gains pass partitions.
 func benchSelectGains(b *testing.B, workers int) {
 	b.Helper()
 	sets, n := benchSets(20000)
-	x := NewIndex(n, nil)
+	x := NewSharded(n, nil, workers)
 	x.SetWorkers(workers)
 	for _, s := range sets {
 		x.Add(s)
 	}
-	x.SelectSeeds(GreedyOptions{K: 1}) // warm index + selection scratch
+	x.SelectSeeds(GreedyOptions{K: 1}) // warm shards + selection scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

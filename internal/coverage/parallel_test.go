@@ -2,10 +2,10 @@ package coverage
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"subsim/internal/rng"
-	"subsim/internal/rrset"
 )
 
 // forceParallel drops the size thresholds so the parallel build and
@@ -22,7 +22,7 @@ func forceParallel(t *testing.T) {
 
 // randomSets draws count RR-set-shaped slices over n nodes with sizes
 // in [1, maxLen]; ids may repeat across sets but are unique within one
-// (matching real RR sets, though the index does not require it).
+// (matching real RR sets, though the engine does not require it).
 func randomSets(r *rng.Source, n, count, maxLen int) [][]int32 {
 	out := make([][]int32, count)
 	seen := make([]bool, n)
@@ -44,41 +44,37 @@ func randomSets(r *rng.Source, n, count, maxLen int) [][]int32 {
 	return out
 }
 
-// TestParallelBuildMatchesSerial drives two indexes through the same
-// batched append/query schedule — one serial, one with the parallel
-// build forced on — and demands byte-identical CSR state after every
-// delta rebuild, for several worker counts.
+// TestParallelBuildMatchesSerial drives two engines through the same
+// batched append/query schedule — one serial, one with the lane-parallel
+// shard rebuild forced on — and demands byte-identical per-shard CSR
+// state after every delta rebuild, for several shard and worker counts
+// (fewer, as many, and more lanes than shards).
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	forceParallel(t)
 	const n = 97
-	for _, workers := range []int{2, 3, 8} {
-		r := rng.New(42)
-		serial := NewIndex(n, nil)
-		par := NewIndex(n, nil)
-		par.SetWorkers(workers)
-		if par.Workers() != workers {
-			t.Fatalf("Workers() = %d", par.Workers())
-		}
-		// Batches of varying size, including empty deltas and a batch
-		// bigger than the node count.
-		for _, batch := range []int{1, 7, 0, 64, 3, 200, 1} {
-			for _, set := range randomSets(r, n, batch, 9) {
-				serial.Add(set)
-				par.Add(set)
+	for _, shards := range []int{3, 8} {
+		for _, workers := range []int{2, 3, 8} {
+			r := rng.New(42)
+			serial := NewSharded(n, nil, shards)
+			par := NewSharded(n, nil, shards)
+			par.SetWorkers(workers)
+			if par.Workers() != workers {
+				t.Fatalf("Workers() = %d", par.Workers())
 			}
-			serial.ensureIndexed()
-			par.ensureIndexed()
-			if len(serial.heads) != len(par.heads) {
-				t.Fatalf("workers=%d: heads length %d vs %d", workers, len(serial.heads), len(par.heads))
-			}
-			for v := range serial.heads {
-				if serial.heads[v] != par.heads[v] {
-					t.Fatalf("workers=%d: heads[%d] = %d vs %d", workers, v, par.heads[v], serial.heads[v])
+			// Batches of varying size, including empty deltas and a batch
+			// bigger than the node count.
+			for _, batch := range []int{1, 7, 0, 64, 3, 200, 1} {
+				for _, set := range randomSets(r, n, batch, 9) {
+					serial.Add(set)
+					par.Add(set)
 				}
-			}
-			for i := range serial.postings {
-				if serial.postings[i] != par.postings[i] {
-					t.Fatalf("workers=%d: postings[%d] = %d vs %d", workers, i, par.postings[i], serial.postings[i])
+				serial.ensureIndexed()
+				par.ensureIndexed()
+				for s := range serial.shards {
+					a, b := &serial.shards[s], &par.shards[s]
+					if !slices.Equal(a.heads, b.heads) || !slices.Equal(a.postings, b.postings) {
+						t.Fatalf("S=%d W=%d: shard %d CSR differs from the serial rebuild", shards, workers, s)
+					}
 				}
 			}
 		}
@@ -86,7 +82,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 }
 
 // TestParallelGainsMatchSerial compares full SelectSeeds outcomes —
-// seeds, coverages, upper bound — between a serial index and one with
+// seeds, coverages, upper bound — between a serial engine and one with
 // the parallel initial-gain pass forced, with and without exclusions.
 func TestParallelGainsMatchSerial(t *testing.T) {
 	forceParallel(t)
@@ -102,8 +98,8 @@ func TestParallelGainsMatchSerial(t *testing.T) {
 		outDeg[v] = int32(r.Intn(50))
 	}
 	for _, workers := range []int{2, 8} {
-		serial := indexFromSets(n, outDeg, sets)
-		par := indexFromSets(n, outDeg, sets)
+		serial := shardedFromSets(n, 1, outDeg, sets)
+		par := shardedFromSets(n, 1, outDeg, sets)
 		par.SetWorkers(workers)
 		for _, opt := range []GreedyOptions{
 			{K: 1},
@@ -114,14 +110,8 @@ func TestParallelGainsMatchSerial(t *testing.T) {
 		} {
 			a := serial.SelectSeeds(opt)
 			b := par.SelectSeeds(opt)
-			if len(a.Seeds) != len(b.Seeds) {
-				t.Fatalf("workers=%d opt=%+v: %d vs %d seeds", workers, opt, len(b.Seeds), len(a.Seeds))
-			}
-			for i := range a.Seeds {
-				if a.Seeds[i] != b.Seeds[i] || a.Coverage[i] != b.Coverage[i] {
-					t.Fatalf("workers=%d opt=%+v: pick %d = (%d,%d) vs (%d,%d)",
-						workers, opt, i, b.Seeds[i], b.Coverage[i], a.Seeds[i], a.Coverage[i])
-				}
+			if !slices.Equal(a.Seeds, b.Seeds) || !slices.Equal(a.Coverage, b.Coverage) {
+				t.Fatalf("workers=%d opt=%+v: picks %v/%v, want %v/%v", workers, opt, b.Seeds, b.Coverage, a.Seeds, a.Coverage)
 			}
 			if a.CoverageUpper != b.CoverageUpper {
 				t.Fatalf("workers=%d opt=%+v: upper %d vs %d", workers, opt, b.CoverageUpper, a.CoverageUpper)
@@ -130,21 +120,21 @@ func TestParallelGainsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestParallelBuildIncrementalDeltas forces the parallel path on a
-// growing index where most rebuilds are small deltas over a large
-// existing CSR — the regime where the block-copy of old postings
-// dominates — and cross-checks degrees against recounting from scratch.
-func TestParallelBuildIncrementalDeltas(t *testing.T) {
-	forceParallel(t)
+// incrementalDeltas interleaves appends and queries on an engine with
+// every fan-out forced, so most CSR rebuilds are small per-shard deltas
+// over existing postings — the regime where the block-copy of old
+// postings dominates — and cross-checks degrees against recounting from
+// scratch.
+func incrementalDeltas(t *testing.T, shards, workers int) {
+	forceParallelSharded(t)
 	const n = 40
 	r := rng.New(99)
-	par := NewIndex(n, nil)
-	par.SetWorkers(4)
+	x := NewSharded(n, nil, shards)
+	x.SetWorkers(workers)
 	var all [][]int32
 	for round := 0; round < 30; round++ {
-		batch := randomSets(r, n, 1+r.Intn(5), 5)
-		for _, set := range batch {
-			par.Add(set)
+		for _, set := range randomSets(r, n, 1+r.Intn(5), 5) {
+			x.Add(set)
 			all = append(all, set)
 		}
 		deg := make(map[int32]int)
@@ -154,36 +144,43 @@ func TestParallelBuildIncrementalDeltas(t *testing.T) {
 			}
 		}
 		for v := int32(0); v < n; v++ {
-			if got := par.Degree(v); got != deg[v] {
-				t.Fatalf("round %d: Degree(%d) = %d, want %d", round, v, got, deg[v])
+			if got := x.Degree(v); got != deg[v] {
+				t.Fatalf("S=%d W=%d round %d: Degree(%d) = %d, want %d", shards, workers, round, v, got, deg[v])
 			}
 		}
 	}
 }
 
-// TestRunWraparound exercises the uint32 stamp wraparound: when the run
-// counter overflows, newRun must clear all covered stamps so stale
-// stamps from 4 billion runs ago can never alias a live run id, and
-// CoverageOf must keep returning exact counts across the boundary.
-func TestRunWraparound(t *testing.T) {
+// TestParallelBuildIncrementalDeltas runs the incremental schedule with
+// fewer lanes than shards, so each lane rebuilds several shards.
+func TestParallelBuildIncrementalDeltas(t *testing.T) { incrementalDeltas(t, 8, 3) }
+
+// runWraparound exercises the uint32 stamp wraparound: when a shard's
+// run counter overflows, newRun must clear all its covered stamps so
+// stale stamps from 4 billion runs ago can never alias a live run id,
+// and every query must keep returning exact counts across the boundary.
+func runWraparound(t *testing.T, shards int) {
 	sets := [][]int32{{0, 1}, {1, 2}, {3}, {0, 3}, {4}}
-	x := indexFromSets(5, nil, sets)
+	x := shardedFromSets(5, shards, nil, sets)
 	seeds := []int32{0, 4}
 	want := bruteCoverage(sets, seeds)
 	if got := x.CoverageOf(seeds); got != want {
-		t.Fatalf("pre-wrap CoverageOf = %d, want %d", got, want)
+		t.Fatalf("S=%d: pre-wrap CoverageOf = %d, want %d", shards, got, want)
 	}
 
-	// Park the counter one run before overflow. The covered stamps still
-	// hold the (now enormous) run id from the call above.
-	x.run = math.MaxUint32
-	x.newRun()
-	if x.run != 1 {
-		t.Fatalf("run after wraparound = %d, want 1", x.run)
-	}
-	for i, c := range x.covered {
-		if c != 0 {
-			t.Fatalf("covered[%d] = %d after wraparound, want 0", i, c)
+	// Park every counter one run before overflow. The covered stamps
+	// still hold the (now enormous) run id from the call above.
+	for s := range x.shards {
+		sh := &x.shards[s]
+		sh.run = math.MaxUint32
+		sh.newRun()
+		if sh.run != 1 {
+			t.Fatalf("S=%d: shard %d run after wraparound = %d, want 1", shards, s, sh.run)
+		}
+		for i, c := range sh.covered {
+			if c != 0 {
+				t.Fatalf("S=%d: shard %d covered[%d] = %d after wraparound, want 0", shards, s, i, c)
+			}
 		}
 	}
 
@@ -191,52 +188,60 @@ func TestRunWraparound(t *testing.T) {
 	// first run id reused after wrapping (1) must not see phantom
 	// coverage from stamps written before the reset.
 	if got := x.CoverageOf(seeds); got != want {
-		t.Fatalf("post-wrap CoverageOf = %d, want %d", got, want)
+		t.Fatalf("S=%d: post-wrap CoverageOf = %d, want %d", shards, got, want)
 	}
 	if got := x.CoverageOf([]int32{1}); got != 2 {
-		t.Fatalf("post-wrap CoverageOf({1}) = %d, want 2", got)
+		t.Fatalf("S=%d: post-wrap CoverageOf({1}) = %d, want 2", shards, got)
 	}
 	// Greedy picks node 0 (covers sets 0 and 3), then node 1 (set 1).
-	res := x.SelectSeeds(GreedyOptions{K: 2})
-	if res.TotalCoverage(0) != 3 {
-		t.Fatalf("post-wrap selection coverage = %d", res.TotalCoverage(0))
+	if res := x.SelectSeeds(GreedyOptions{K: 2}); res.TotalCoverage(0) != 3 {
+		t.Fatalf("S=%d: post-wrap selection coverage = %d, want 3", shards, res.TotalCoverage(0))
 	}
 
 	// Cross the boundary again mid-sequence: interleave queries around
 	// the exact overflow point and compare against brute force.
-	x.run = math.MaxUint32 - 2
+	for s := range x.shards {
+		x.shards[s].run = math.MaxUint32 - 2
+	}
 	for i := 0; i < 6; i++ {
 		if got := x.CoverageOf(seeds); got != want {
-			t.Fatalf("wrap sequence step %d: CoverageOf = %d, want %d", i, got, want)
+			t.Fatalf("S=%d: wrap sequence step %d: CoverageOf = %d, want %d", shards, i, got, want)
 		}
 	}
 }
 
-// TestSelectSeedsScratchReuse verifies that the per-run selection
-// scratch really is recycled: repeated selections on a warm index must
-// not allocate beyond the returned Seeds/Coverage slices.
-func TestSelectSeedsScratchReuse(t *testing.T) {
+// TestRunWraparound pins the stamp wraparound on the serial S=1 engine.
+func TestRunWraparound(t *testing.T) { runWraparound(t, 1) }
+
+// selectScratchReuse verifies that the per-run selection scratch really
+// is recycled: repeated selections on a warm engine must not allocate
+// beyond the returned Seeds/Coverage slices.
+func selectScratchReuse(t *testing.T, shards int) {
 	const n = 200
 	r := rng.New(3)
-	x := indexFromSets(n, nil, randomSets(r, n, 2000, 8))
-	x.SelectSeeds(GreedyOptions{K: 10}) // warm: builds index + scratch
+	x := shardedFromSets(n, shards, nil, randomSets(r, n, 2000, 8))
+	x.SelectSeeds(GreedyOptions{K: 10}) // warm: builds the shards + scratch
 	allocs := testing.AllocsPerRun(20, func() {
 		x.SelectSeeds(GreedyOptions{K: 10})
 	})
 	// Seeds + Coverage are the only per-call allocations.
 	if allocs > 3 {
-		t.Fatalf("SelectSeeds allocates %.1f objects/run on a warm index", allocs)
+		t.Fatalf("S=%d: SelectSeeds allocates %.1f objects/run on a warm engine", shards, allocs)
 	}
 }
 
-// TestRebuildScratchReuse verifies the double-buffered CSR rebuild:
-// after the first build at steady-state capacity, appending and
+// TestSelectSeedsScratchReuse pins selection scratch reuse on the serial
+// S=1 engine.
+func TestSelectSeedsScratchReuse(t *testing.T) { selectScratchReuse(t, 1) }
+
+// rebuildScratchReuse verifies the double-buffered per-shard CSR
+// rebuild: after the first build at steady-state capacity, appending and
 // re-indexing a same-sized delta must not allocate (the old heads and
 // postings become the next build's scratch).
-func TestRebuildScratchReuse(t *testing.T) {
+func rebuildScratchReuse(t *testing.T, shards int) {
 	const n = 100
 	r := rng.New(5)
-	x := NewIndex(n, nil)
+	x := NewSharded(n, nil, shards)
 	// Warm to steady state: several rebuilds so heads/postings/covered
 	// and their scratch twins all reach final capacity.
 	warm := randomSets(r, n, 4000, 6)
@@ -255,40 +260,10 @@ func TestRebuildScratchReuse(t *testing.T) {
 		x.Degree(0) // forces the delta rebuild
 	})
 	if allocs > 0.5 {
-		t.Fatalf("steady-state delta rebuild allocates %.1f objects/run", allocs)
+		t.Fatalf("S=%d: steady-state delta rebuild allocates %.1f objects/run", shards, allocs)
 	}
 }
 
-// TestStoreGrowFill exercises the range-reservation splice API directly:
-// two disjoint Grow ranges filled out of order must read back exactly
-// like sequential Appends.
-func TestStoreGrowFill(t *testing.T) {
-	var s rrset.Store
-	s.Append([]int32{7, 8})
-
-	data, ends, base := s.Grow(2, 3)
-	if base != 2 {
-		t.Fatalf("nodeBase = %d, want 2", base)
-	}
-	// Fill the second set first: order of filling must not matter.
-	copy(data[1:], []int32{5, 6})
-	ends[1] = base + 3
-	data[0] = 4
-	ends[0] = base + 1
-
-	if s.NumSets() != 3 || s.NumNodes() != 5 {
-		t.Fatalf("store shape %d sets / %d nodes", s.NumSets(), s.NumNodes())
-	}
-	wantSets := [][]int32{{7, 8}, {4}, {5, 6}}
-	for i, want := range wantSets {
-		got := s.Set(i)
-		if len(got) != len(want) {
-			t.Fatalf("set %d = %v, want %v", i, got, want)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("set %d = %v, want %v", i, got, want)
-			}
-		}
-	}
-}
+// TestRebuildScratchReuse pins rebuild scratch reuse on the serial S=1
+// engine.
+func TestRebuildScratchReuse(t *testing.T) { rebuildScratchReuse(t, 1) }

@@ -1,14 +1,12 @@
-// Sharded coverage engine: the zero-splice, all-rounds-parallel exact
-// backend.
+// Sharded is the exact coverage engine.
 //
-// Where *Index keeps one global flat store (which the batcher must
-// splice every per-worker arena into) and one global CSR inverted
-// index, *Sharded keeps S independent shards, each owning its RR sets
-// in a shard-local rrset.Arena that IS its store segment — the batcher
-// generates straight into it, so the splice memcpy disappears — plus a
-// shard-local CSR node→sets index and shard-local covered stamps.
-// Shards never merge: every query the greedy algorithms issue is an
-// integer sum over shards.
+// It keeps S independent shards, each owning its RR sets in a
+// shard-local rrset.Arena that IS its store segment — the batcher
+// generates straight into it (Batcher.FillSharded), so no set is ever
+// copied between generation and indexing — plus a shard-local CSR
+// node→sets index and shard-local covered stamps. Shards never merge:
+// every query the greedy algorithms issue is an integer sum over shards.
+// im.NewEstimator builds one shard per worker; S=1 is the serial case.
 //
 // # Why this is exact and worker-count independent
 //
@@ -19,9 +17,8 @@
 // sums of per-set indicator terms, and integer addition is associative
 // and commutative, so ANY partition of the sets into shards yields the
 // same totals. Sharded therefore returns byte-identical seeds, stats,
-// and certified bounds for workers 1, 2, and 8 — and identical results
-// to the single-store *Index — which the equivalence and conformance
-// suites pin.
+// and certified bounds for every shard and worker count, which the
+// equivalence and conformance suites pin against the S=1, W=1 engine.
 //
 // # Reduce ordering contract
 //
@@ -34,12 +31,12 @@
 //
 // # Parallelism shape
 //
-//   - CSR rebuilds: each dirty shard rebuilds its own index (the same
-//     delta counting sort as Index.buildSerial) with no cross-shard
-//     data; lanes pick up shards round-robin.
+//   - CSR rebuilds: each dirty shard rebuilds its own index (a delta
+//     counting sort) with no cross-shard data; lanes pick up shards
+//     round-robin.
 //   - First CELF round: node-range partition, each entry's gain summed
 //     over all shard heads, entries filled through prefix-summed slots
-//     exactly like Index.initialEntries.
+//     (entrySlots).
 //   - Every later CELF round: a stale heap top's marginal is recomputed
 //     as per-shard partials (each lane walks only its shards' posting
 //     lists against its shards' covered stamps — disjoint state), and
@@ -64,7 +61,7 @@ import (
 var parallelReduceMinPostings = 1 << 11
 
 // ShardOf is the pure shard-assignment function: the RR set with global
-// index idx lives in shard idx mod shards. Both fill paths route
+// index idx lives in shard idx mod shards. Both ingestion paths route
 // through it — Batcher.FillSharded by generation index, the generic
 // AbsorbArena by collection index — so placement never depends on
 // scheduling, only on (index, shard count).
@@ -89,34 +86,35 @@ type covShard struct {
 	covered []uint32 // per-set stamp; covered in run r iff covered[i] == r
 	run     uint32
 
-	// Rebuild double buffers, swapped on every delta build like the
-	// global index's (see Index.commitBuild).
+	// Rebuild double buffers: the previous generation's heads and
+	// postings, swapped with the live ones on every delta build.
 	headsScratch []int64
 	postScratch  []int32
 }
 
-// Sharded is the sharded exact coverage estimator. Like *Index it is
-// append-only and not safe for concurrent mutation; SetWorkers bounds
-// internal parallelism and never changes any result. The shard count is
-// structural — fixed at construction, it decides data placement — while
-// the worker bound only decides how many lanes walk the shards.
+// Sharded is the exact coverage estimator. It is append-only and not
+// safe for concurrent mutation; SetWorkers bounds internal parallelism
+// and never changes any result. The shard count is structural — fixed at
+// construction, it decides data placement — while the worker bound only
+// decides how many lanes walk the shards.
 type Sharded struct {
 	n       int
 	outDeg  []int32 // optional out-degrees for the Revised-Greedy tie-break
 	shards  []covShard
 	workers int
 
-	// Selection scratch reused across SelectSeeds runs, mirroring the
-	// global index's: CELF heap backing, the frontier of the Λᵘ top-L
-	// walk, and the per-lane reduce partials (also the entry-slot bases
-	// of the partitioned first round).
-	selEntries []celfEntry
+	// Selection scratch reused across SelectSeeds runs: CELF heap
+	// backing, the frontier and values of the Λᵘ top-L walk, and the
+	// per-lane reduce partials (also the entry-slot bases of the
+	// partitioned first round).
+	selEntries []celfEntry[int64]
 	topWalk    []frontierItem[int64]
+	topVals    []int64
 	partial    []int64
 
-	// Observability hooks (nil-safe), sharing the index-build metric
-	// family with *Index: rebuild durations land on the same histograms,
-	// split by the serial/parallel path taken across shards.
+	// Observability hooks (nil-safe): rebuild durations land on the
+	// index-build histograms, split by the serial/parallel path taken
+	// across shards.
 	buildHist    *obs.Histogram
 	buildSerHist *obs.Histogram
 	buildParHist *obs.Histogram
@@ -171,7 +169,7 @@ func NewShardedObs(n int, outDeg []int32, shards int, m *obs.MetricSet) *Sharded
 func (x *Sharded) NumShards() int { return len(x.shards) }
 
 // ShardArena returns shard s's arena — the store segment the batcher's
-// zero-splice fill path generates into directly. The caller appends
+// direct fill path generates into. The caller appends
 // committed sets (and may DropLast sentinel hits); the shard's CSR
 // picks the delta up lazily on the next query.
 func (x *Sharded) ShardArena(s int) *rrset.Arena { return &x.shards[s].arena }
@@ -190,8 +188,9 @@ func (x *Sharded) SetWorkers(w int) {
 // Workers returns the configured parallelism bound.
 func (x *Sharded) Workers() int { return x.workers }
 
-// SetBuildMetrics attaches the CSR-rebuild instruments (all nil-safe);
-// the estimator shares the exact index's metric family.
+// SetBuildMetrics attaches the CSR-rebuild instruments (all nil-safe):
+// total observes nanoseconds per rebuild, serial and parallel the same
+// duration split by the path taken, entries counts postings placed.
 func (x *Sharded) SetBuildMetrics(total, serial, parallel *obs.Histogram, entries *obs.Counter) {
 	x.buildHist = total
 	x.buildSerHist = serial
@@ -225,9 +224,13 @@ func (x *Sharded) refreshSections() {
 // attached).
 func (x *Sharded) ring(w int) *timeline.Ring { return x.tl.Worker(w) }
 
-// runTimed is runParallel with per-worker timeline records, mirroring
-// Index.runTimed: the wrapper closure exists only on the instrumented
-// path, so the uninstrumented pipeline stays allocation-identical.
+// runTimed is runParallel with per-worker timeline records: when a
+// timeline is attached, worker w's execution of fn lands as one interval
+// on ring w. The wrapper closure exists only on the instrumented path,
+// so the uninstrumented pipeline stays allocation-identical. The
+// single-writer discipline holds because runParallel joins before
+// returning: the goroutine acting as worker w is ring w's only writer
+// for the duration of the pass.
 func (x *Sharded) runTimed(phase timeline.Phase, workers int, fn func(w int)) {
 	if x.tl == nil {
 		runParallel(workers, fn)
@@ -291,8 +294,8 @@ func (x *Sharded) MemoryBytes() int64 {
 	return b
 }
 
-// Kind identifies the sharded exact backend.
-func (x *Sharded) Kind() EstimatorKind { return EstimatorSharded }
+// Kind identifies the exact backend.
+func (x *Sharded) Kind() EstimatorKind { return EstimatorExact }
 
 // RelError is 0: shard sums count coverage exactly.
 func (x *Sharded) RelError() float64 { return 0 }
@@ -327,9 +330,8 @@ func (x *Sharded) AbsorbArena(data []int32, ends []int64, sentinel []bool) int64
 }
 
 // ensureIndexed brings every shard's CSR (and covered stamps) up to
-// date with its arena. Dirty shards rebuild independently — the same
-// delta counting sort as the global index, just shard-local — so there
-// is no merge step; with SetWorkers(w>1) and a large enough total delta
+// date with its arena. Dirty shards rebuild independently — a
+// shard-local delta counting sort — so there is no merge step; with SetWorkers(w>1) and a large enough total delta
 // the rebuilds fan out across lanes, each lane walking shards
 // round-robin.
 //
@@ -393,8 +395,10 @@ func (sh *covShard) deltaNodes() int64 {
 
 // build is the shard-local delta CSR rebuild: counting pass over the
 // delta, prefix-summed heads, block copy of the old posting lists,
-// scatter of the delta ids — Index.buildSerial against the arena
-// instead of a spliced store. No-op on a clean shard.
+// scatter of the delta ids. Each rebuild only scans the sets appended
+// since the previous one — old posting lists are block-copied — so
+// across the doubling rounds of IMM/OPIM-C/HIST every posting is
+// scanned O(1) times amortised. No-op on a clean shard.
 //
 //subsim:hotpath
 func (sh *covShard) build(n int) {
@@ -531,12 +535,7 @@ func (sh *covShard) cover(v int32) int64 {
 // the sum of v's posting-list lengths over all shards.
 func (x *Sharded) Degree(v int32) int {
 	x.ensureIndexed()
-	var d int64
-	for s := range x.shards {
-		sh := &x.shards[s]
-		d += sh.heads[v+1] - sh.heads[v]
-	}
-	return int(d)
+	return int(x.postingMass(v))
 }
 
 // CoverageOf returns Λ(S) exactly: each shard counts the sets its
@@ -637,9 +636,9 @@ func (x *Sharded) commitSeed(v int32) int64 {
 // initialEntries is the first CELF round over shard sums: one entry per
 // non-excluded node in ascending node order, its gain the sum of the
 // node's posting lengths across shards, filled through per-range
-// prefix-summed slots when parallel — the same construction as the
-// global index's.
-func (x *Sharded) initialEntries(entries []celfEntry, exclude []bool) []celfEntry {
+// prefix-summed slots when parallel, so the array matches the serial
+// fill exactly. entries must have capacity >= n.
+func (x *Sharded) initialEntries(entries []celfEntry[int64], exclude []bool) []celfEntry[int64] {
 	workers := 1
 	if x.workers > 1 && x.n >= parallelGainsMinNodes {
 		workers = x.workers
@@ -664,7 +663,7 @@ func (x *Sharded) initialEntries(entries []celfEntry, exclude []bool) []celfEntr
 // posting lengths summed over all shards.
 //
 //subsim:hotpath
-func (x *Sharded) fillEntriesRange(entries []celfEntry, exclude []bool, lo, hi, slot int) {
+func (x *Sharded) fillEntriesRange(entries []celfEntry[int64], exclude []bool, lo, hi, slot int) {
 	for v := lo; v < hi; v++ {
 		if exclude != nil && exclude[v] {
 			continue
@@ -674,47 +673,43 @@ func (x *Sharded) fillEntriesRange(entries []celfEntry, exclude []bool, lo, hi, 
 			sh := &x.shards[s]
 			g += sh.heads[v+1] - sh.heads[v]
 		}
-		entries[slot] = celfEntry{gain: g, node: int32(v)}
+		entries[slot] = celfEntry[int64]{gain: g, node: int32(v)}
 		slot++
 	}
 }
 
-// SelectSeeds runs the identical lazy-greedy CELF algorithm as the
-// global index — same heap, same tie-breaks, same Λᵘ prefix bound, and
-// therefore the same picks — with every round's heavy work (stale-top
-// marginal recomputes AND the covered-bit commit) fanned out across
-// shards and tree-reduced, not just the first round's gain pass.
-// Per-run scratch is reused across calls.
+// SelectSeeds runs the (revised) greedy max-coverage algorithm with lazy
+// marginal evaluation and computes the Λᵘ upper bound along the way.
+//
+// Lazy evaluation is exact: a popped entry whose gain is stale is
+// recomputed and pushed back, so the node actually selected in each round
+// has the true maximum marginal coverage (with the configured tie-break
+// applied to recomputed values). Every round's heavy work — stale-top
+// marginal recomputes and the covered-bit commit — fans out across
+// shards and is tree-reduced once the posting mass warrants it.
+//
+// The upper bound is evaluated at prefix 0, at every power-of-two prefix,
+// and at the final prefix; the minimum is returned. Skipping intermediate
+// prefixes can only loosen the bound, never invalidate it. Each
+// evaluation reads its top-L gains off the heap (celfHeap.topSum), so
+// the bound costs O(L log L · log k) per run, independent of n.
+//
+// Per-run scratch (heap backing array, walk frontier) is reused across
+// calls, so repeated selection rounds on a warm estimator do not
+// allocate beyond the returned Seeds/Coverage slices.
 //
 //subsim:parallel
 func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
-	k := opt.K
-	if k > x.n {
-		k = x.n
-	}
-	if k < 0 {
-		k = 0
-	}
-	topL := opt.TopL
-	if topL <= 0 {
-		topL = k
-	}
-	var tie []int32
-	if opt.Revised {
-		if x.outDeg == nil {
-			panic("coverage: Revised greedy requires out-degrees")
-		}
-		tie = x.outDeg
-	}
+	k, topL, tie := selectParams(opt, x.n, x.outDeg)
 
 	x.ensureIndexed()
 	for s := range x.shards {
 		x.shards[s].newRun()
 	}
 	if cap(x.selEntries) < x.n {
-		x.selEntries = make([]celfEntry, 0, x.n)
+		x.selEntries = make([]celfEntry[int64], 0, x.n)
 	}
-	h := celfHeap{outDeg: tie}
+	h := celfHeap[int64]{outDeg: tie}
 
 	secG := x.secGains.Enter()
 	h.entries = x.initialEntries(x.selEntries, opt.Exclude)
@@ -726,7 +721,9 @@ func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 		Coverage:      make([]int64, 0, k),
 		CoverageUpper: int64(x.NumSets()) + opt.Base, // trivial bound; tightened below
 	}
-	res.tightenUpper(opt.Base + h.topSum(topL, &x.topWalk))
+	// Upper bound at prefix 0: Base + sum of the topL largest initial
+	// coverages.
+	res.tightenUpper(opt.Base + h.topSum(topL, &x.topWalk, &x.topVals))
 
 	secS := x.secSelect.Enter()
 	rSel := x.ring(0)
@@ -734,7 +731,7 @@ func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 	var cum int64
 	nextBoundAt := 1
 	for round := int32(1); int(round) <= k && h.Len() > 0; round++ {
-		var pick celfEntry
+		var pick celfEntry[int64]
 		for {
 			pick = h.pop()
 			if pick.iter == round-1 || pick.gain == 0 {
@@ -759,7 +756,7 @@ func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 			// stored gain upper-bounds its node's current marginal
 			// (submodularity), so their topL sum dominates the true maxMC
 			// sum at this prefix.
-			res.tightenUpper(opt.Base + cum + h.topSum(topL, &x.topWalk))
+			res.tightenUpper(opt.Base + cum + h.topSum(topL, &x.topWalk, &x.topVals))
 			nextBoundAt *= 2
 		}
 	}

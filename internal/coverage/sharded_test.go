@@ -1,7 +1,6 @@
 package coverage
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 
@@ -9,16 +8,6 @@ import (
 	"subsim/internal/rng"
 	"subsim/internal/rrset"
 )
-
-// shardedFromSets builds a Sharded estimator from explicit sets through
-// the per-set Add path, which routes by collection index.
-func shardedFromSets(n, shards int, outDeg []int32, sets [][]int32) *Sharded {
-	x := NewSharded(n, outDeg, shards)
-	for _, s := range sets {
-		x.Add(rrset.RRSet(s))
-	}
-	return x
-}
 
 // forceParallelSharded drops every size threshold the sharded engine
 // gates its fan-outs on — build, initial gains, AND the per-round
@@ -62,10 +51,11 @@ func TestReducePartials(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesIndex is the core exactness pin: a Sharded estimator
-// over any shard count, at any worker bound, with and without the
-// parallel paths forced, must answer Degree, CoverageOf, and SelectSeeds
-// byte-identically to the single-store exact index.
+// TestShardedMatchesIndex is the core exactness pin: the engine over any
+// shard count, at any worker bound, with and without the parallel paths
+// forced, must answer Degree, CoverageOf, and SelectSeeds
+// byte-identically to the S=1, W=1 serial engine — a single store with
+// a single CSR index.
 func TestShardedMatchesIndex(t *testing.T) {
 	const n = 83
 	r := rng.New(11)
@@ -78,7 +68,7 @@ func TestShardedMatchesIndex(t *testing.T) {
 	for v := 0; v < n; v += 7 {
 		exclude[v] = true
 	}
-	ref := indexFromSets(n, outDeg, sets)
+	ref := shardedFromSets(n, 1, outDeg, sets)
 
 	run := func(t *testing.T) {
 		for _, shards := range []int{1, 2, 3, 8} {
@@ -133,34 +123,9 @@ func TestShardedMatchesIndex(t *testing.T) {
 	})
 }
 
-// TestShardedIncrementalDeltas interleaves appends and queries so most
-// CSR rebuilds are small per-shard deltas over existing postings, and
-// cross-checks degrees against brute-force recounting.
-func TestShardedIncrementalDeltas(t *testing.T) {
-	forceParallelSharded(t)
-	const n = 40
-	r := rng.New(99)
-	x := NewSharded(n, nil, 3)
-	x.SetWorkers(4)
-	var all [][]int32
-	for round := 0; round < 30; round++ {
-		for _, set := range randomSets(r, n, 1+r.Intn(5), 5) {
-			x.Add(set)
-			all = append(all, set)
-		}
-		deg := make(map[int32]int)
-		for _, set := range all {
-			for _, v := range set {
-				deg[v]++
-			}
-		}
-		for v := int32(0); v < n; v++ {
-			if got := x.Degree(v); got != deg[v] {
-				t.Fatalf("round %d: Degree(%d) = %d, want %d", round, v, got, deg[v])
-			}
-		}
-	}
-}
+// TestShardedIncrementalDeltas runs the incremental schedule with more
+// lanes than shards, so the lane count clamps to the shard count.
+func TestShardedIncrementalDeltas(t *testing.T) { incrementalDeltas(t, 3, 4) }
 
 // TestShardedAbsorbArenaSentinel drives the generic ingestion path: the
 // flat buffer's sentinel-terminated sets are skipped and counted, and
@@ -199,76 +164,17 @@ func TestShardedAbsorbArenaSentinel(t *testing.T) {
 	}
 }
 
-// TestShardedRunWraparound pins the per-shard uint32 stamp wraparound:
-// after the run counter overflows, queries must stay exact (no phantom
-// coverage from stale stamps).
-func TestShardedRunWraparound(t *testing.T) {
-	sets := [][]int32{{0, 1}, {1, 2}, {3}, {0, 3}, {4}}
-	x := shardedFromSets(5, 2, nil, sets)
-	seeds := []int32{0, 4}
-	want := bruteCoverage(sets, seeds)
-	if got := x.CoverageOf(seeds); got != want {
-		t.Fatalf("pre-wrap CoverageOf = %d, want %d", got, want)
-	}
-	for s := range x.shards {
-		x.shards[s].run = math.MaxUint32
-		x.shards[s].newRun()
-		if x.shards[s].run != 1 {
-			t.Fatalf("shard %d run after wraparound = %d, want 1", s, x.shards[s].run)
-		}
-	}
-	if got := x.CoverageOf(seeds); got != want {
-		t.Fatalf("post-wrap CoverageOf = %d, want %d", got, want)
-	}
-	res := x.SelectSeeds(GreedyOptions{K: 2})
-	if res.TotalCoverage(0) != 3 {
-		t.Fatalf("post-wrap selection coverage = %d, want 3", res.TotalCoverage(0))
-	}
-}
+// TestShardedRunWraparound pins the stamp wraparound on a multi-shard
+// engine, where every shard's counter wraps independently.
+func TestShardedRunWraparound(t *testing.T) { runWraparound(t, 2) }
 
-// TestShardedSelectSeedsScratchReuse verifies the selection scratch is
-// recycled across runs exactly like the global index's: repeated
-// selections on a warm estimator allocate only the returned
-// Seeds/Coverage slices.
-func TestShardedSelectSeedsScratchReuse(t *testing.T) {
-	const n = 200
-	r := rng.New(3)
-	x := shardedFromSets(n, 4, nil, randomSets(r, n, 2000, 8))
-	x.SelectSeeds(GreedyOptions{K: 10}) // warm: builds shards + scratch
-	allocs := testing.AllocsPerRun(20, func() {
-		x.SelectSeeds(GreedyOptions{K: 10})
-	})
-	if allocs > 3 {
-		t.Fatalf("SelectSeeds allocates %.1f objects/run on a warm sharded estimator", allocs)
-	}
-}
+// TestShardedSelectSeedsScratchReuse pins selection scratch reuse on a
+// multi-shard engine.
+func TestShardedSelectSeedsScratchReuse(t *testing.T) { selectScratchReuse(t, 4) }
 
-// TestShardedRebuildScratchReuse verifies the per-shard double-buffered
-// rebuild: at steady-state capacity a same-sized delta re-index must not
-// allocate.
-func TestShardedRebuildScratchReuse(t *testing.T) {
-	const n = 100
-	r := rng.New(5)
-	x := NewSharded(n, nil, 2)
-	warm := randomSets(r, n, 4000, 6)
-	for i, set := range warm {
-		x.Add(set)
-		if i%500 == 0 {
-			x.Degree(0)
-		}
-	}
-	x.Degree(0)
-	sets := randomSets(r, n, 40, 6)
-	i := 0
-	allocs := testing.AllocsPerRun(10, func() {
-		x.Add(sets[i%len(sets)])
-		i++
-		x.Degree(0) // forces the delta rebuild
-	})
-	if allocs > 0.5 {
-		t.Fatalf("steady-state sharded delta rebuild allocates %.1f objects/run", allocs)
-	}
-}
+// TestShardedRebuildScratchReuse pins per-shard rebuild scratch reuse on
+// a multi-shard engine.
+func TestShardedRebuildScratchReuse(t *testing.T) { rebuildScratchReuse(t, 2) }
 
 func TestShardedConstructionClamps(t *testing.T) {
 	if got := NewSharded(10, nil, 0).NumShards(); got != 1 {

@@ -76,7 +76,7 @@ func heapOp(r *rng.Source, size, fresh int) int {
 	return r.Intn(3)
 }
 
-// TestCELFHeapTopSumProperty drives celfHeap through random pop /
+// TestCELFHeapTopSumProperty drives celfHeap[int64] through random pop /
 // stale-recompute / push sequences — with heavy gain ties, zero gains,
 // and the out-degree tie-break on and off — and after every step checks
 // the frontier walk against refTopSum over the stored gains, and that
@@ -84,13 +84,14 @@ func heapOp(r *rng.Source, size, fresh int) int {
 func TestCELFHeapTopSumProperty(t *testing.T) {
 	r := rng.New(41)
 	var f []frontierItem[int64]
+	var vals []int64
 	for trial := 0; trial < 300; trial++ {
 		nodes := 1 + r.Intn(120)
 		maxGain := 1 + r.Intn(6) // small ranges force ties
 		if trial%4 == 0 {
 			maxGain = 1 << 20
 		}
-		h := celfHeap{entries: make([]celfEntry, 0, nodes)}
+		h := celfHeap[int64]{entries: make([]celfEntry[int64], 0, nodes)}
 		if trial%2 == 1 {
 			h.outDeg = make([]int32, nodes)
 			for v := range h.outDeg {
@@ -99,7 +100,7 @@ func TestCELFHeapTopSumProperty(t *testing.T) {
 		}
 		initial := nodes / 2
 		for v := 0; v < initial; v++ {
-			h.entries = append(h.entries, celfEntry{gain: int64(r.Intn(maxGain + 1)), node: int32(v)})
+			h.entries = append(h.entries, celfEntry[int64]{gain: int64(r.Intn(maxGain + 1)), node: int32(v)})
 		}
 		h.init()
 		next := initial
@@ -117,7 +118,7 @@ func TestCELFHeapTopSumProperty(t *testing.T) {
 				e.iter++
 				h.push(e)
 			case 2:
-				h.push(celfEntry{gain: int64(r.Intn(maxGain + 1)), node: int32(next)})
+				h.push(celfEntry[int64]{gain: int64(r.Intn(maxGain + 1)), node: int32(next)})
 				next++
 			}
 			gains := make([]int64, h.Len())
@@ -126,7 +127,7 @@ func TestCELFHeapTopSumProperty(t *testing.T) {
 			}
 			before := slices.Clone(h.entries)
 			for _, l := range walkLengths(h.Len()) {
-				if got, want := h.topSum(l, &f), refTopSum(gains, l); got != want {
+				if got, want := h.topSum(l, &f, &vals), refTopSum(gains, l); got != want {
 					t.Fatalf("trial %d step %d: topSum(%d) = %d, reference %d (gains %v)", trial, step, l, got, want, gains)
 				}
 			}
@@ -137,7 +138,7 @@ func TestCELFHeapTopSumProperty(t *testing.T) {
 	}
 }
 
-// hllTestGain draws a float gain for the hllHeap property test. Mode 0
+// hllTestGain draws a float gain for the sketch-heap property test. Mode 0
 // draws from a handful of values (ties, including zero); mode 1 spans
 // seventeen orders of magnitude, where summing in any order but
 // ascending rounds differently.
@@ -152,8 +153,9 @@ func hllTestGain(r *rng.Source, mode int) float64 {
 }
 
 // TestHLLHeapTopSumProperty is TestCELFHeapTopSumProperty for the
-// float-valued sketch heap. The reference sums its sorted buffer
-// ascending, so the walk must match it bit for bit.
+// float-valued heap the sketch backend selects with (celfHeap[float64]).
+// The reference sums its sorted buffer ascending, so the walk must match
+// it bit for bit.
 func TestHLLHeapTopSumProperty(t *testing.T) {
 	r := rng.New(43)
 	var f []frontierItem[float64]
@@ -161,7 +163,7 @@ func TestHLLHeapTopSumProperty(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		nodes := 1 + r.Intn(120)
 		mode := trial % 2
-		h := hllHeap{entries: make([]hllEntry, 0, nodes)}
+		h := celfHeap[float64]{entries: make([]celfEntry[float64], 0, nodes)}
 		if trial%4 >= 2 {
 			h.outDeg = make([]int32, nodes)
 			for v := range h.outDeg {
@@ -170,7 +172,7 @@ func TestHLLHeapTopSumProperty(t *testing.T) {
 		}
 		initial := nodes / 2
 		for v := 0; v < initial; v++ {
-			h.entries = append(h.entries, hllEntry{gain: hllTestGain(r, mode), node: int32(v)})
+			h.entries = append(h.entries, celfEntry[float64]{gain: hllTestGain(r, mode), node: int32(v)})
 		}
 		h.init()
 		next := initial
@@ -192,7 +194,7 @@ func TestHLLHeapTopSumProperty(t *testing.T) {
 				e.iter++
 				h.push(e)
 			case 2:
-				h.push(hllEntry{gain: hllTestGain(r, mode), node: int32(next)})
+				h.push(celfEntry[float64]{gain: hllTestGain(r, mode), node: int32(next)})
 				next++
 			}
 			gains := make([]float64, h.Len())

@@ -33,24 +33,24 @@ func benchBAGraph(b *testing.B, n, deg int) *graph.Graph {
 }
 
 // benchFillIndex measures the full generate→index path: sampling setsPer
-// RR sets through a Batcher and absorbing them into a coverage.Index,
-// then forcing the inverted index build with a degree probe. This is the
-// hot loop of every doubling round in IMM/OPIM-C/SSA/TIM+/HIST.
+// RR sets through a Batcher straight into a fresh exact estimator (one
+// shard per worker, as the algorithms build it), then forcing the
+// inverted index build with a degree probe. This is the hot loop of
+// every doubling round in IMM/OPIM-C/SSA/TIM+/HIST.
 func benchFillIndex(b *testing.B, gen rrset.Generator, workers, setsPer int) {
 	b.Helper()
 	n := gen.Graph().N()
 	batch := NewBatcher(gen, 42, workers)
+	opt := Options{Workers: workers}
 	// Warm the worker scratch so steady-state costs are measured.
-	idx := coverage.NewIndex(n, nil)
-	idx.SetWorkers(workers)
-	batch.FillIndex(idx, setsPer, nil)
+	idx := NewEstimator(n, nil, opt, nil)
+	batch.Fill(idx, setsPer, nil)
 	idx.Degree(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx := coverage.NewIndex(n, nil)
-		idx.SetWorkers(workers)
-		batch.FillIndex(idx, setsPer, nil)
+		idx := NewEstimator(n, nil, opt, nil)
+		batch.Fill(idx, setsPer, nil)
 		idx.Degree(0) // force the inverted index build
 	}
 	b.ReportMetric(float64(setsPer), "sets/op")
@@ -100,19 +100,30 @@ func BenchmarkGenerateSingle_Subsim(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectSeeds measures greedy CELF selection over a realistic
-// RR collection read through the coverage index.
-func BenchmarkSelectSeeds_Subsim(b *testing.B) {
+// benchSelect measures greedy CELF selection over a realistic RR
+// collection in the exact estimator at the given worker count (one
+// shard per worker): beyond the first round, every round's
+// marginal-gain reduce and covered-bit update fans out across the
+// shards once a node's posting mass warrants it.
+func benchSelect(b *testing.B, workers int) {
+	b.Helper()
 	g := benchGraph(b, 5000, 40000)
-	batch := NewBatcher(rrset.NewSubsim(g), 42, 1)
-	idx := coverage.NewIndex(g.N(), nil)
-	batch.FillIndex(idx, 20000, nil)
+	batch := NewBatcher(rrset.NewSubsim(g), 42, workers)
+	idx := NewEstimator(g.N(), nil, Options{Workers: workers}, nil)
+	batch.Fill(idx, 20000, nil)
+	idx.Degree(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = idx.SelectSeeds(coverage.GreedyOptions{K: 50})
 	}
 }
+
+// BenchmarkSelectSeeds_Subsim is the serial (W=1) selection benchmark and
+// the baseline of BenchmarkShardedSelectSeeds_W4/W8.
+func BenchmarkSelectSeeds_Subsim(b *testing.B)    { benchSelect(b, 1) }
+func BenchmarkShardedSelectSeeds_W4(b *testing.B) { benchSelect(b, 4) }
+func BenchmarkShardedSelectSeeds_W8(b *testing.B) { benchSelect(b, 8) }
 
 // BenchmarkOPIMC_E2E measures an end-to-end OPIM-C run with SUBSIM
 // generation on the ER benchmark graph.

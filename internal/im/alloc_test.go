@@ -58,26 +58,60 @@ func TestVisitSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestFillIndexAmortizedAllocs bounds the amortised allocation cost of
-// the full generate→store→index pipeline: appending 200 sets into a
-// growing index plus one delta rebuild must average well under one
-// allocation per RR set. (The only allocations left are the geometric
-// store growth and the per-rebuild heads array, both amortised across
-// hundreds of sets.)
-func TestFillIndexAmortizedAllocs(t *testing.T) {
+// fillAmortizedAllocs bounds the amortised allocation cost of the full
+// generate→index pipeline on the exact estimator the algorithms build
+// (one shard per worker): appending 200 sets into the growing shard
+// arenas plus one delta rebuild must average well under one allocation
+// per RR set. (The only allocations left are the geometric arena growth
+// and the covered-stamp growth, both amortised across hundreds of sets,
+// plus the fill's goroutine handoff when workers > 1.)
+func fillAmortizedAllocs(t *testing.T, workers int) {
 	g := allocGraph(t)
-	b := NewBatcher(rrset.NewSubsim(g), 42, 1)
-	idx := coverage.NewIndex(g.N(), nil)
-	// Warm up both the batcher arena and the index store.
-	b.FillIndex(idx, 600, nil)
-	idx.Degree(0)
+	b := NewBatcher(rrset.NewSubsim(g), 42, workers)
+	idx := NewEstimator(g.N(), nil, Options{Workers: workers}, nil)
+	// Warm up the shard arenas and CSR double buffers.
+	for i := 0; i < 2; i++ {
+		b.Fill(idx, 600, nil)
+		idx.Degree(0)
+	}
 	allocs := testing.AllocsPerRun(20, func() {
-		b.FillIndex(idx, 200, nil)
+		b.Fill(idx, 200, nil)
 		idx.Degree(0) // force the delta CSR rebuild
 	})
 	const maxAllocs = 25 // 200 sets/run → ≤0.125 allocs/set
 	if allocs > maxAllocs {
-		t.Errorf("FillIndex(200)+rebuild allocated %.1f objects/run, want <= %d", allocs, maxAllocs)
+		t.Errorf("W=%d: Fill(200)+rebuild allocated %.1f objects/run, want <= %d", workers, allocs, maxAllocs)
+	}
+}
+
+// TestFillIndexAmortizedAllocs pins the serial (W=1, one shard) fill.
+func TestFillIndexAmortizedAllocs(t *testing.T) { fillAmortizedAllocs(t, 1) }
+
+// TestFillIndexSelectRoundsAllocs extends the amortised-allocation bound
+// to the full doubling-round shape — repeated Fill→SelectSeeds cycles on
+// the same estimator — which exercises the direct shard fill, the delta
+// CSR rebuild, AND the selection scratch reuse together. Steady-state
+// cost per round must stay at the few unavoidable allocations
+// (Seeds/Coverage slices plus amortised geometric growth).
+func TestFillIndexSelectRoundsAllocs(t *testing.T) {
+	g := allocGraph(t)
+	b := NewBatcher(rrset.NewSubsim(g), 42, 1)
+	idx := NewEstimator(g.N(), nil, Options{Workers: 1}, nil)
+	// Warm: enough rounds that the shard arena, the CSR double buffers,
+	// the covered stamps and the selection scratch all hit steady
+	// capacity.
+	for i := 0; i < 4; i++ {
+		b.Fill(idx, 300, nil)
+		idx.SelectSeeds(coverage.GreedyOptions{K: 10})
+	}
+	allocs := testing.AllocsPerRun(15, func() {
+		b.Fill(idx, 200, nil)
+		idx.SelectSeeds(coverage.GreedyOptions{K: 10})
+	})
+	// 200 sets/round: Seeds+Coverage (2) plus rare geometric growth.
+	const maxAllocs = 25
+	if allocs > maxAllocs {
+		t.Errorf("Fill(200)+SelectSeeds allocated %.1f objects/round, want <= %d", allocs, maxAllocs)
 	}
 }
 
@@ -106,11 +140,11 @@ func TestGenerateIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestConcurrentArenaSplicing exercises the parallel fill path (one
-// arena per worker, spliced in global-index order) with enough sets to
-// guarantee the multi-worker branch, repeatedly, so `go test -race`
-// covers the worker-arena handoff. It also re-checks that the splice
-// visits every generated set exactly once.
+// TestConcurrentArenaSplicing exercises the parallel generation path
+// (one arena per worker, visited in global-index order) with enough sets
+// to guarantee the multi-worker branch, repeatedly, so `go test -race`
+// covers the worker-arena handoff. It also re-checks that Visit sees
+// every generated set exactly once.
 func TestConcurrentArenaSplicing(t *testing.T) {
 	g := allocGraph(t)
 	b := NewBatcher(rrset.NewSubsim(g), 7, 8)

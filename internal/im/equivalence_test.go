@@ -57,12 +57,12 @@ func collect(b *Batcher, count int) [][]int32 {
 	return out
 }
 
-// TestPipelineEquivalence is the end-to-end property test for the
-// arena/CSR refactor: for every generator kind and worker count, the
-// flat-store pipeline must yield byte-identical RR sets, identical
-// greedy seeds and identical certified coverage bounds to the
-// workers=1 compatibility path (Generate → Add), which reproduces the
-// pre-arena slice-of-slices behaviour.
+// TestPipelineEquivalence is the end-to-end property test of the
+// arena pipeline: for every generator kind and worker count, Visit and
+// Fill must yield byte-identical RR sets, identical greedy seeds and
+// identical certified coverage bounds to the workers=1 compatibility
+// path (Generate → Add into a single-shard engine), which reproduces
+// the slice-of-slices behaviour.
 func TestPipelineEquivalence(t *testing.T) {
 	const (
 		count = 1500
@@ -72,14 +72,14 @@ func TestPipelineEquivalence(t *testing.T) {
 	for _, c := range equivCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			// Reference: compat path, one worker. Generate returns
-			// caller-owned copies, Add copies into the store — the exact
-			// shape of the pre-change pipeline.
+			// caller-owned copies, Add copies them into the engine's
+			// single shard.
 			refGen := c.gen()
 			refB := NewBatcher(refGen, seed, 1)
 			refSets := refB.Generate(count, nil)
 			refStats := refB.Stats()
 			n := refGen.Graph().N()
-			refIdx := coverage.NewIndex(n, nil)
+			refIdx := coverage.NewSharded(n, nil, 1)
 			for _, s := range refSets {
 				refIdx.Add(s)
 			}
@@ -107,11 +107,12 @@ func TestPipelineEquivalence(t *testing.T) {
 					t.Fatalf("workers=%d: stats %+v, want %+v", workers, s, refStats)
 				}
 
-				// Flat path: FillIndex splices arenas straight into the
-				// CSR store. Selection and bounds must match exactly.
+				// Fill path: sets generated straight into the exact
+				// estimator the algorithms build (one shard per worker).
+				// Selection and bounds must match exactly.
 				b2 := NewBatcher(c.gen(), seed, workers)
-				idx := coverage.NewIndex(n, nil)
-				if hits := b2.FillIndex(idx, count, nil); hits != 0 {
+				idx := NewEstimator(n, nil, Options{Workers: workers}, nil)
+				if hits := b2.Fill(idx, count, nil); hits != 0 {
 					t.Fatalf("workers=%d: unexpected sentinel hits %d", workers, hits)
 				}
 				if idx.NumSets() != refIdx.NumSets() {

@@ -10,10 +10,11 @@ import (
 	"subsim/internal/rrset"
 )
 
-// TestFillDispatchesExact pins the estimator seam: Batcher.Fill with an
-// exact *coverage.Index must be byte-identical to the historic FillIndex
-// path — same CSR state, same seeds, same bounds — for every generator
-// kind and worker count.
+// TestFillDispatchesExact pins the estimator seam: NewEstimator's exact
+// backend is the sharded engine with one shard per worker, Batcher.Fill
+// generates straight into every shard arena, and the result is
+// byte-identical to the single-shard workers=1 reference — same seeds,
+// same bounds — for every generator kind and worker count.
 func TestFillDispatchesExact(t *testing.T) {
 	const (
 		count = 1200
@@ -25,19 +26,26 @@ func TestFillDispatchesExact(t *testing.T) {
 			refGen := c.gen()
 			n := refGen.Graph().N()
 			refB := NewBatcher(refGen, seed, 1)
-			refIdx := coverage.NewIndex(n, nil)
-			refB.FillIndex(refIdx, count, nil)
+			refIdx := coverage.NewSharded(n, nil, 1)
+			refB.Fill(refIdx, count, nil)
 			refSel := refIdx.SelectSeeds(coverage.GreedyOptions{K: k})
 			for _, workers := range []int{1, 2, 8} {
 				b := NewBatcher(c.gen(), seed, workers)
-				idx := coverage.NewIndex(n, nil)
-				idx.SetWorkers(workers)
-				var est coverage.Estimator = idx
+				est := NewEstimator(n, nil, Options{Workers: workers}, nil)
 				if hits := b.Fill(est, count, nil); hits != 0 {
 					t.Fatalf("workers=%d: unexpected sentinel hits %d", workers, hits)
 				}
-				if est.Kind() != coverage.EstimatorExact {
-					t.Fatalf("workers=%d: exact index reports kind %v", workers, est.Kind())
+				if est.Kind() != coverage.EstimatorExact || est.Workers() != workers {
+					t.Fatalf("workers=%d: exact estimator reports kind %v, workers %d", workers, est.Kind(), est.Workers())
+				}
+				sh, ok := est.(*coverage.Sharded)
+				if !ok || sh.NumShards() != workers {
+					t.Fatalf("workers=%d: exact estimator is %T, want *coverage.Sharded with %d shards", workers, est, workers)
+				}
+				for s := 0; s < workers; s++ {
+					if sh.ShardArena(s).Len() == 0 {
+						t.Fatalf("workers=%d: shard %d received no sets", workers, s)
+					}
 				}
 				sel := est.SelectSeeds(coverage.GreedyOptions{K: k})
 				if len(sel.Seeds) != len(refSel.Seeds) {

@@ -8,13 +8,13 @@ import (
 	"subsim/internal/rrset"
 )
 
-// TestShardedPipelineEquivalence extends the pipeline property test to
-// the zero-splice backend: for every generator kind and worker count,
-// Batcher.Fill into a Sharded estimator (one shard per worker — the
-// FillSharded direct-generation path) must yield the same set count,
-// identical merged generator stats, and byte-identical seeds and
-// certified Λᵘ as the workers=1 exact FillIndex reference. A mismatched
-// shard count (generic absorb fallback) must change nothing either.
+// TestShardedPipelineEquivalence is the pipeline property test of the
+// exact engine's fill paths: for every generator kind and worker count,
+// Batcher.Fill into an engine with one shard per worker (the direct
+// FillSharded path) must yield the same set count, identical merged
+// generator stats, and byte-identical seeds and certified Λᵘ as the
+// workers=1, single-shard reference. A mismatched shard count (the
+// generic absorb fallback) must change nothing either.
 func TestShardedPipelineEquivalence(t *testing.T) {
 	const (
 		count = 1500
@@ -26,18 +26,18 @@ func TestShardedPipelineEquivalence(t *testing.T) {
 			refGen := c.gen()
 			n := refGen.Graph().N()
 			refB := NewBatcher(refGen, seed, 1)
-			refIdx := coverage.NewIndex(n, nil)
-			refB.FillIndex(refIdx, count, nil)
+			ref := coverage.NewSharded(n, nil, 1)
+			refB.Fill(ref, count, nil)
 			refStats := refB.Stats()
-			refSel := refIdx.SelectSeeds(coverage.GreedyOptions{K: k})
+			refSel := ref.SelectSeeds(coverage.GreedyOptions{K: k})
 
 			check := func(t *testing.T, b *Batcher, sh *coverage.Sharded, workers int) {
 				t.Helper()
 				if hits := b.Fill(sh, count, nil); hits != 0 {
 					t.Fatalf("workers=%d: unexpected sentinel hits %d", workers, hits)
 				}
-				if sh.NumSets() != refIdx.NumSets() {
-					t.Fatalf("workers=%d: %d sets, want %d", workers, sh.NumSets(), refIdx.NumSets())
+				if sh.NumSets() != ref.NumSets() {
+					t.Fatalf("workers=%d: %d sets, want %d", workers, sh.NumSets(), ref.NumSets())
 				}
 				if s := b.Stats(); s != refStats {
 					t.Fatalf("workers=%d: stats %+v, want %+v", workers, s, refStats)
@@ -58,7 +58,7 @@ func TestShardedPipelineEquivalence(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 2, 8} {
-				// Matched shard count: the zero-splice FillSharded path.
+				// Matched shard count: the direct FillSharded path.
 				b := NewBatcher(c.gen(), seed, workers)
 				sh := coverage.NewSharded(n, nil, workers)
 				sh.SetWorkers(workers)
@@ -75,18 +75,18 @@ func TestShardedPipelineEquivalence(t *testing.T) {
 }
 
 // TestShardedCertifiedBoundsWorkerIndependent is the algorithm-level pin
-// of the tentpole invariant: a full OPIM-C run (doubling loop, Eq. 1/2
-// certification) on the sharded backend must be bit-identical to the
-// exact backend's workers=1 run — seeds, influence, both certified
-// bounds, and merged RR stats — at every worker count.
+// of the worker-independence invariant under the tightened sample
+// budget: a full OPIM-C run (doubling loop, Eq. 1/2 certification) with
+// Bound: BoundTight must be bit-identical at every worker count — seeds,
+// influence, both certified bounds, and merged RR stats.
 func TestShardedCertifiedBoundsWorkerIndependent(t *testing.T) {
 	g := estimatorTestGraph(t)
-	ref := runWith(t, g, coverage.EstimatorExact, BoundIMM, 1)
+	ref := runWith(t, g, coverage.EstimatorExact, BoundTight, 1)
 	if ref.LowerBound <= 0 || ref.UpperBound <= 0 {
 		t.Fatalf("reference run certified no bounds: %+v", ref)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		res := runWith(t, g, coverage.EstimatorSharded, BoundIMM, workers)
+	for _, workers := range []int{2, 8} {
+		res := runWith(t, g, coverage.EstimatorExact, BoundTight, workers)
 		if len(res.Seeds) != len(ref.Seeds) {
 			t.Fatalf("workers=%d: %d seeds, want %d", workers, len(res.Seeds), len(ref.Seeds))
 		}
@@ -97,7 +97,7 @@ func TestShardedCertifiedBoundsWorkerIndependent(t *testing.T) {
 		}
 		if res.Influence != ref.Influence ||
 			res.LowerBound != ref.LowerBound || res.UpperBound != ref.UpperBound {
-			t.Fatalf("workers=%d: results diverged from the exact path: %+v vs %+v", workers, res, ref)
+			t.Fatalf("workers=%d: results diverged from the workers=1 run: %+v vs %+v", workers, res, ref)
 		}
 		if res.RRStats != ref.RRStats {
 			t.Fatalf("workers=%d: stats %+v, want %+v", workers, res.RRStats, ref.RRStats)
@@ -105,10 +105,14 @@ func TestShardedCertifiedBoundsWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestShardedSentinelHits drives the in-place DropLast discard of the
-// zero-splice path against the splice path's filtering: same sentinel
-// set, same hit counts, same surviving collection, same selection —
-// with the sentinel hits also visible in the generator stats.
+// TestShardedSentinelHits pins sentinel filtering on the direct fill
+// path, where sentinel-terminated sets are truncated in place
+// (Arena.DropLast) and per-shard kept counts really differ: for every
+// worker count the engine must report the same hit count, keep the same
+// number of sets, and select the same seeds as the workers=1 reference —
+// with the sentinel hits also visible in the generator stats. Each run
+// fills in two rounds, so the second appends behind existing shard
+// content.
 func TestShardedSentinelHits(t *testing.T) {
 	const (
 		count = 2000
@@ -123,28 +127,29 @@ func TestShardedSentinelHits(t *testing.T) {
 	}
 
 	refB := NewBatcher(rrset.NewSubsim(g), seed, 1)
-	refIdx := coverage.NewIndex(g.N(), nil)
-	refHits := refB.FillIndex(refIdx, count, sentinel)
+	ref := coverage.NewSharded(g.N(), nil, 1)
+	refHits := refB.Fill(ref, count, sentinel)
 	if refHits == 0 {
 		t.Fatal("reference run hit no sentinels; test graph/sentinel choice is broken")
 	}
-	refSel := refIdx.SelectSeeds(coverage.GreedyOptions{K: k})
+	refSel := ref.SelectSeeds(coverage.GreedyOptions{K: k, Exclude: sentinel})
 
 	for _, workers := range []int{1, 2, 8} {
 		b := NewBatcher(rrset.NewSubsim(g), seed, workers)
 		sh := coverage.NewSharded(g.N(), nil, workers)
 		sh.SetWorkers(workers)
-		hits := b.Fill(sh, count, sentinel)
+		hits := b.Fill(sh, count/2, sentinel)
+		hits += b.Fill(sh, count-count/2, sentinel)
 		if hits != refHits {
 			t.Fatalf("workers=%d: %d sentinel hits, want %d", workers, hits, refHits)
 		}
-		if sh.NumSets() != refIdx.NumSets() {
-			t.Fatalf("workers=%d: %d surviving sets, want %d", workers, sh.NumSets(), refIdx.NumSets())
+		if sh.NumSets() != ref.NumSets() {
+			t.Fatalf("workers=%d: %d surviving sets, want %d", workers, sh.NumSets(), ref.NumSets())
 		}
 		if s := b.Stats(); s.SentinelHits != refHits {
 			t.Fatalf("workers=%d: stats count %d sentinel hits, want %d", workers, s.SentinelHits, refHits)
 		}
-		sel := sh.SelectSeeds(coverage.GreedyOptions{K: k})
+		sel := sh.SelectSeeds(coverage.GreedyOptions{K: k, Exclude: sentinel})
 		for i := range refSel.Seeds {
 			if sel.Seeds[i] != refSel.Seeds[i] {
 				t.Fatalf("workers=%d: seed %d is %d, want %d", workers, i, sel.Seeds[i], refSel.Seeds[i])
@@ -156,63 +161,49 @@ func TestShardedSentinelHits(t *testing.T) {
 	}
 }
 
-// TestShardedFillAmortizedAllocs is the sharded twin of the FillIndex
-// allocation gate: at steady state the zero-splice generate→index→select
-// round must average well under one allocation per RR set — there is no
-// splice buffer left to even amortise.
-func TestShardedFillAmortizedAllocs(t *testing.T) {
-	g := allocGraph(t)
-	b := NewBatcher(rrset.NewSubsim(g), 42, 1)
-	sh := coverage.NewSharded(g.N(), nil, 1)
-	// Warm up the shard arena, CSR double buffers, and selection scratch.
-	b.Fill(sh, 600, nil)
-	sh.Degree(0)
-	sh.SelectSeeds(coverage.GreedyOptions{K: 10})
-	b.Fill(sh, 600, nil)
-	sh.Degree(0)
-	allocs := testing.AllocsPerRun(20, func() {
-		b.Fill(sh, 200, nil)
-		sh.Degree(0) // force the per-shard delta CSR rebuild
-	})
-	const maxAllocs = 25 // 200 sets/run → ≤0.125 allocs/set
-	if allocs > maxAllocs {
-		t.Errorf("sharded Fill(200)+rebuild allocated %.1f objects/run, want <= %d", allocs, maxAllocs)
-	}
-	selAllocs := testing.AllocsPerRun(20, func() {
-		sh.SelectSeeds(coverage.GreedyOptions{K: 10})
-	})
-	if selAllocs > 3 { // Seeds + Coverage are the only per-call allocations
-		t.Errorf("sharded SelectSeeds allocated %.1f objects/run warm, want <= 3", selAllocs)
-	}
-}
+// TestShardedFillAmortizedAllocs pins the multi-shard fill (one
+// generating goroutine per shard) under the same allocation bound as
+// the serial fill.
+func TestShardedFillAmortizedAllocs(t *testing.T) { fillAmortizedAllocs(t, 2) }
 
 // TestShardedConcurrentFill exercises the multi-shard FillSharded path
-// (one goroutine per shard writing its own arena) repeatedly so `go test
-// -race` covers the handoff, and re-checks set accounting.
+// (one goroutine per shard writing its own arena) repeatedly, with and
+// without sentinels, interleaved with parallel rebuilds and selections,
+// so `go test -race` covers the handoff; it re-checks set accounting.
 func TestShardedConcurrentFill(t *testing.T) {
 	g := allocGraph(t)
-	b := NewBatcher(rrset.NewSubsim(g), 7, 8)
-	sh := coverage.NewSharded(g.N(), nil, 8)
-	sh.SetWorkers(8)
-	for round := 0; round < 4; round++ {
-		b.Fill(sh, 1000, nil)
-		if got := sh.NumSets(); got != 1000*(round+1) {
-			t.Fatalf("round %d: %d sets, want %d", round, got, 1000*(round+1))
-		}
-		// Query between rounds so rebuilds interleave with fills.
-		sh.Degree(int32(round))
+	sentinel := make([]bool, g.N())
+	for v := 0; v < g.N(); v += 7 {
+		sentinel[v] = true
 	}
-	if s := b.Stats(); s.Sets != 4000 {
-		t.Fatalf("merged stats count %d sets, want 4000", s.Sets)
+	for _, sent := range [][]bool{nil, sentinel} {
+		b := NewBatcher(rrset.NewSubsim(g), 7, 8)
+		sh := coverage.NewSharded(g.N(), nil, 8)
+		sh.SetWorkers(8)
+		var hits int64
+		for round := 0; round < 4; round++ {
+			hits += b.Fill(sh, 1000, sent)
+			if got := int64(sh.NumSets()) + hits; got != int64(1000*(round+1)) {
+				t.Fatalf("round %d: %d kept + %d hits, want %d", round, sh.NumSets(), hits, 1000*(round+1))
+			}
+			// Query between rounds so rebuilds interleave with fills.
+			sh.SelectSeeds(coverage.GreedyOptions{K: 4, Exclude: sent})
+		}
+		if sent == nil && hits != 0 {
+			t.Fatalf("no sentinel, %d hits", hits)
+		}
+		if s := b.Stats(); s.Sets != 4000 {
+			t.Fatalf("merged stats count %d sets, want 4000", s.Sets)
+		}
 	}
 }
 
-// TestBatcherReserveColdStart is the white-box pin of the cold-start
+// TestReserveColdStart is the white-box pin of the cold-start
 // reservation: on a batcher whose generators have produced nothing, the
 // first reserve must pre-size the arena from the graph's average degree
 // (coldNodes), not from the zero observed average — reserving zero nodes
 // would eat log2(batch) reallocations on the very first fill.
-func TestBatcherReserveColdStart(t *testing.T) {
+func TestReserveColdStart(t *testing.T) {
 	g := estimatorTestGraph(t) // PA 1000x5: avg degree ~5 → coldNodes 6
 	b := NewBatcher(rrset.NewSubsim(g), 1, 2)
 	if b.coldNodes < 2 || b.coldNodes > 64 {
@@ -232,8 +223,9 @@ func TestBatcherReserveColdStart(t *testing.T) {
 		t.Errorf("cold reserve gave %d set slots, want >= %d", got, cnt)
 	}
 
-	// Warm path: after real sets exist the reservation follows the
-	// observed average (1.25× headroom), not coldNodes.
+	// Warm path: after real sets exist the reservation of an empty arena
+	// follows the generator's observed average (1.25× headroom), not
+	// coldNodes.
 	b.Visit(200, nil, func([]int32) bool { return true })
 	s := b.gens[0].Stats()
 	if s.Sets == 0 {
@@ -248,6 +240,38 @@ func TestBatcherReserveColdStart(t *testing.T) {
 	// Graph-less generators (nil Graph) still get the floor of 2.
 	if got := NewBatcher(nilGraphGen{}, 1, 1).coldNodes; got != 2 {
 		t.Errorf("nil-graph coldNodes = %d, want 2", got)
+	}
+}
+
+// TestReserveFollowsArenaAverage pins the reservation of a persistent
+// shard arena: once the arena holds sets, reserve must leave room for
+// cnt sets of the arena's own average size even when the generator's
+// running average was pulled down by draws that never reached the arena
+// — HIST's sentinel-terminated verification draws. Reserving from the
+// diluted average lets the next fill overrun the reservation, and the
+// append then regrows and copies the whole arena.
+func TestReserveFollowsArenaAverage(t *testing.T) {
+	g := allocGraph(t)
+	b := NewBatcher(rrset.NewSubsim(g), 1, 1)
+	const size, held, cnt = 40, 500, 5000
+	a := rrset.NewArena(0, 0)
+	set := make([]int32, size)
+	for i := 0; i < held; i++ {
+		a.Append(set)
+	}
+	// Every node a sentinel: each draw stops at its root, a 1-node set.
+	sentinel := make([]bool, g.N())
+	for v := range sentinel {
+		sentinel[v] = true
+	}
+	b.Visit(2000, sentinel, func([]int32) bool { return true })
+	if avg := b.gens[0].Stats().AvgSize(); avg > 2 {
+		t.Fatalf("generator average %.1f not diluted by the sentinel draws", avg)
+	}
+	b.reserve(a, 0, cnt)
+	if free := cap(a.Data()) - a.NumNodes(); free < cnt*size {
+		t.Fatalf("reserve left room for %d node ids, want >= %d (%d sets of the arena's average %d)",
+			free, cnt*size, cnt, size)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 
 	"subsim/internal/coverage"
 	"subsim/internal/obs"
-	"subsim/internal/obs/timeline"
 	"subsim/internal/rng"
 	"subsim/internal/rrset"
 )
@@ -43,9 +42,9 @@ type Options struct {
 	// selection. The baselines default to the classic greedy; HIST
 	// always enables it.
 	Revised bool
-	// Estimator selects the coverage backend: the exact CSR inverted
-	// index (the zero value, bit-identical to historic runs) or the
-	// HyperLogLog sketch backend (coverage.EstimatorHLL), which trades
+	// Estimator selects the coverage backend: the exact engine (the zero
+	// value; one shard per worker, bit-identical across worker counts) or
+	// the HyperLogLog sketch backend (coverage.EstimatorHLL), which trades
 	// the backend's certified relative error for θ-independent memory.
 	Estimator coverage.EstimatorKind
 	// SketchPrecision is the HLL register-index width p (2^p registers
@@ -193,32 +192,15 @@ type Batcher struct {
 	// a BFS layer fans out over.
 	coldNodes int
 
-	// spliceHist, when non-nil, receives the duration of each
-	// arena-to-store splice performed by FillIndex (ns).
-	spliceHist *obs.Histogram
-
-	// rings, when non-nil, holds one timeline ring per worker: the splice
-	// passes record their per-worker intervals there (generation-phase
-	// records come from the rrset.InstrumentWorker wrappers). rings[w] is
-	// only ever written by the goroutine currently acting as worker w —
-	// generation and splice never overlap (FillIndex runs them strictly in
-	// sequence), preserving the ring's single-writer discipline.
-	rings []*timeline.Ring
-
-	// secGenerate and secSplice tag the two FillIndex sections with pprof
-	// labels and runtime/trace regions; nil (the disabled instrument) when
-	// the batcher is uninstrumented.
+	// secGenerate tags the generation section of Fill with pprof labels
+	// and a runtime/trace region; nil (the disabled instrument) when the
+	// batcher is uninstrumented.
 	secGenerate *obs.PhaseSection
-	secSplice   *obs.PhaseSection
 
-	// Splice scratch, one slot per worker: kept set/node counts from the
-	// counting pass and their prefix-summed destination offsets. Kept on
-	// the batcher so steady-state FillIndex allocates nothing.
-	keptSets  []int
-	keptNodes []int
-	setOff    []int
-	nodeOff   []int64
-	hitCnt    []int64
+	// hitCnt holds one sentinel-hit count per worker lane of
+	// FillSharded, kept on the batcher so steady-state fills allocate
+	// nothing.
+	hitCnt []int64
 }
 
 // NewBatcher builds a parallel generation front-end over gen. The
@@ -229,16 +211,12 @@ func NewBatcher(gen rrset.Generator, seed uint64, workers int) *Batcher {
 		workers = 1
 	}
 	b := &Batcher{
-		gens:      make([]rrset.Generator, workers),
-		srcs:      make([]*rng.Source, workers),
-		arenas:    make([]*rrset.Arena, workers),
-		base:      make([]rrset.Stats, workers),
-		seed:      seed,
-		keptSets:  make([]int, workers),
-		keptNodes: make([]int, workers),
-		setOff:    make([]int, workers),
-		nodeOff:   make([]int64, workers),
-		hitCnt:    make([]int64, workers),
+		gens:   make([]rrset.Generator, workers),
+		srcs:   make([]*rng.Source, workers),
+		arenas: make([]*rrset.Arena, workers),
+		base:   make([]rrset.Stats, workers),
+		seed:   seed,
+		hitCnt: make([]int64, workers),
 	}
 	if g := gen.Graph(); g != nil {
 		cold := int(g.AvgDegree()) + 1
@@ -274,28 +252,11 @@ func NewInstrumentedBatcher(gen rrset.Generator, seed uint64, workers int, m *ob
 	if m == nil {
 		return b
 	}
-	b.spliceHist = &m.Splice
 	b.secGenerate = obs.Section("generate", len(b.gens))
-	b.secSplice = obs.Section("splice", len(b.gens))
-	if m.Timeline != nil {
-		b.rings = make([]*timeline.Ring, len(b.gens))
-		for w := range b.rings {
-			b.rings[w] = m.TimelineRing(w)
-		}
-	}
 	for w := range b.gens {
 		b.gens[w] = rrset.InstrumentWorker(b.gens[w], m, w)
 	}
 	return b
-}
-
-// ring returns worker w's timeline ring, or nil (the no-op ring) on an
-// uninstrumented batcher.
-func (b *Batcher) ring(w int) *timeline.Ring {
-	if b.rings == nil {
-		return nil
-	}
-	return b.rings[w]
 }
 
 // setSeed derives the RNG seed of the set with global index idx from the
@@ -355,20 +316,31 @@ func (b *Batcher) fillArenas(count int, sentinel []bool) (used int) {
 	return workers
 }
 
-// reserve pre-grows worker w's arena from the data: the running average
-// RR-set size observed by that worker's generator (with headroom) tells
+// reserve pre-grows arena a for cnt more sets drawn through worker w
+// from the data: the running average RR-set size (with headroom) tells
 // the arena how many node ids the next cnt sets will need, replacing
 // amortised doubling with a single up-front growth in the common case.
-// Before the first set exists there is no average, so the cold start
-// falls back to the graph's average in-degree (coldNodes) instead of
-// reserving zero nodes and eating log2(batch) reallocations.
+//
+// The average is the larger of worker w's generator average and the
+// arena's own average over the sets it already holds. The generator
+// average alone under-reserves a persistent shard arena whenever the
+// generator also drew smaller sets that never reached the arena — HIST's
+// sentinel-terminated verification draws — and an append past the
+// reservation regrows and copies the whole arena. Before any set exists
+// there is no average, so the cold start falls back to the graph's
+// average in-degree (coldNodes) instead of reserving zero nodes and
+// eating log2(batch) reallocations.
 func (b *Batcher) reserve(a *rrset.Arena, w, cnt int) {
 	s := b.gens[w].Stats()
-	if s.Sets == 0 {
+	if s.Sets == 0 && a.Len() == 0 {
 		a.Reserve(cnt, cnt*b.coldNodes)
 		return
 	}
-	a.Reserve(cnt, int(s.AvgSize()*float64(cnt)*1.25)+cnt)
+	avg := s.AvgSize()
+	if a.Len() > 0 {
+		avg = max(avg, float64(a.NumNodes())/float64(a.Len()))
+	}
+	a.Reserve(cnt, int(avg*float64(cnt)*1.25)+cnt)
 }
 
 // Visit generates count random RR sets (uniform roots), stopping each
@@ -395,8 +367,8 @@ func (b *Batcher) Visit(count int, sentinel []bool, visit func(set []int32) bool
 
 // Generate produces count random RR sets in deterministic global-index
 // order, each freshly allocated and owned by the caller. It is the
-// compatibility wrapper over Visit; hot paths (FillIndex, Visit) avoid
-// the per-set copies entirely.
+// compatibility wrapper over Visit; hot paths (Fill, Visit) avoid the
+// per-set copies entirely.
 func (b *Batcher) Generate(count int, sentinel []bool) []rrset.RRSet {
 	if count <= 0 {
 		return nil
@@ -434,55 +406,17 @@ func (b *Batcher) ResetStats() {
 	}
 }
 
-// FillIndex generates `count` RR sets and adds them to idx. When sentinel
+// Fill generates count RR sets and absorbs them into est. When sentinel
 // is non-nil, sets that terminated on a sentinel (i.e. contain one) are
-// NOT added; instead the number of such hits is returned, matching
+// NOT absorbed; instead the number of such hits is returned, matching
 // Algorithm 8 line 5 where covered-by-S_b sets are excluded from greedy.
 //
-// The sets are spliced from the per-worker arenas straight into the
-// index's flat store: each worker's kept sets/nodes are counted first,
-// prefix sums assign every worker a disjoint destination range in the
-// store's flat buffers (reserved in one Index.Grow call), and the copy
-// pass block-copies each arena into its range. Workers own contiguous
-// global-index blocks in ascending order, so the store content is
-// byte-identical to the serial per-set append regardless of the worker
-// count, and steady-state cost is two memcpys per worker — no per-set
-// allocation, no per-set call.
-//
-//subsim:parallel
-func (b *Batcher) FillIndex(idx *coverage.Index, count int, sentinel []bool) (hits int64) {
-	if count <= 0 {
-		return 0
-	}
-	hGen := b.secGenerate.Enter()
-	used := b.fillArenas(count, sentinel)
-	hGen.Exit()
-	hSpl := b.secSplice.Enter()
-	var start time.Time
-	if b.spliceHist != nil {
-		start = time.Now() //lint:allow timing (splice duration metric)
-	}
-	hits = b.splice(idx, used, sentinel)
-	if b.spliceHist != nil {
-		b.spliceHist.Observe(time.Since(start).Nanoseconds()) //lint:allow timing (splice duration metric)
-	}
-	hSpl.Exit()
-	return hits
-}
-
-// Fill generates count RR sets and absorbs them into est, returning the
-// number of sentinel-terminated sets that were skipped. An exact index
-// takes the FillIndex disjoint-range splice path unchanged (bit-for-bit
-// identical to historic behavior); a sharded estimator whose shard count
-// matches the batcher's worker count takes the zero-splice FillSharded
-// path, generating straight into the shard arenas; any other estimator
-// consumes the per-worker arenas through AbsorbArena in ascending worker
-// order, which replays the sets in global-index order — so every backend
-// sees the same sets with the same ids regardless of the worker count.
+// The exact engine takes FillSharded, generating straight into its shard
+// arenas; any other estimator consumes the per-worker arenas through
+// AbsorbArena in ascending worker order, which replays the sets in
+// global-index order — so every backend sees the same sets with the same
+// ids regardless of the worker count.
 func (b *Batcher) Fill(est coverage.Estimator, count int, sentinel []bool) (hits int64) {
-	if idx, ok := est.(*coverage.Index); ok {
-		return b.FillIndex(idx, count, sentinel)
-	}
 	if sh, ok := est.(*coverage.Sharded); ok {
 		return b.FillSharded(sh, count, sentinel)
 	}
@@ -499,31 +433,19 @@ func (b *Batcher) absorbInto(est coverage.Estimator, count int, sentinel []bool)
 	hGen := b.secGenerate.Enter()
 	used := b.fillArenas(count, sentinel)
 	hGen.Exit()
-	hSpl := b.secSplice.Enter()
-	var start time.Time
-	if b.spliceHist != nil {
-		start = time.Now() //lint:allow timing (absorb duration metric)
-	}
 	for w := 0; w < used; w++ {
 		a := b.arenas[w]
 		hits += est.AbsorbArena(a.Data(), a.Ends(), sentinel)
 	}
-	if b.spliceHist != nil {
-		b.spliceHist.Observe(time.Since(start).Nanoseconds()) //lint:allow timing (absorb duration metric)
-	}
-	hSpl.Exit()
 	return hits
 }
 
 // FillSharded generates count RR sets directly into sh's shard-local
-// arenas — the zero-splice fill path. Worker lane w owns shard w and
-// generates exactly the global indices idx with coverage.ShardOf(idx,
-// shards) == w, so placement is the documented pure function of (index,
-// shard count) and no arena-to-store copy ever happens: the arena IS
-// the shard's store segment, and sentinel-terminated sets are truncated
-// in place (Arena.DropLast) instead of filtered by a copy pass. There
-// are no splice timeline records on this path — the phase is gone, not
-// merely cheap.
+// arenas. Worker lane w owns shard w and generates exactly the global
+// indices idx with coverage.ShardOf(idx, shards) == w, so placement is
+// the documented pure function of (index, shard count) and no set is
+// ever copied: the arena IS the shard's store segment, and
+// sentinel-terminated sets are truncated in place (Arena.DropLast).
 //
 // A shard count different from the batcher's worker count falls back to
 // the generic absorb path (still correct, routed by collection index).
@@ -602,150 +524,20 @@ func arenaLastHit(a *rrset.Arena, sentinel []bool) bool {
 }
 
 // NewEstimator constructs the coverage backend opt selects, wired to the
-// metric set (which may be nil): the exact CSR index for
-// coverage.EstimatorExact — built exactly as the algorithms historically
-// built it, so default-option runs stay bit-identical — the HLL sketch
-// backend, or the sharded exact engine (one shard per worker, exact and
-// byte-identical to the CSR index for any worker count). Worker bounds
-// are inherited from opt.Workers.
+// metric set (which may be nil): the exact engine for
+// coverage.EstimatorExact, with one shard per worker so Batcher.Fill
+// generates straight into the shard arenas (the shard count never
+// changes a result: every query is a sum over shards), or the HLL sketch
+// backend. Worker bounds are inherited from opt.Workers.
 func NewEstimator(n int, outDeg []int32, opt Options, m *obs.MetricSet) coverage.Estimator {
-	switch opt.Estimator {
-	case coverage.EstimatorHLL:
+	if opt.Estimator == coverage.EstimatorHLL {
 		h := coverage.NewHLLObs(n, outDeg, opt.SketchPrecision, m)
 		h.SetWorkers(opt.Workers)
 		return h
-	case coverage.EstimatorSharded:
-		// One shard per worker, so Batcher.Fill takes the zero-splice
-		// direct-generation path; the shard count never changes a result
-		// (every query is a sum over shards).
-		s := coverage.NewShardedObs(n, outDeg, opt.Workers, m)
-		s.SetWorkers(opt.Workers)
-		return s
 	}
-	idx := coverage.NewIndexObs(n, outDeg, m)
-	idx.SetWorkers(opt.Workers)
-	return idx
-}
-
-// splice moves the contents of the first `used` arenas into the index
-// store, skipping sentinel-terminated sets, and returns the number of
-// sets skipped. used==1 splices inline; otherwise the counting pass and
-// the copy pass each fan out across the arenas, with a serial O(used)
-// prefix sum in between assigning destination offsets.
-//
-//subsim:parallel
-func (b *Batcher) splice(idx *coverage.Index, used int, sentinel []bool) int64 {
-	if used == 1 {
-		r := b.ring(0)
-		t0 := r.Now()
-		sets, nodes, hits := countKept(b.arenas[0], sentinel)
-		data, ends, nodeBase := idx.Grow(sets, nodes)
-		spliceArena(b.arenas[0], sentinel, data, ends, nodeBase)
-		r.Record(timeline.PhaseSplice, t0, r.Now())
-		return hits
-	}
-	var wg sync.WaitGroup
-	wg.Add(used - 1)
-	for w := 1; w < used; w++ {
-		go func(w int) {
-			defer wg.Done()
-			r := b.ring(w)
-			t0 := r.Now()
-			b.keptSets[w], b.keptNodes[w], b.hitCnt[w] = countKept(b.arenas[w], sentinel)
-			r.Record(timeline.PhaseSplice, t0, r.Now())
-		}(w)
-	}
-	r0 := b.ring(0)
-	t0 := r0.Now()
-	b.keptSets[0], b.keptNodes[0], b.hitCnt[0] = countKept(b.arenas[0], sentinel)
-	r0.Record(timeline.PhaseSplice, t0, r0.Now())
-	wg.Wait()
-
-	totalSets, totalNodes := 0, int64(0)
-	var hits int64
-	for w := 0; w < used; w++ {
-		b.setOff[w] = totalSets
-		b.nodeOff[w] = totalNodes
-		totalSets += b.keptSets[w]
-		totalNodes += int64(b.keptNodes[w])
-		hits += b.hitCnt[w]
-	}
-	data, ends, nodeBase := idx.Grow(totalSets, int(totalNodes))
-
-	wg.Add(used - 1)
-	for w := 1; w < used; w++ {
-		go func(w int) {
-			defer wg.Done()
-			r := b.ring(w)
-			t0 := r.Now()
-			lo := b.nodeOff[w]
-			spliceArena(b.arenas[w], sentinel,
-				data[lo:lo+int64(b.keptNodes[w])],
-				ends[b.setOff[w]:b.setOff[w]+b.keptSets[w]],
-				nodeBase+lo)
-			r.Record(timeline.PhaseSplice, t0, r.Now())
-		}(w)
-	}
-	t0 = r0.Now()
-	spliceArena(b.arenas[0], sentinel,
-		data[:b.keptNodes[0]], ends[:b.keptSets[0]], nodeBase)
-	r0.Record(timeline.PhaseSplice, t0, r0.Now())
-	wg.Wait()
-	return hits
-}
-
-// countKept reports how many of the arena's sets survive sentinel
-// filtering and how many node ids they hold, plus the number filtered
-// out. With no sentinel every set is kept, read straight off the arena
-// totals.
-//
-//subsim:hotpath
-func countKept(a *rrset.Arena, sentinel []bool) (sets, nodes int, hits int64) {
-	if sentinel == nil {
-		return a.Len(), a.NumNodes(), 0
-	}
-	data, ends := a.Data(), a.Ends()
-	start := int64(0)
-	for _, end := range ends {
-		if end > start && sentinel[data[end-1]] {
-			hits++
-		} else {
-			sets++
-			nodes += int(end - start)
-		}
-		start = end
-	}
-	return sets, nodes, hits
-}
-
-// spliceArena copies the arena's kept sets into dst (exactly the kept
-// node ids) and writes their ABSOLUTE exclusive end offsets — base plus
-// the local cumulative length — into ends (exactly the kept set count).
-// With no sentinel it is one block copy plus the offset rewrite.
-//
-//subsim:hotpath
-func spliceArena(a *rrset.Arena, sentinel []bool, dst []int32, ends []int64, base int64) {
-	srcData, srcEnds := a.Data(), a.Ends()
-	if sentinel == nil {
-		copy(dst, srcData)
-		for i, e := range srcEnds {
-			ends[i] = base + e
-		}
-		return
-	}
-	var nodePos int64
-	setPos := 0
-	start := int64(0)
-	for _, end := range srcEnds {
-		if end > start && sentinel[srcData[end-1]] {
-			start = end
-			continue
-		}
-		nodePos += int64(copy(dst[nodePos:], srcData[start:end]))
-		ends[setPos] = base + nodePos
-		setPos++
-		start = end
-	}
+	s := coverage.NewShardedObs(n, outDeg, opt.Workers, m)
+	s.SetWorkers(opt.Workers)
+	return s
 }
 
 // outDegrees extracts the out-degree array used by the Revised-Greedy

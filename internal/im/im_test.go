@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"subsim/internal/coverage"
 	"subsim/internal/diffusion"
 	"subsim/internal/graph"
 	"subsim/internal/rng"
@@ -195,8 +194,8 @@ func TestFillIndexSentinelExclusion(t *testing.T) {
 	batch := NewBatcher(rrset.NewVanilla(g), 1, 1)
 	sentinel := make([]bool, 40)
 	sentinel[0] = true
-	idx := coverage.NewIndex(40, nil)
-	hits := batch.FillIndex(idx, 200, sentinel)
+	idx := NewEstimator(40, nil, Options{Workers: 1}, nil)
+	hits := batch.Fill(idx, 200, sentinel)
 	if hits+int64(idx.NumSets()) != 200 {
 		t.Fatalf("hits %d + indexed %d != 200", hits, idx.NumSets())
 	}

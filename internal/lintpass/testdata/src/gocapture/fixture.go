@@ -9,8 +9,8 @@ package gocapture
 
 import "sync"
 
-// FillChunks is the well-formed disjoint-write decomposition copied
-// from the arena splice: the worker index flows (directly or through
+// FillChunks is the well-formed disjoint-write decomposition of the
+// per-worker fills: the worker index flows (directly or through
 // derived locals and range variables) into every captured-slice index.
 // No findings.
 //

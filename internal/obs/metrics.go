@@ -225,18 +225,15 @@ type MetricSet struct {
 	// SentinelHits counts RR sets truncated by a sentinel node.
 	SentinelHits Counter
 	// IndexBuild observes the wall-clock nanoseconds of each CSR
-	// inverted-index (re)build in coverage.Index (all paths).
+	// inverted-index (re)build in coverage.Sharded (all paths).
 	IndexBuild Histogram
 	// IndexBuildSerial and IndexBuildParallel split IndexBuild by the
-	// build path taken: the single-threaded delta rebuild vs the
-	// node-range-partitioned parallel rebuild. Their counts sum to
-	// IndexBuild's, so the parallel-path hit rate is directly readable.
+	// build path taken: every dirty shard rebuilt on the calling
+	// goroutine vs the shards fanned out across worker lanes. Their
+	// counts sum to IndexBuild's, so the parallel-path hit rate is
+	// directly readable.
 	IndexBuildSerial   Histogram
 	IndexBuildParallel Histogram
-	// Splice observes the wall-clock nanoseconds of each arena→store
-	// splice in Batcher.FillIndex — the coverage-side half of a sampling
-	// round that runs after generation proper.
-	Splice Histogram
 	// IndexEntries counts the postings (node→set pairs) placed by CSR
 	// index builds; with Nodes it yields the indexing amplification.
 	IndexEntries Counter

@@ -59,8 +59,7 @@ func (m *MetricSet) WritePrometheus(w io.Writer) error {
 		{"subsim_geom_skip_len", "Geometric skip lengths (SUBSIM).", &m.SkipLen},
 		{"subsim_index_build_ns", "CSR inverted-index build duration (ns).", &m.IndexBuild},
 		{"subsim_index_build_serial_ns", "CSR index builds taking the serial delta path (ns).", &m.IndexBuildSerial},
-		{"subsim_index_build_parallel_ns", "CSR index builds taking the node-range-parallel path (ns).", &m.IndexBuildParallel},
-		{"subsim_splice_ns", "Arena-to-store splice duration per FillIndex (ns).", &m.Splice},
+		{"subsim_index_build_parallel_ns", "CSR index builds taking the shard-parallel path (ns).", &m.IndexBuildParallel},
 	}
 	for _, h := range hists {
 		if err := writePromHistogram(w, h.name, h.help, h.h); err != nil {

@@ -25,7 +25,7 @@ func timelinePlane() (*Plane, *obs.Tracer) {
 
 	tl.Worker(0).Record(timeline.PhaseGenerate, 0, 1000)
 	tl.Worker(1).Record(timeline.PhaseGenerate, 100, 900)
-	tl.Worker(0).Record(timeline.PhaseSplice, 1000, 1200)
+	tl.Worker(0).Record(timeline.PhaseReduce, 1000, 1200)
 
 	p := NewWithOptions(tr, Options{})
 	return p, tr
@@ -47,7 +47,7 @@ func TestTimelineEndpoint(t *testing.T) {
 	if sum.Workers != 2 || sum.Records != 3 {
 		t.Errorf("summary = %+v", sum)
 	}
-	if len(sum.Phases) != 2 || sum.Phases[0].Phase != "generate" || sum.Phases[1].Phase != "splice" {
+	if len(sum.Phases) != 2 || sum.Phases[0].Phase != "generate" || sum.Phases[1].Phase != "reduce" {
 		t.Errorf("phases = %+v", sum.Phases)
 	}
 }

@@ -47,15 +47,12 @@ const (
 	// PhaseGenerate is one RR-set reverse traversal (recorded per set by
 	// rrset.InstrumentWorker).
 	PhaseGenerate Phase = iota
-	// PhaseSplice is one worker's share of an arena→store splice pass
-	// (count or copy) in im.Batcher.FillIndex.
-	PhaseSplice
 	// PhaseIndexBuild is one worker's share of a delta CSR rebuild in
-	// coverage.Index (one interval per parallel sub-pass, or one for the
-	// whole serial rebuild).
+	// coverage.Sharded (one interval per lane of a parallel rebuild, or
+	// one for the whole serial rebuild).
 	PhaseIndexBuild
 	// PhaseGains is one worker's share of the first CELF round (the
-	// initial-gain pass of coverage.Index.SelectSeeds).
+	// initial-gain pass of coverage.Sharded.SelectSeeds).
 	PhaseGains
 	// PhaseSelect is the serial lazy-greedy CELF loop (coordinator only).
 	PhaseSelect
@@ -72,7 +69,7 @@ const (
 )
 
 var phaseNames = [numPhases]string{
-	"generate", "splice", "index-build", "select-gains", "select", "reduce", "other",
+	"generate", "index-build", "select-gains", "select", "reduce", "other",
 }
 
 // String returns the stable lower-case phase name used in exports.
@@ -227,7 +224,7 @@ type Timeline struct {
 	clock    func() int64
 	capacity int
 
-	mu    sync.Mutex            // guards ring-vector growth
+	mu    sync.Mutex              // guards ring-vector growth
 	rings atomic.Pointer[[]*Ring] // copy-on-write: readers never lock
 }
 

@@ -23,13 +23,13 @@ func TestWriteTraceGolden(t *testing.T) {
 	w0.Record(PhaseGenerate, 0, 1500)
 	w0.Record(PhaseGenerate, 1500, 2250)
 	w1.Record(PhaseGenerate, 100, 1900)
-	w0.Record(PhaseSplice, 2300, 2400)
-	w1.Record(PhaseSplice, 2300, 2450)
+	w0.Record(PhaseReduce, 2300, 2400)
+	w1.Record(PhaseReduce, 2300, 2450)
 	w0.Record(PhaseIndexBuild, 2500, 3000)
 	w0.Record(PhaseSelect, 3100, 4000)
 	spans := []Span{
 		{Name: "generate", StartNS: 0, EndNS: 2250},
-		{Name: "splice", StartNS: 2300, EndNS: 2450},
+		{Name: "reduce", StartNS: 2300, EndNS: 2450},
 		{Name: "select", StartNS: 2500, EndNS: 4000},
 	}
 
@@ -63,7 +63,7 @@ func TestWriteTraceGolden(t *testing.T) {
 func TestWriteTraceStructure(t *testing.T) {
 	tl := New(16, fakeClock())
 	tl.Worker(0).Record(PhaseGenerate, 0, 1000)
-	tl.Worker(1).Record(PhaseSplice, 1000, 2000)
+	tl.Worker(1).Record(PhaseReduce, 1000, 2000)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, tl.Snapshot(), []Span{{Name: "run", StartNS: 0, EndNS: 2000}}); err != nil {
 		t.Fatal(err)

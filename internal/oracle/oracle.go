@@ -10,6 +10,7 @@ package oracle
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"subsim/internal/bounds"
 	"subsim/internal/coverage"
@@ -20,9 +21,10 @@ import (
 // Oracle answers influence queries over a fixed RR collection. Build one
 // with New or NewWithPrecision. The zero value is not usable.
 //
-// The collection lives in the flat arena-backed coverage.Index (CSR
-// store + CSR inverted index), so construction performs no per-set heap
-// allocation and queries walk contiguous posting lists.
+// The collection lives in the exact coverage engine (coverage.Sharded:
+// per-worker RR arenas with CSR inverted indexes), so construction
+// performs no per-set heap allocation and queries walk contiguous
+// posting lists.
 //
 // Oracle queries mutate a small amount of scratch state and are NOT safe
 // for concurrent use; guard with a mutex or build one oracle per
@@ -30,27 +32,32 @@ import (
 type Oracle struct {
 	n     int
 	theta int64
-	idx   *coverage.Index
+	idx   *coverage.Sharded
 	stats rrset.Stats
 
 	seedBuf []int32 // reusable, bounds-filtered copy of query seeds
 }
 
 // New builds an oracle from theta random RR sets drawn through gen,
-// using `workers` parallel generators (0 = GOMAXPROCS).
+// using `workers` parallel generators (<= 0 means GOMAXPROCS). The
+// collection, and with it every answer, is the same for any worker
+// count.
 func New(gen rrset.Generator, theta int64, seed uint64, workers int) (*Oracle, error) {
 	if theta < 1 {
 		return nil, fmt.Errorf("oracle: theta must be positive, got %d", theta)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	g := gen.Graph()
 	o := &Oracle{
 		n:     g.N(),
 		theta: theta,
-		idx:   coverage.NewIndex(g.N(), nil),
+		idx:   coverage.NewSharded(g.N(), nil, workers),
 	}
 	o.idx.SetWorkers(workers)
 	b := im.NewBatcher(gen, seed, workers)
-	b.FillIndex(o.idx, int(theta), nil)
+	b.Fill(o.idx, int(theta), nil)
 	o.stats = b.Stats()
 	return o, nil
 }

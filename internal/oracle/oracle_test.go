@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"subsim/internal/diffusion"
@@ -103,5 +104,39 @@ func TestOracleEmptySeeds(t *testing.T) {
 	lo, hi := o.Interval(nil, 0.1)
 	if lo != 0 || hi <= 0 {
 		t.Fatalf("empty interval [%v,%v]", lo, hi)
+	}
+}
+
+// TestOracleWorkersDefault pins New's workers contract: 0 (what
+// subsim.NewInfluenceOracle passes) resolves to GOMAXPROCS instead of a
+// single worker, and the worker count never changes an answer — the
+// point estimate and both interval ends are bit-identical to workers=1.
+func TestOracleWorkersDefault(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	g := oracleGraph(t)
+	auto, err := New(rrset.NewSubsim(g), 8000, 6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := auto.idx.Workers(); got != 3 {
+		t.Fatalf("workers=0 resolved to %d, want GOMAXPROCS = 3", got)
+	}
+	serial, err := New(rrset.NewSubsim(g), 8000, 6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.Stats() != serial.Stats() {
+		t.Fatalf("stats %+v, want %+v", auto.Stats(), serial.Stats())
+	}
+	for _, seeds := range [][]int32{{0}, {1, 2, 3}, {10, 500, 900, 1500}} {
+		a, s := auto.Estimate(seeds), serial.Estimate(seeds)
+		if math.Float64bits(a) != math.Float64bits(s) {
+			t.Fatalf("seeds %v: Estimate %v with workers=0, %v with workers=1", seeds, a, s)
+		}
+		alo, ahi := auto.Interval(seeds, 0.05)
+		slo, shi := serial.Interval(seeds, 0.05)
+		if math.Float64bits(alo) != math.Float64bits(slo) || math.Float64bits(ahi) != math.Float64bits(shi) {
+			t.Fatalf("seeds %v: Interval [%v,%v] with workers=0, [%v,%v] with workers=1", seeds, alo, ahi, slo, shi)
+		}
 	}
 }

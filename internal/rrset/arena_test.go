@@ -86,7 +86,7 @@ func TestArenaMemoryBytes(t *testing.T) {
 	}
 }
 
-// TestArenaAppendDropSteadyStateAllocFree pins the zero-splice fill
+// TestArenaAppendDropSteadyStateAllocFree pins the direct shard fill
 // path's allocation behaviour: once grown, an append/drop churn cycle
 // costs nothing.
 func TestArenaAppendDropSteadyStateAllocFree(t *testing.T) {

@@ -46,9 +46,9 @@ type selectionCase struct {
 }
 
 // selectionCases drive the Λᵘ prefix bound through every shape it has:
-// OPIM-C with a large k on both exact backends at one and two workers
+// OPIM-C with a large k on the exact engine at one and two workers
 // (n is above the parallel initial-gain threshold, so W=2 takes the
-// partitioned first round), the out-degree tie-break, HIST's second
+// partitioned first round and a two-shard collection), the out-degree tie-break, HIST's second
 // phase (Revised + Exclude + Base + TopL = k), and the HLL backend's
 // float-valued bound. The HIST runs pick 5 of their 50 seeds as
 // sentinels, so the second phase selects the other 45.
@@ -62,11 +62,9 @@ func selectionCases() []selectionCase {
 	return []selectionCase{
 		{"opimc-exact-w1", subsim.AlgSUBSIM, opimc(subsim.EstimatorExact, 1, false)},
 		{"opimc-exact-w2", subsim.AlgSUBSIM, opimc(subsim.EstimatorExact, 2, false)},
-		{"opimc-sharded-w1", subsim.AlgSUBSIM, opimc(subsim.EstimatorSharded, 1, false)},
-		{"opimc-sharded-w2", subsim.AlgSUBSIM, opimc(subsim.EstimatorSharded, 2, false)},
 		{"opimc-exact-revised-w2", subsim.AlgSUBSIM, opimc(subsim.EstimatorExact, 2, true)},
 		{"hist-exact-w1", subsim.AlgHISTSubsim, hist(subsim.EstimatorExact, 1)},
-		{"hist-sharded-w2", subsim.AlgHISTSubsim, hist(subsim.EstimatorSharded, 2)},
+		{"hist-exact-w2", subsim.AlgHISTSubsim, hist(subsim.EstimatorExact, 2)},
 		{"opimc-hll-w2", subsim.AlgSUBSIM, opimc(subsim.EstimatorHLL, 2, false)},
 		{"hist-hll-w1", subsim.AlgHISTSubsim, hist(subsim.EstimatorHLL, 1)},
 	}
