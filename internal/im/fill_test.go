@@ -1,10 +1,12 @@
 package im
 
 import (
+	"slices"
 	"testing"
 
 	"subsim/internal/coverage"
 	"subsim/internal/graph"
+	"subsim/internal/rng"
 	"subsim/internal/rrset"
 )
 
@@ -110,9 +112,7 @@ func TestShardedCertifiedBoundsWorkerIndependent(t *testing.T) {
 // (Arena.DropLast) and per-shard kept counts really differ: for every
 // worker count the engine must report the same hit count, keep the same
 // number of sets, and select the same seeds as the workers=1 reference —
-// with the sentinel hits also visible in the generator stats. Each run
-// fills in two rounds, so the second appends behind existing shard
-// content.
+// with the sentinel hits also visible in the generator stats.
 func TestShardedSentinelHits(t *testing.T) {
 	const (
 		count = 2000
@@ -138,8 +138,7 @@ func TestShardedSentinelHits(t *testing.T) {
 		b := NewBatcher(rrset.NewSubsim(g), seed, workers)
 		sh := coverage.NewSharded(g.N(), nil, workers)
 		sh.SetWorkers(workers)
-		hits := b.Fill(sh, count/2, sentinel)
-		hits += b.Fill(sh, count-count/2, sentinel)
+		hits := b.Fill(sh, count, sentinel)
 		if hits != refHits {
 			t.Fatalf("workers=%d: %d sentinel hits, want %d", workers, hits, refHits)
 		}
@@ -161,49 +160,147 @@ func TestShardedSentinelHits(t *testing.T) {
 	}
 }
 
+// TestSpliceSentinelWorkerEquality pins the content of the shard arenas
+// under sentinel filtering, the branch where per-shard kept counts
+// really differ. For every worker count, filling in two rounds (so the
+// second appends behind existing shard content), shard s must hold
+// exactly the sets with global index ≡ s (mod shards) that contain no
+// sentinel, in index order, as a workers=1 batcher generates them; the
+// engine must report the same hit count and select the same seeds as
+// the single-shard reference. The name dates from the arena-to-store
+// splice that the direct shard fill replaced.
+func TestSpliceSentinelWorkerEquality(t *testing.T) {
+	g, err := graph.GenErdosRenyi(500, 4000, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AssignWC()
+	sentinel := make([]bool, g.N())
+	for v := 0; v < g.N(); v += 3 {
+		sentinel[v] = true
+	}
+	const (
+		count = 1200
+		seed  = 13
+	)
+
+	// Every set in global-index order, sentinel-terminated ones included.
+	all := NewBatcher(rrset.NewSubsim(g), seed, 1).Generate(count, sentinel)
+	hit := make([]bool, count)
+	var wantHits int64
+	for i, set := range all {
+		hit[i] = slices.ContainsFunc(set, func(v int32) bool { return sentinel[v] })
+		if hit[i] {
+			wantHits++
+		}
+	}
+	if wantHits == 0 || wantHits == count {
+		t.Fatalf("%d of %d sets hit a sentinel; test graph/sentinel choice is broken", wantHits, count)
+	}
+
+	ref := coverage.NewSharded(g.N(), nil, 1)
+	if hits := NewBatcher(rrset.NewSubsim(g), seed, 1).Fill(ref, count, sentinel); hits != wantHits {
+		t.Fatalf("reference fill: %d sentinel hits, want %d", hits, wantHits)
+	}
+	refSel := ref.SelectSeeds(coverage.GreedyOptions{K: 5, Exclude: sentinel})
+
+	for _, workers := range []int{1, 2, 8} {
+		b := NewBatcher(rrset.NewSubsim(g), seed, workers)
+		sh := coverage.NewSharded(g.N(), nil, workers)
+		sh.SetWorkers(workers)
+		hits := b.Fill(sh, count/2, sentinel)
+		hits += b.Fill(sh, count-count/2, sentinel)
+		if hits != wantHits {
+			t.Fatalf("workers=%d: %d sentinel hits, want %d", workers, hits, wantHits)
+		}
+		for s := 0; s < workers; s++ {
+			a := sh.ShardArena(s)
+			j := 0
+			for i, set := range all {
+				if hit[i] || coverage.ShardOf(int64(i), workers) != s {
+					continue
+				}
+				if j >= a.Len() {
+					t.Fatalf("workers=%d: shard %d holds %d sets, wants more", workers, s, a.Len())
+				}
+				if got := a.Set(j); !slices.Equal(got, set) {
+					t.Fatalf("workers=%d: shard %d set %d is %v, want global set %d %v", workers, s, j, got, i, set)
+				}
+				j++
+			}
+			if a.Len() != j {
+				t.Fatalf("workers=%d: shard %d holds %d sets, want %d", workers, s, a.Len(), j)
+			}
+		}
+		sel := sh.SelectSeeds(coverage.GreedyOptions{K: 5, Exclude: sentinel})
+		for i := range refSel.Seeds {
+			if sel.Seeds[i] != refSel.Seeds[i] {
+				t.Fatalf("workers=%d: seed %d is %d, want %d", workers, i, sel.Seeds[i], refSel.Seeds[i])
+			}
+		}
+		if sel.CoverageUpper != refSel.CoverageUpper {
+			t.Fatalf("workers=%d: Λᵘ %d, want %d", workers, sel.CoverageUpper, refSel.CoverageUpper)
+		}
+	}
+}
+
 // TestShardedFillAmortizedAllocs pins the multi-shard fill (one
 // generating goroutine per shard) under the same allocation bound as
 // the serial fill.
 func TestShardedFillAmortizedAllocs(t *testing.T) { fillAmortizedAllocs(t, 2) }
 
 // TestShardedConcurrentFill exercises the multi-shard FillSharded path
-// (one goroutine per shard writing its own arena) repeatedly, with and
-// without sentinels, interleaved with parallel rebuilds and selections,
-// so `go test -race` covers the handoff; it re-checks set accounting.
+// (one goroutine per shard writing its own arena) repeatedly,
+// interleaved with parallel rebuilds and selections, so `go test -race`
+// covers the handoff; it re-checks set accounting.
 func TestShardedConcurrentFill(t *testing.T) {
-	g := allocGraph(t)
-	sentinel := make([]bool, g.N())
-	for v := 0; v < g.N(); v += 7 {
+	concurrentFill(t, nil)
+}
+
+// TestSpliceRaceParallel runs the same concurrent fill with every 7th
+// node a sentinel, so the race detector also sees each shard goroutine
+// truncating its sentinel-terminated sets in place (Arena.DropLast).
+// The name dates from the arena-to-store splice that the direct shard
+// fill replaced.
+func TestSpliceRaceParallel(t *testing.T) {
+	sentinel := make([]bool, allocGraph(t).N())
+	for v := 0; v < len(sentinel); v += 7 {
 		sentinel[v] = true
 	}
-	for _, sent := range [][]bool{nil, sentinel} {
-		b := NewBatcher(rrset.NewSubsim(g), 7, 8)
-		sh := coverage.NewSharded(g.N(), nil, 8)
-		sh.SetWorkers(8)
-		var hits int64
-		for round := 0; round < 4; round++ {
-			hits += b.Fill(sh, 1000, sent)
-			if got := int64(sh.NumSets()) + hits; got != int64(1000*(round+1)) {
-				t.Fatalf("round %d: %d kept + %d hits, want %d", round, sh.NumSets(), hits, 1000*(round+1))
-			}
-			// Query between rounds so rebuilds interleave with fills.
-			sh.SelectSeeds(coverage.GreedyOptions{K: 4, Exclude: sent})
+	concurrentFill(t, sentinel)
+}
+
+// concurrentFill fills an 8-shard engine from an 8-worker batcher in
+// four rounds of 1000 sets, selecting between rounds, and checks that
+// kept sets plus sentinel hits account for every generated set.
+func concurrentFill(t *testing.T, sentinel []bool) {
+	t.Helper()
+	g := allocGraph(t)
+	b := NewBatcher(rrset.NewSubsim(g), 7, 8)
+	sh := coverage.NewSharded(g.N(), nil, 8)
+	sh.SetWorkers(8)
+	var hits int64
+	for round := 0; round < 4; round++ {
+		hits += b.Fill(sh, 1000, sentinel)
+		if got := int64(sh.NumSets()) + hits; got != int64(1000*(round+1)) {
+			t.Fatalf("round %d: %d kept + %d hits, want %d", round, sh.NumSets(), hits, 1000*(round+1))
 		}
-		if sent == nil && hits != 0 {
-			t.Fatalf("no sentinel, %d hits", hits)
-		}
-		if s := b.Stats(); s.Sets != 4000 {
-			t.Fatalf("merged stats count %d sets, want 4000", s.Sets)
-		}
+		// Query between rounds so rebuilds interleave with fills.
+		sh.SelectSeeds(coverage.GreedyOptions{K: 4, Exclude: sentinel})
+	}
+	if (sentinel == nil) != (hits == 0) {
+		t.Fatalf("sentinel set %v, %d hits", sentinel != nil, hits)
+	}
+	if s := b.Stats(); s.Sets != 4000 || s.SentinelHits != hits {
+		t.Fatalf("merged stats count %d sets and %d sentinel hits, want 4000 and %d", s.Sets, s.SentinelHits, hits)
 	}
 }
 
-// TestReserveColdStart is the white-box pin of the cold-start
-// reservation: on a batcher whose generators have produced nothing, the
-// first reserve must pre-size the arena from the graph's average degree
-// (coldNodes), not from the zero observed average — reserving zero nodes
-// would eat log2(batch) reallocations on the very first fill.
-func TestReserveColdStart(t *testing.T) {
+// TestBatcherReserveColdStart pins the estimate NewBatcher keeps for the
+// cold-start reservation, before any set exists: coldNodes is the
+// graph's average degree plus one, clamped to [2,64], and a generator
+// without a graph gets the floor of 2.
+func TestBatcherReserveColdStart(t *testing.T) {
 	g := estimatorTestGraph(t) // PA 1000x5: avg degree ~5 → coldNodes 6
 	b := NewBatcher(rrset.NewSubsim(g), 1, 2)
 	if b.coldNodes < 2 || b.coldNodes > 64 {
@@ -212,6 +309,32 @@ func TestReserveColdStart(t *testing.T) {
 	if want := int(g.AvgDegree()) + 1; b.coldNodes != want {
 		t.Fatalf("coldNodes = %d, want AvgDegree+1 = %d", b.coldNodes, want)
 	}
+
+	// A graph denser than the clamp gets the ceiling.
+	dense, err := graph.GenErdosRenyi(100, 7000, rng.New(3)) // avg degree 70
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense.AssignWC()
+	if got := NewBatcher(rrset.NewSubsim(dense), 1, 1).coldNodes; got != 64 {
+		t.Errorf("dense-graph coldNodes = %d, want the clamp 64", got)
+	}
+
+	// Graph-less generators (nil Graph) still get the floor of 2.
+	if got := NewBatcher(nilGraphGen{}, 1, 1).coldNodes; got != 2 {
+		t.Errorf("nil-graph coldNodes = %d, want 2", got)
+	}
+}
+
+// TestReserveColdStart is the white-box pin of the cold-start
+// reservation: on a batcher whose generators have produced nothing, the
+// first reserve must pre-size the arena from coldNodes, not from the
+// zero observed average — reserving zero nodes would eat log2(batch)
+// reallocations on the very first fill. Once sets exist, the
+// reservation of an empty arena follows the observed average instead.
+func TestReserveColdStart(t *testing.T) {
+	g := estimatorTestGraph(t)
+	b := NewBatcher(rrset.NewSubsim(g), 1, 2)
 
 	const cnt = 100
 	a := rrset.NewArena(0, 0)
@@ -235,11 +358,6 @@ func TestReserveColdStart(t *testing.T) {
 	b.reserve(w, 0, cnt)
 	if want := int(s.AvgSize()*float64(cnt)*1.25) + cnt; cap(w.Data()) < want {
 		t.Errorf("warm reserve gave %d node capacity, want >= %d (avg-size driven)", cap(w.Data()), want)
-	}
-
-	// Graph-less generators (nil Graph) still get the floor of 2.
-	if got := NewBatcher(nilGraphGen{}, 1, 1).coldNodes; got != 2 {
-		t.Errorf("nil-graph coldNodes = %d, want 2", got)
 	}
 }
 
