@@ -55,12 +55,12 @@ test:
 # allocation-free per RR set in steady state (see BENCH_rrset.json),
 # including across repeated Fill→SelectSeeds rounds (the shard arenas,
 # CSR double buffers and selection scratch are reused, not reallocated),
-# and the
-# always-on flight recorder must journal and sample without allocating.
+# the timeline's per-RR-set Record must not allocate, and the always-on
+# flight recorder must journal and sample without allocating.
 test-alloc:
 	$(GO) test ./internal/im -run 'AllocFree|AmortizedAllocs|RoundsAllocs' -v
 	$(GO) test ./internal/coverage -run 'ScratchReuse' -v
-	$(GO) test ./internal/obs/flight -run 'AllocFree' -v
+	$(GO) test ./internal/obs/timeline ./internal/obs/flight -run 'AllocFree' -v
 
 race:
 	$(GO) test -race ./...
@@ -93,11 +93,12 @@ scale-smoke:
 # paths out of the real imrun binary (-flight-selftest panic re-panics
 # through CapturePanic and must exit 2; -flight-selftest stall wedges an
 # open span until the watchdog writes a bundle and exits 0), then prove
-# cmd/obsbundle summarizes each bundle and that a self-diff of its run
-# report exits 0 — the crash-dump pipeline stays consumable end to end.
+# cmd/obsbundle summarizes each bundle and that an obsdiff self-diff of
+# the bundle exits 0 — the crash-dump pipeline stays consumable end to end.
 flight-smoke:
 	$(GO) build -o bin/imrun ./cmd/imrun
 	$(GO) build -o bin/obsbundle ./cmd/obsbundle
+	$(GO) build -o bin/obsdiff ./cmd/obsdiff
 	rm -rf bin/flightsmoke && mkdir -p bin/flightsmoke/panic bin/flightsmoke/stall
 	bin/imrun -flight-selftest panic -flight-dir bin/flightsmoke/panic \
 		>/dev/null 2>bin/flightsmoke/panic.log; status=$$?; \
@@ -108,7 +109,7 @@ flight-smoke:
 		{ cat bin/flightsmoke/stall.log; exit 1; }
 	for d in bin/flightsmoke/panic/*.bundle bin/flightsmoke/stall/*.bundle; do \
 		bin/obsbundle $$d >/dev/null || exit 1; \
-		bin/obsbundle $$d $$d >/dev/null || exit 1; \
+		bin/obsdiff $$d $$d >/dev/null || exit 1; \
 	done
 	@echo "flight-smoke: ok"
 

@@ -139,7 +139,7 @@ func main() {
 	var tr *obs.Tracer
 	if *tracePath != "" || *metrics || *serveAddr != "" || *flightOn {
 		tr = obs.NewTracer()
-		tr.EnableTimeline(0)
+		tr.EnableTimeline()
 		tr.SetMeta("tool", "imbench")
 		if p := runtime.GOMAXPROCS(0); *workers > p {
 			tr.SetMeta("caveat", fmt.Sprintf(

@@ -175,7 +175,7 @@ func main() {
 		// The execution timeline powers /trace + /timeline on the plane and
 		// the timeline summary in the run report; recording costs a few
 		// atomics per RR set, so it simply rides along whenever tracing is on.
-		tr.EnableTimeline(0)
+		tr.EnableTimeline()
 		tr.SetMeta("algorithm", alg.String())
 		tr.SetMeta("graph", *graphPath)
 		tr.SetMeta("k", *k)

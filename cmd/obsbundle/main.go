@@ -4,24 +4,18 @@
 //
 // Usage:
 //
-//	obsbundle [flags] <bundle-dir>             summarize one bundle
-//	obsbundle [flags] <base-bundle> <new-dir>  diff the two bundles' run
-//	                                           reports via the obsdiff gate
+//	obsbundle [flags] <bundle-dir>
 //
-// Summary mode prints the manifest (tool, reason, creation time, file
-// sizes and per-artifact errors), the journal tail with per-kind event
-// counts, the runtime-metrics history ranges, and the report's top
-// phases by total time. Diff mode loads report.json from each bundle
-// (a bare report.json path also works) and applies the same comparison
-// and exit codes as the obsdiff CLI: 0 clean, 1 regression, 2 error.
+// It prints the manifest (tool, reason, creation time, file sizes and
+// per-artifact errors), the journal tail with per-kind event counts, the
+// runtime-metrics history ranges, and the report's top phases by total
+// time. To diff two bundles' run reports, hand the bundle directories to
+// obsdiff.
 //
 // Flags:
 //
-//	-events N       journal-tail rows in the summary (default 12, 0 = all)
-//	-json           machine-readable summary / diff output
-//	-tolerance F    diff: relative regression tolerance (default 0.15)
-//	-span-floor D   diff: span totals below this base duration never fail
-//	-all            diff: print unchanged rows too
+//	-events N       journal-tail rows (default 12, 0 = all)
+//	-json           machine-readable output
 package main
 
 import (
@@ -45,75 +39,28 @@ func main() {
 
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("obsbundle", flag.ContinueOnError)
-	events := fs.Int("events", 12, "journal-tail rows in the summary (0 = all)")
+	events := fs.Int("events", 12, "journal-tail rows (0 = all)")
 	asJSON := fs.Bool("json", false, "emit machine-readable output")
-	tolerance := fs.Float64("tolerance", 0.15, "diff: relative regression tolerance (0.15 = +15%)")
-	spanFloor := fs.Duration("span-floor", time.Millisecond, "diff: span totals below this base duration never fail the gate")
-	all := fs.Bool("all", false, "diff: print unchanged rows too")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	switch fs.NArg() {
-	case 1:
-		return summarize(out, fs.Arg(0), *events, *asJSON)
-	case 2:
-		return diff(out, fs.Arg(0), fs.Arg(1), obsdiff.Options{
-			Tolerance:   *tolerance,
-			SpanFloorNS: spanFloor.Nanoseconds(),
-		}, *asJSON, *all)
-	default:
-		fmt.Fprintln(out, "usage: obsbundle [flags] <bundle-dir> [<new-bundle-dir>]")
+	if fs.NArg() != 1 {
+		fmt.Fprintln(out, "usage: obsbundle [flags] <bundle-dir>")
 		return 2
 	}
-}
-
-// reportPath resolves a diff argument: a bundle directory means its
-// report.json, a file path is taken as a report verbatim.
-func reportPath(arg string) string {
-	if fi, err := os.Stat(arg); err == nil && fi.IsDir() {
-		return filepath.Join(arg, "report.json")
-	}
-	return arg
-}
-
-func diff(out io.Writer, baseArg, newArg string, opt obsdiff.Options, asJSON, all bool) int {
-	base, err := obsdiff.LoadReport(reportPath(baseArg))
-	if err != nil {
-		fmt.Fprintf(out, "obsbundle: %v\n", err)
-		return 2
-	}
-	next, err := obsdiff.LoadReport(reportPath(newArg))
-	if err != nil {
-		fmt.Fprintf(out, "obsbundle: %v\n", err)
-		return 2
-	}
-	d := obsdiff.Compare(base, next, opt)
-	if asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(d); err != nil {
-			fmt.Fprintf(out, "obsbundle: %v\n", err)
-			return 2
-		}
-	} else {
-		d.WriteText(out, all)
-	}
-	if d.Regressions > 0 {
-		return 1
-	}
-	return 0
+	return summarize(out, fs.Arg(0), *events, *asJSON)
 }
 
 // summaryDoc is the -json summary shape: the manifest plus the decoded
 // auxiliary views (absent sections are omitted, e.g. when an artifact
 // failed to produce).
 type summaryDoc struct {
-	Path     string           `json:"path"`
-	Manifest flight.Manifest  `json:"manifest"`
-	Journal  *journalView     `json:"journal,omitempty"`
-	History  *historyView     `json:"history,omitempty"`
-	Phases   []obs.SpanAgg    `json:"phases,omitempty"`
+	Path     string          `json:"path"`
+	Manifest flight.Manifest `json:"manifest"`
+	Journal  *journalView    `json:"journal,omitempty"`
+	History  *historyView    `json:"history,omitempty"`
+	Phases   []obs.SpanAgg   `json:"phases,omitempty"`
 }
 
 type journalView struct {

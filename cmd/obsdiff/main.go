@@ -1,10 +1,12 @@
 // Command obsdiff compares two schema-versioned run reports and flags
-// regressions; the comparison machinery lives in internal/obsdiff,
-// shared with cmd/obsbundle's bundle-diff mode.
+// regressions; the comparison machinery lives in internal/obsdiff.
 //
 // Usage:
 //
-//	obsdiff [flags] base.json new.json
+//	obsdiff [flags] base new
+//
+// Each argument is a run report (imrun -report, GET /report) or a
+// flight-recorder bundle directory, which means its report.json.
 //
 //	-tolerance 0.15   relative slack: a cost metric may grow by up to
 //	                  this fraction before it counts as a regression

@@ -412,7 +412,7 @@ func runCell(g *graph.Graph, spec graphSpec, genName string, estKind coverage.Es
 	var lastSnap timeline.Snapshot
 	for trial := 0; trial < trials; trial++ {
 		tr := obs.NewTracer()
-		tr.EnableTimeline(0)
+		tr.EnableTimeline()
 		m := tr.Metrics()
 		gen, err := newGenerator(genName, g)
 		if err != nil {

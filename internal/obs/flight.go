@@ -22,12 +22,6 @@ type FlightConfig struct {
 	Dir string
 	// Tool names the producing binary in bundle manifests.
 	Tool string
-	// JournalCapacity is the per-stream event-ring capacity
-	// (non-positive = flight.DefaultCapacity).
-	JournalCapacity int
-	// HistoryCapacity is the runtime-metrics ring capacity
-	// (non-positive = flight.DefaultHistoryCapacity).
-	HistoryCapacity int
 	// SampleEvery is the runtime-metrics sampling cadence (0 = 250 ms;
 	// negative disables the sampler goroutine).
 	SampleEvery time.Duration
@@ -67,11 +61,12 @@ var ErrFlightDisabled = errors.New("obs: flight recorder not enabled")
 // on span open/close and the bound/θ publishers, a runtime-metrics
 // sampler goroutine, and (when cfg.StallWindow > 0) a stall watchdog
 // that writes a diagnostic bundle when an active phase stops making
-// progress. The journal and history share the tracer's *current* clock
-// (captured by value, like EnableTimeline), so fake clocks installed via
-// SetClock flow through to journal events. Idempotent: a second call
-// returns the existing recorder. Returns nil on a nil tracer, keeping
-// the nil-tracer contract.
+// progress. The journal (flight.DefaultCapacity events per stream) and
+// the history (flight.DefaultHistoryCapacity samples) share the tracer's
+// *current* clock (captured by value, like EnableTimeline), so fake
+// clocks installed via SetClock flow through to journal events.
+// Idempotent: a second call returns the existing recorder. Returns nil on
+// a nil tracer, keeping the nil-tracer contract.
 func (t *Tracer) EnableFlight(cfg FlightConfig) *Flight {
 	if t == nil {
 		return nil
@@ -86,8 +81,8 @@ func (t *Tracer) EnableFlight(cfg FlightConfig) *Flight {
 	f := &Flight{
 		tracer:  t,
 		cfg:     cfg,
-		journal: flight.New(cfg.JournalCapacity, clock),
-		history: flight.NewHistory(cfg.HistoryCapacity, clock),
+		journal: flight.New(flight.DefaultCapacity, clock),
+		history: flight.NewHistory(flight.DefaultHistoryCapacity, clock),
 	}
 	t.flight = f
 	t.mu.Unlock()

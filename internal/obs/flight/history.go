@@ -6,8 +6,9 @@ import (
 	"math"
 	rtm "runtime/metrics"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"subsim/internal/obs/ring"
 )
 
 // floatBits / bitsFloat move float payloads through atomic.Uint64 words.
@@ -35,9 +36,10 @@ var historySeries = []struct {
 	{name: "sched_latency_p99_ns", key: "/sched/latencies:seconds", quantile: 0.99, scale: 1e9},
 }
 
-// DefaultHistoryCapacity holds ~8.5 minutes of samples at the default
-// 250 ms cadence; older samples fall off the ring, keeping the recorder
-// bounded no matter how long the run.
+// DefaultHistoryCapacity is the capacity of every history the tracer
+// enables, and of NewHistory handed a non-positive one: ~8.5 minutes of
+// samples at the default 250 ms cadence; older samples fall off the
+// ring, keeping the recorder bounded no matter how long the run.
 const DefaultHistoryCapacity = 1 << 11
 
 // HistorySample is one exported sampler reading: the values of every
@@ -49,42 +51,32 @@ type HistorySample struct {
 
 // History is a fixed-capacity ring of runtime/metrics samples with
 // exactly one writing goroutine (the Sampler, or a test calling Sample
-// directly). Export reads are lock-free under the same per-slot seqlock
-// protocol as the journal: each logical sample i occupies stride
-// consecutive atomic words — [seq, time, v0..vK-1] — committed by the
-// final even seq store. A nil History is the disabled instrument.
+// directly). Each sample is 1+len(historySeries) payload words of an
+// internal/obs/ring seqlock ring — the time, then the bits of each
+// series value — so export reads are lock-free. A nil History is the
+// disabled instrument.
 type History struct {
-	mask    uint64
-	stride  int // 2 + len(historySeries) words per slot
 	clock   func() int64
-	words   []atomic.Uint64
-	cursor  atomic.Uint64 // total samples ever recorded
-	scratch []rtm.Sample  // owned by the writer; reused every Sample
-	values  []float64     // owned by the writer; reused every Sample
+	buf     *ring.Ring
+	scratch []rtm.Sample // owned by the writer; reused every Sample
+	values  []float64    // owned by the writer; reused every Sample
+	payload []uint64     // owned by the writer; reused every Sample
 }
 
 // NewHistory returns a history ring holding capacity samples (rounded up
 // to a power of two; non-positive means DefaultHistoryCapacity). clock
-// supplies nanosecond timestamps (nil installs WallClock).
+// supplies nanosecond timestamps (nil installs ring.WallClock).
 func NewHistory(capacity int, clock func() int64) *History {
-	if capacity <= 0 {
-		capacity = DefaultHistoryCapacity
-	}
-	capRounded := 1
-	for capRounded < capacity {
-		capRounded <<= 1
-	}
 	if clock == nil {
-		clock = WallClock()
+		clock = ring.WallClock()
 	}
 	h := &History{
-		mask:    uint64(capRounded - 1),
-		stride:  2 + len(historySeries),
 		clock:   clock,
+		buf:     ring.New(ring.Capacity(capacity, DefaultHistoryCapacity), 1+len(historySeries)),
 		scratch: make([]rtm.Sample, len(historySeries)),
 		values:  make([]float64, len(historySeries)),
+		payload: make([]uint64, 1+len(historySeries)),
 	}
-	h.words = make([]atomic.Uint64, capRounded*h.stride)
 	for i := range historySeries {
 		h.scratch[i].Name = historySeries[i].key
 	}
@@ -109,7 +101,7 @@ func (h *History) Written() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.cursor.Load()
+	return h.buf.Written()
 }
 
 // Sample reads runtime/metrics and records one ring entry. Must only be
@@ -143,18 +135,15 @@ func (h *History) Sample() {
 	h.record(h.clock(), h.values)
 }
 
-// record commits one slot under the seqlock protocol (split from Sample
-// so tests can drive the ring with synthetic values).
+// record encodes one sample into the writer's payload scratch and
+// writes it (split from Sample so tests can drive the ring with
+// synthetic values).
 func (h *History) record(timeNS int64, values []float64) {
-	n := h.cursor.Load()
-	base := int(n&h.mask) * h.stride
-	h.words[base].Store(2*n + 1) // odd: slot under construction
-	h.words[base+1].Store(uint64(timeNS))
+	h.payload[0] = uint64(timeNS)
 	for i, v := range values {
-		h.words[base+2+i].Store(floatBits(v))
+		h.payload[1+i] = floatBits(v)
 	}
-	h.words[base].Store(2 * (n + 1)) // even: committed
-	h.cursor.Store(n + 1)
+	h.buf.Write(h.payload...)
 }
 
 // HistorySnapshot is the exported time-series view: the series names
@@ -175,35 +164,15 @@ func (h *History) Snapshot() HistorySnapshot {
 		return snap
 	}
 	snap.Series = h.SeriesNames()
-	n := h.cursor.Load()
-	capacity := uint64(len(h.words) / h.stride)
-	lo := uint64(0)
-	if n > capacity {
-		lo = n - capacity
-		snap.Dropped = int64(n - capacity)
-	}
-	snap.Written = int64(n)
-	snap.Samples = make([]HistorySample, 0, n-lo)
-	for i := lo; i < n; i++ {
-		base := int(i&h.mask) * h.stride
-		want := 2 * (i + 1)
-		if h.words[base].Load() != want {
-			snap.Dropped++
-			continue
-		}
-		sample := HistorySample{
-			TimeNS: int64(h.words[base+1].Load()),
-			Values: make([]float64, h.stride-2),
-		}
+	snap.Samples = make([]HistorySample, 0, min(int(h.buf.Written()), h.buf.Cap()))
+	written, dropped := h.buf.Read(func(_ uint64, p []uint64) {
+		sample := HistorySample{TimeNS: int64(p[0]), Values: make([]float64, len(p)-1)}
 		for k := range sample.Values {
-			sample.Values[k] = bitsFloat(h.words[base+2+k].Load())
-		}
-		if h.words[base].Load() != want { // writer lapped us mid-read
-			snap.Dropped++
-			continue
+			sample.Values[k] = bitsFloat(p[1+k])
 		}
 		snap.Samples = append(snap.Samples, sample)
-	}
+	})
+	snap.Written, snap.Dropped = int64(written), dropped
 	return snap
 }
 

@@ -17,36 +17,26 @@
 //   - WriteBundle: a versioned on-disk diagnostic-bundle writer
 //     (bundle.go) that snapshots everything into one directory.
 //
-// The package is a leaf like internal/obs/timeline: it imports no other
-// subsim package, so obs can embed it the same way it embeds the
-// timeline. The glue that feeds it (span hooks, logger hooks, bundle
+// Like internal/obs/timeline, the package imports only internal/obs/ring,
+// so obs can embed it the same way it embeds the timeline. The glue that feeds it (span hooks, logger hooks, bundle
 // producers for the run report and Chrome trace) lives in obs.
 //
-// # Memory-ordering contract (single-writer rings, seqlock export)
+// # Memory-ordering contract
 //
 // Each Recorder is one event stream with exactly one writing goroutine
 // (the coordinator loop owns StreamRun; the watchdog owns StreamWatchdog;
-// control-plane triggers own StreamControl). Readers — the live /events
-// endpoint and the bundle writer — snapshot concurrently and lock-free
-// under the same seqlock protocol as timeline.Ring, per slot:
-//
-//   - the writer loads its cursor n, picks slot n&mask, stores
-//     seq = 2n+1 (odd: "being written"), stores the payload words,
-//     stores seq = 2(n+1) (even: "generation n committed"), and finally
-//     publishes cursor = n+1;
-//   - a reader snapshots the cursor, walks the last min(cursor, cap)
-//     logical records, and validates each slot's seq equals 2(i+1) both
-//     before and after reading the payload — a mismatch means the writer
-//     lapped the reader mid-read, so the record is counted in Dropped
-//     and never emitted torn.
-//
-// Every slot word is an atomic, so the scheme is clean under the race
-// detector. Emit costs ten uncontended atomic operations and zero
-// allocations in steady state: event labels (algorithm names, span
-// names, phase names — a small recurring set) are interned into a
-// copy-on-write table, so only the first sighting of a label allocates.
-// A nil Journal and a nil Recorder are the disabled instruments: every
-// method is a nil-safe no-op, extending the obs nil-tracer contract.
+// control-plane triggers own StreamControl), and the History has one
+// sampler. Readers — the live /events endpoint and the bundle writer —
+// snapshot concurrently and lock-free. Both stores encode their records
+// as the payload words of an internal/obs/ring seqlock ring, whose
+// package comment is the one description of the protocol; an export
+// never emits a torn record. Emit is one label lookup plus one ring
+// write of seven payload words, and allocates nothing in steady state:
+// event labels (algorithm names, span names, phase names — a small
+// recurring set) are interned into a copy-on-write table, so only the
+// first sighting of a label allocates. A nil Journal and a nil Recorder are the disabled
+// instruments: every method is a nil-safe no-op, extending the obs
+// nil-tracer contract.
 package flight
 
 import (
@@ -55,7 +45,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"subsim/internal/obs/ring"
 )
 
 // Kind classifies one journal event. The numeric values are internal;
@@ -143,9 +134,10 @@ const (
 	StreamControl = 2
 )
 
-// DefaultCapacity is the per-stream ring capacity used when New is
-// handed a non-positive one: 1024 events (64 B/slot → 64 KiB/stream)
-// comfortably outlasts the doubling rounds of a long sampling run.
+// DefaultCapacity is the per-stream ring capacity of every journal the
+// tracer enables, and of New handed a non-positive one: 1024 events
+// (64 B/slot → 64 KiB/stream) comfortably outlasts the doubling rounds
+// of a long sampling run.
 const DefaultCapacity = 1 << 10
 
 // Event is one exported journal record. The A/B/F1/F2/F3 payload words
@@ -161,21 +153,6 @@ type Event struct {
 	F1     float64 `json:"f1,omitempty"`
 	F2     float64 `json:"f2,omitempty"`
 	F3     float64 `json:"f3,omitempty"`
-}
-
-// slot is one ring entry. seq follows the seqlock protocol documented in
-// the package comment; the remaining words are only meaningful when seq
-// is even. meta packs kind<<32 | label id so the payload stays at eight
-// atomic words.
-type slot struct {
-	seq  atomic.Uint64
-	time atomic.Int64
-	meta atomic.Uint64
-	a    atomic.Int64
-	b    atomic.Int64
-	f1   atomic.Uint64
-	f2   atomic.Uint64
-	f3   atomic.Uint64
 }
 
 // labelMap is one immutable generation of the interning table: readers
@@ -247,11 +224,11 @@ func (t *labelTable) name(id uint32) string {
 // must nil-guard it (enforced by the subsimlint hotpath-alloc analyzer).
 type Recorder struct {
 	stream int
-	mask   uint64
 	clock  func() int64
 	labels *labelTable
-	slots  []slot
-	cursor atomic.Uint64 // total events ever written
+	// buf holds seven payload words per event: time, kind<<32 | label
+	// id, a, b, and the bits of f1, f2, f3.
+	buf *ring.Ring
 }
 
 // Stream returns the stream index the recorder writes (0 for nil).
@@ -276,7 +253,7 @@ func (r *Recorder) Written() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.cursor.Load()
+	return r.buf.Written()
 }
 
 // Emit appends one event. Nil-safe, wait-free for the single writer, and
@@ -287,63 +264,8 @@ func (r *Recorder) Emit(k Kind, label string, a, b int64, f1, f2, f3 float64) {
 	if r == nil {
 		return
 	}
-	id := r.labels.id(label)
-	n := r.cursor.Load()
-	s := &r.slots[n&r.mask]
-	s.seq.Store(2*n + 1) // odd: slot under construction
-	s.time.Store(r.clock())
-	s.meta.Store(uint64(k)<<32 | uint64(id))
-	s.a.Store(a)
-	s.b.Store(b)
-	s.f1.Store(floatBits(f1))
-	s.f2.Store(floatBits(f2))
-	s.f3.Store(floatBits(f3))
-	s.seq.Store(2 * (n + 1)) // even: generation n committed
-	r.cursor.Store(n + 1)
-}
-
-// snapshot appends the stream's currently readable events to out and
-// returns the count of events not readable: overwritten by capacity
-// wraparound, or skipped because the writer overlapped the read.
-func (r *Recorder) snapshot(out []Event) ([]Event, int64) {
-	if r == nil {
-		return out, 0
-	}
-	n := r.cursor.Load()
-	span := uint64(len(r.slots))
-	lo := uint64(0)
-	var dropped int64
-	if n > span {
-		lo = n - span
-		dropped = int64(n - span)
-	}
-	for i := lo; i < n; i++ {
-		s := &r.slots[i&r.mask]
-		want := 2 * (i + 1)
-		if s.seq.Load() != want {
-			dropped++
-			continue
-		}
-		meta := s.meta.Load()
-		ev := Event{
-			Stream: r.stream,
-			Index:  i,
-			TimeNS: s.time.Load(),
-			Kind:   Kind(meta >> 32),
-			Label:  r.labels.name(uint32(meta)),
-			A:      s.a.Load(),
-			B:      s.b.Load(),
-			F1:     bitsFloat(s.f1.Load()),
-			F2:     bitsFloat(s.f2.Load()),
-			F3:     bitsFloat(s.f3.Load()),
-		}
-		if s.seq.Load() != want { // writer lapped us mid-read: torn
-			dropped++
-			continue
-		}
-		out = append(out, ev)
-	}
-	return out, dropped
+	meta := uint64(k)<<32 | uint64(r.labels.id(label))
+	r.buf.Write(uint64(r.clock()), meta, uint64(a), uint64(b), floatBits(f1), floatBits(f2), floatBits(f3))
 }
 
 // Journal owns one Recorder per event stream over a shared lock-free
@@ -354,35 +276,23 @@ type Journal struct {
 	capacity int
 	clock    func() int64
 	labels   *labelTable
-
-	mu      sync.Mutex                 // guards stream-vector growth
-	streams atomic.Pointer[[]*Recorder] // copy-on-write: readers never lock
-}
-
-// WallClock returns the default journal clock: monotonic nanoseconds
-// since the moment of the call, readable concurrently without locks.
-func WallClock() func() int64 {
-	epoch := time.Now()
-	return func() int64 { return int64(time.Since(epoch)) }
+	streams  ring.Vector[Recorder]
 }
 
 // New returns a journal whose per-stream rings hold capacityPerStream
 // events (rounded up to a power of two; non-positive means
 // DefaultCapacity). clock supplies nanosecond timestamps and must be
-// safe for concurrent use; nil installs WallClock. Tests inject a fake
-// clock for byte-stable golden exports.
+// safe for concurrent use; nil installs ring.WallClock. Tests inject a
+// fake clock for byte-stable golden exports.
 func New(capacityPerStream int, clock func() int64) *Journal {
-	if capacityPerStream <= 0 {
-		capacityPerStream = DefaultCapacity
-	}
-	capRounded := 1
-	for capRounded < capacityPerStream {
-		capRounded <<= 1
-	}
 	if clock == nil {
-		clock = WallClock()
+		clock = ring.WallClock()
 	}
-	return &Journal{capacity: capRounded, clock: clock, labels: newLabelTable()}
+	return &Journal{
+		capacity: ring.Capacity(capacityPerStream, DefaultCapacity),
+		clock:    clock,
+		labels:   newLabelTable(),
+	}
 }
 
 // Now reads the journal clock (0 on a nil journal).
@@ -403,39 +313,16 @@ func (j *Journal) Capacity() int {
 
 // Stream returns stream i's recorder, creating it (and any lower-indexed
 // streams) on first use. Returns nil — the disabled recorder — on a nil
-// journal or a negative index. The fast path is one atomic load; the
-// growth path takes the journal mutex and publishes the grown vector
-// copy-on-write, exactly like timeline.Timeline.Worker.
+// journal or a negative index. The fast path is one atomic load.
 func (j *Journal) Stream(i int) *Recorder {
-	if j == nil || i < 0 {
+	if j == nil {
 		return nil
 	}
-	if p := j.streams.Load(); p != nil && i < len(*p) {
-		return (*p)[i]
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	old := j.streams.Load()
-	var cur []*Recorder
-	if old != nil {
-		cur = *old
-	}
-	if i < len(cur) {
-		return cur[i]
-	}
-	next := make([]*Recorder, i+1)
-	copy(next, cur)
-	for s := len(cur); s <= i; s++ {
-		next[s] = &Recorder{
-			stream: s,
-			mask:   uint64(j.capacity - 1),
-			clock:  j.clock,
-			labels: j.labels,
-			slots:  make([]slot, j.capacity),
-		}
-	}
-	j.streams.Store(&next)
-	return next[i]
+	return j.streams.At(i, j.newRecorder)
+}
+
+func (j *Journal) newRecorder(i int) *Recorder {
+	return &Recorder{stream: i, clock: j.clock, labels: j.labels, buf: ring.New(j.capacity, 7)}
 }
 
 // Written sums the events ever emitted across all streams (0 on nil) —
@@ -444,12 +331,8 @@ func (j *Journal) Written() uint64 {
 	if j == nil {
 		return 0
 	}
-	p := j.streams.Load()
-	if p == nil {
-		return 0
-	}
 	var total uint64
-	for _, r := range *p {
+	for _, r := range j.streams.Load() {
 		total += r.Written()
 	}
 	return total
@@ -470,31 +353,37 @@ type Snapshot struct {
 	Events []Event `json:"events"`
 }
 
-// Snapshot walks every stream lock-free (see the package comment's
-// seqlock contract) and returns the merged, sorted event view. Safe to
-// call at any time, including concurrently with active writers; returns
-// a zero Snapshot on a nil journal.
+// Snapshot walks every stream lock-free and returns the merged, sorted
+// event view. Safe to call at any time, including concurrently with
+// active writers; returns a zero Snapshot on a nil journal.
 func (j *Journal) Snapshot() Snapshot {
 	var snap Snapshot
 	if j == nil {
 		return snap
 	}
-	p := j.streams.Load()
-	if p == nil {
+	streams := j.streams.Load()
+	if len(streams) == 0 {
 		return snap
 	}
-	streams := *p
 	snap.Streams = len(streams)
-	total := 0
+	snap.Events = make([]Event, 0, len(streams)*j.capacity)
 	for _, r := range streams {
-		total += len(r.slots)
-	}
-	snap.Events = make([]Event, 0, total)
-	for _, r := range streams {
-		var dropped int64
-		snap.Events, dropped = r.snapshot(snap.Events)
+		written, dropped := r.buf.Read(func(i uint64, p []uint64) {
+			snap.Events = append(snap.Events, Event{
+				Stream: r.stream,
+				Index:  i,
+				TimeNS: int64(p[0]),
+				Kind:   Kind(p[1] >> 32),
+				Label:  r.labels.name(uint32(p[1])),
+				A:      int64(p[2]),
+				B:      int64(p[3]),
+				F1:     bitsFloat(p[4]),
+				F2:     bitsFloat(p[5]),
+				F3:     bitsFloat(p[6]),
+			})
+		})
+		snap.Written += int64(written)
 		snap.Dropped += dropped
-		snap.Written += int64(r.Written())
 	}
 	sort.SliceStable(snap.Events, func(a, b int) bool {
 		x, y := snap.Events[a], snap.Events[b]

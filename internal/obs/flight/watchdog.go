@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"subsim/internal/obs/ring"
 )
 
 // WatchdogConfig configures a stall watchdog. Window is the only
@@ -14,9 +16,9 @@ type WatchdogConfig struct {
 	// Poll is the check cadence (default Window/8, floored at 10 ms).
 	Poll time.Duration
 	// Clock supplies nanosecond timestamps for idle measurement (nil
-	// installs WallClock). Injectable so the reported idle durations are
-	// deterministic under a fake clock; the poll ticker itself always
-	// runs on real time.
+	// installs ring.WallClock). Injectable so the reported idle
+	// durations are deterministic under a fake clock; the poll ticker
+	// itself always runs on real time.
 	Clock func() int64
 	// Progress returns a value that changes whenever the watched work
 	// advances — typically journal events written plus RR sets
@@ -64,7 +66,7 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	}
 	clock := cfg.Clock
 	if clock == nil {
-		clock = WallClock()
+		clock = ring.WallClock()
 	}
 	return &Watchdog{
 		cfg:   cfg,

@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"subsim/internal/obs/ring"
 )
 
 func TestWatchdogInvalidConfigs(t *testing.T) {
@@ -95,7 +97,7 @@ func TestWatchdogActivationArmsFresh(t *testing.T) {
 	// from activation, not from watchdog start.
 	var active atomic.Bool
 	fired := make(chan struct{}, 1)
-	clock := WallClock()
+	clock := ring.WallClock()
 	w := NewWatchdog(WatchdogConfig{
 		Window:   50 * time.Millisecond,
 		Clock:    clock,

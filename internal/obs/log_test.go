@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -39,31 +40,41 @@ func TestLoggerEventSchema(t *testing.T) {
 	l.PhaseDone("hist", "sentinel-phase", 123456)
 	l.RunDone("opimc", 3, 8192, 130.2, 987654)
 
-	wantMsgs := []string{"run.start", "round.done", "bound.crossed", "phase.done", "run.done"}
+	// The exact attribute set of each event, beyond slog's own time,
+	// level and msg keys: DESIGN.md "Structured log events" freezes it.
+	want := []struct {
+		msg   string
+		attrs []string
+	}{
+		{"run.start", []string{"alg", "graph_n", "graph_m", "k", "eps", "seed", "workers"}},
+		{"round.done", []string{"alg", "round", "theta", "lower", "upper", "approx"}},
+		{"bound.crossed", []string{"alg", "round", "approx", "target"}},
+		{"phase.done", []string{"alg", "phase", "elapsed_ns"}},
+		{"run.done", []string{"alg", "rounds", "sets", "influence", "elapsed_ns"}},
+	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(wantMsgs) {
-		t.Fatalf("got %d records, want %d:\n%s", len(lines), len(wantMsgs), buf.String())
+	if len(lines) != len(want) {
+		t.Fatalf("got %d records, want %d:\n%s", len(lines), len(want), buf.String())
 	}
 	for i, line := range lines {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("record %d is not JSON: %v\n%s", i, err, line)
 		}
-		if rec["msg"] != wantMsgs[i] {
-			t.Errorf("record %d msg = %v, want %s", i, rec["msg"], wantMsgs[i])
+		if rec["msg"] != want[i].msg {
+			t.Errorf("record %d msg = %v, want %s", i, rec["msg"], want[i].msg)
 		}
-		if rec["alg"] == "" || rec["alg"] == nil {
-			t.Errorf("record %d missing alg attribute: %s", i, line)
+		var got []string
+		for key := range rec {
+			if key != "time" && key != "level" && key != "msg" {
+				got = append(got, key)
+			}
 		}
-	}
-	// Spot-check columns of the round.done record.
-	var round map[string]any
-	if err := json.Unmarshal([]byte(lines[1]), &round); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"round", "theta", "lower", "upper", "approx"} {
-		if _, ok := round[key]; !ok {
-			t.Errorf("round.done missing %q: %s", key, lines[1])
+		slices.Sort(got)
+		wantKeys := slices.Clone(want[i].attrs)
+		slices.Sort(wantKeys)
+		if !slices.Equal(got, wantKeys) {
+			t.Errorf("%s attributes = %v, want %v", want[i].msg, got, wantKeys)
 		}
 	}
 }

@@ -3,10 +3,10 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"subsim/internal/obs/flight"
+	"subsim/internal/obs/ring"
 	"subsim/internal/obs/timeline"
 )
 
@@ -274,9 +274,8 @@ type MetricSet struct {
 	// recorder is attached.
 	flightRec atomic.Pointer[flight.Recorder]
 
-	mu         sync.Mutex
-	workers    []*Counter
-	workerBusy []*Counter
+	workerSets ring.Vector[Counter]
+	workerBusy ring.Vector[Counter]
 }
 
 // NewMetricSet returns an empty, enabled metric set.
@@ -286,29 +285,19 @@ func NewMetricSet() *MetricSet { return &MetricSet{} }
 // vector as needed. Returns nil (a no-op counter) on a nil set or a
 // negative index.
 func (m *MetricSet) WorkerSets(w int) *Counter {
-	if m == nil || w < 0 {
+	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.workers) <= w {
-		m.workers = append(m.workers, &Counter{})
-	}
-	return m.workers[w]
+	return m.workerSets.At(w, newCounter)
 }
 
-// WorkerSnapshot returns the per-worker sets-generated totals.
+// WorkerSnapshot returns the per-worker sets-generated totals (nil when
+// no worker counter exists).
 func (m *MetricSet) WorkerSnapshot() []int64 {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int64, len(m.workers))
-	for i, c := range m.workers {
-		out[i] = c.Load()
-	}
-	return out
+	return loadCounters(m.workerSets.Load())
 }
 
 // WorkerBusyNS returns the busy-nanoseconds counter of worker w, growing
@@ -317,15 +306,10 @@ func (m *MetricSet) WorkerSnapshot() []int64 {
 // sampling utilization. Returns nil (a no-op counter) on a nil set or a
 // negative index.
 func (m *MetricSet) WorkerBusyNS(w int) *Counter {
-	if m == nil || w < 0 {
+	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.workerBusy) <= w {
-		m.workerBusy = append(m.workerBusy, &Counter{})
-	}
-	return m.workerBusy[w]
+	return m.workerBusy.At(w, newCounter)
 }
 
 // TimelineRing returns worker w's timeline ring, or nil — the disabled
@@ -346,13 +330,18 @@ func (m *MetricSet) WorkerBusySnapshot() []int64 {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.workerBusy) == 0 {
+	return loadCounters(m.workerBusy.Load())
+}
+
+func newCounter(int) *Counter { return &Counter{} }
+
+// loadCounters reads a per-worker counter vector (nil when empty).
+func loadCounters(cs []*Counter) []int64 {
+	if len(cs) == 0 {
 		return nil
 	}
-	out := make([]int64, len(m.workerBusy))
-	for i, c := range m.workerBusy {
+	out := make([]int64, len(cs))
+	for i, c := range cs {
 		out[i] = c.Load()
 	}
 	return out

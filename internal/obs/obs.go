@@ -182,14 +182,14 @@ func (t *Tracer) now() int64 {
 }
 
 // EnableTimeline attaches a per-worker execution timeline (see the
-// internal/obs/timeline package) to the tracer's metric set, using the
-// tracer's *current* clock so fake clocks installed via SetClock flow
-// through to timeline records — the property the golden trace tests rely
-// on. capacityPerWorker <= 0 picks timeline.DefaultCapacity. Idempotent:
-// a second call returns the existing timeline. Returns nil on a nil
-// tracer, keeping the nil-tracer contract: a nil *timeline.Timeline (and
-// the nil *timeline.Ring it hands out) is a zero-cost no-op everywhere.
-func (t *Tracer) EnableTimeline(capacityPerWorker int) *timeline.Timeline {
+// internal/obs/timeline package) of timeline.DefaultCapacity records per
+// worker to the tracer's metric set, using the tracer's *current* clock
+// so fake clocks installed via SetClock flow through to timeline records
+// — the property the golden trace tests rely on. Idempotent: a second
+// call returns the existing timeline. Returns nil on a nil tracer,
+// keeping the nil-tracer contract: a nil *timeline.Timeline (and the nil
+// *timeline.Ring it hands out) is a zero-cost no-op everywhere.
+func (t *Tracer) EnableTimeline() *timeline.Timeline {
 	if t == nil {
 		return nil
 	}
@@ -198,7 +198,7 @@ func (t *Tracer) EnableTimeline(capacityPerWorker int) *timeline.Timeline {
 	if t.metrics.Timeline == nil {
 		// Capture the clock by value: the timeline's readers must never
 		// take the tracer mutex (Ring.Now runs on the per-set hot path).
-		t.metrics.Timeline = timeline.New(capacityPerWorker, t.clock)
+		t.metrics.Timeline = timeline.New(timeline.DefaultCapacity, t.clock)
 	}
 	return t.metrics.Timeline
 }

@@ -17,7 +17,7 @@ func timelinePlane() (*Plane, *obs.Tracer) {
 	tr := obs.NewTracer()
 	clock := int64(0)
 	tr.SetClock(func() int64 { clock += 100; return clock })
-	tl := tr.EnableTimeline(16)
+	tl := tr.EnableTimeline()
 
 	run := tr.Span("opimc")
 	samp := run.Child("sampling")

@@ -8,35 +8,25 @@
 // — so serial gaps and load skew in the parallel RR pipeline become
 // visible instead of inferred.
 //
-// # Memory-ordering contract (single-writer rings, seqlock export)
+// # Memory-ordering contract
 //
 // Each worker owns one Ring and is its only writer; the export side
 // (the live telemetry plane, the run report) reads concurrently and
-// lock-free. The protocol, per slot:
-//
-//   - the writer loads its cursor n (only it ever stores the cursor),
-//     picks slot n&mask, stores seq = 2n+1 (odd: "being written"),
-//     stores the phase/start/end fields, stores seq = 2(n+1) (even:
-//     "generation n complete"), and finally publishes cursor = n+1;
-//   - a reader snapshots the cursor, walks the last min(cursor, cap)
-//     logical records, and for each validates the slot's seq equals
-//     2(i+1) both before reading the fields and after — a mismatch means
-//     the writer lapped the reader mid-read (the record is dropped from
-//     the snapshot and counted, never emitted torn).
-//
-// Every field involved is accessed atomically, so the scheme is clean
-// under the race detector, and a Record costs six uncontended atomic
-// operations and zero allocations — cheap enough for the per-RR-set
-// generation path, and exactly 0 allocs on the nil (disabled) path per
-// the nil-tracer contract (every method of Timeline and Ring is nil-safe).
+// lock-free. A Ring encodes each interval as three payload words
+// (phase, start, end) of an internal/obs/ring seqlock ring, whose
+// package comment is the one description of the protocol: a Record
+// costs seven uncontended atomic operations and zero allocations —
+// cheap enough for the per-RR-set generation path — and an export
+// never emits a torn record. Every method of Timeline and Ring is
+// nil-safe, and the nil (disabled) path allocates nothing, per the
+// nil-tracer contract.
 package timeline
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
+
+	"subsim/internal/obs/ring"
 )
 
 // Phase labels one timeline interval with the pipeline section that
@@ -96,9 +86,9 @@ func (p *Phase) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// DefaultCapacity is the per-worker ring capacity used when New is
-// handed a non-positive one: 4096 records ≈ the tail of a sampling round
-// per worker at ~96 B/slot.
+// DefaultCapacity is the per-worker ring capacity of every timeline the
+// tracer enables, and of New handed a non-positive one: 4096 records ≈
+// the tail of a sampling round per worker at 32 B/slot.
 const DefaultCapacity = 1 << 12
 
 // Record is one exported timeline interval: worker w spent
@@ -111,16 +101,6 @@ type Record struct {
 	EndNS   int64 `json:"end_ns"`
 }
 
-// slot is one ring entry. seq follows the seqlock protocol documented
-// in the package comment; the remaining fields are only meaningful when
-// seq is even.
-type slot struct {
-	seq   atomic.Uint64
-	phase atomic.Uint32
-	start atomic.Int64
-	end   atomic.Int64
-}
-
 // Ring is one worker's fixed-capacity interval record. Exactly one
 // goroutine may call Record at a time (the worker owning the ring);
 // snapshot reads are lock-free and may run concurrently with the
@@ -128,10 +108,8 @@ type slot struct {
 // allocation-free no-ops.
 type Ring struct {
 	worker int
-	mask   uint64
 	clock  func() int64
-	slots  []slot
-	cursor atomic.Uint64 // total records ever written
+	buf    *ring.Ring // payload: phase, start, end
 }
 
 // Worker returns the worker id the ring belongs to (0 for a nil ring).
@@ -159,14 +137,7 @@ func (r *Ring) Record(p Phase, startNS, endNS int64) {
 	if r == nil {
 		return
 	}
-	n := r.cursor.Load()
-	s := &r.slots[n&r.mask]
-	s.seq.Store(2*n + 1) // odd: slot under construction
-	s.phase.Store(uint32(p))
-	s.start.Store(startNS)
-	s.end.Store(endNS)
-	s.seq.Store(2 * (n + 1)) // even: generation n committed
-	r.cursor.Store(n + 1)
+	r.buf.Write(uint64(p), uint64(startNS), uint64(endNS))
 }
 
 // Written returns the total number of records ever written (0 for nil).
@@ -174,45 +145,7 @@ func (r *Ring) Written() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.cursor.Load()
-}
-
-// snapshot appends the ring's currently readable records to out and
-// returns the count of records not readable: overwritten by capacity
-// wraparound, or skipped because the writer overlapped the read
-// (seqlock validation failed).
-func (r *Ring) snapshot(out []Record) ([]Record, int64) {
-	if r == nil {
-		return out, 0
-	}
-	n := r.cursor.Load()
-	span := uint64(len(r.slots))
-	lo := uint64(0)
-	var dropped int64
-	if n > span {
-		lo = n - span
-		dropped = int64(n - span)
-	}
-	for i := lo; i < n; i++ {
-		s := &r.slots[i&r.mask]
-		want := 2 * (i + 1)
-		if s.seq.Load() != want {
-			dropped++
-			continue
-		}
-		rec := Record{
-			Worker:  r.worker,
-			Phase:   Phase(s.phase.Load()),
-			StartNS: s.start.Load(),
-			EndNS:   s.end.Load(),
-		}
-		if s.seq.Load() != want { // writer lapped us mid-read: torn
-			dropped++
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, dropped
+	return r.buf.Written()
 }
 
 // Timeline owns one Ring per worker over a shared lock-free clock.
@@ -223,35 +156,19 @@ func (r *Ring) snapshot(out []Record) ([]Record, int64) {
 type Timeline struct {
 	clock    func() int64
 	capacity int
-
-	mu    sync.Mutex              // guards ring-vector growth
-	rings atomic.Pointer[[]*Ring] // copy-on-write: readers never lock
-}
-
-// WallClock returns the default timeline clock: monotonic nanoseconds
-// since the moment of the call, readable concurrently without locks.
-func WallClock() func() int64 {
-	epoch := time.Now()
-	return func() int64 { return int64(time.Since(epoch)) }
+	rings    ring.Vector[Ring]
 }
 
 // New returns a timeline whose per-worker rings hold capacityPerWorker
 // records (rounded up to a power of two; non-positive means
 // DefaultCapacity). clock supplies nanosecond timestamps and must be
-// safe for concurrent use; nil installs WallClock. Tests inject a fake
-// clock for byte-stable golden exports.
+// safe for concurrent use; nil installs ring.WallClock. Tests inject a
+// fake clock for byte-stable golden exports.
 func New(capacityPerWorker int, clock func() int64) *Timeline {
-	if capacityPerWorker <= 0 {
-		capacityPerWorker = DefaultCapacity
-	}
-	capRounded := 1
-	for capRounded < capacityPerWorker {
-		capRounded <<= 1
-	}
 	if clock == nil {
-		clock = WallClock()
+		clock = ring.WallClock()
 	}
-	return &Timeline{clock: clock, capacity: capRounded}
+	return &Timeline{clock: clock, capacity: ring.Capacity(capacityPerWorker, DefaultCapacity)}
 }
 
 // Now reads the timeline clock (0 on a nil timeline).
@@ -275,46 +192,22 @@ func (tl *Timeline) Workers() int {
 	if tl == nil {
 		return 0
 	}
-	if p := tl.rings.Load(); p != nil {
-		return len(*p)
-	}
-	return 0
+	return len(tl.rings.Load())
 }
 
 // Worker returns worker w's ring, creating it (and any lower-indexed
-// slots) on first use. Returns nil — the disabled ring — on a nil
+// rings) on first use. Returns nil — the disabled ring — on a nil
 // timeline or a negative index. The fast path is one atomic load, so
-// handing rings out during worker setup is cheap; the growth path takes
-// the timeline mutex and publishes the grown vector copy-on-write.
+// handing rings out during worker setup is cheap.
 func (tl *Timeline) Worker(w int) *Ring {
-	if tl == nil || w < 0 {
+	if tl == nil {
 		return nil
 	}
-	if p := tl.rings.Load(); p != nil && w < len(*p) {
-		return (*p)[w]
-	}
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	old := tl.rings.Load()
-	var cur []*Ring
-	if old != nil {
-		cur = *old
-	}
-	if w < len(cur) {
-		return cur[w]
-	}
-	next := make([]*Ring, w+1)
-	copy(next, cur)
-	for i := len(cur); i <= w; i++ {
-		next[i] = &Ring{
-			worker: i,
-			mask:   uint64(tl.capacity - 1),
-			clock:  tl.clock,
-			slots:  make([]slot, tl.capacity),
-		}
-	}
-	tl.rings.Store(&next)
-	return next[w]
+	return tl.rings.At(w, tl.newRing)
+}
+
+func (tl *Timeline) newRing(w int) *Ring {
+	return &Ring{worker: w, clock: tl.clock, buf: ring.New(tl.capacity, 3)}
 }
 
 // Snapshot is a consistent-enough point-in-time view of the timeline:
@@ -333,31 +226,31 @@ type Snapshot struct {
 	Records []Record `json:"records"`
 }
 
-// Snapshot walks every ring lock-free (see the package comment's
-// seqlock contract) and returns the merged, sorted record view. Safe to
-// call at any time, including concurrently with active writers; returns
-// a zero Snapshot on a nil timeline.
+// Snapshot walks every ring lock-free and returns the merged, sorted
+// record view. Safe to call at any time, including concurrently with
+// active writers; returns a zero Snapshot on a nil timeline.
 func (tl *Timeline) Snapshot() Snapshot {
 	var snap Snapshot
 	if tl == nil {
 		return snap
 	}
-	p := tl.rings.Load()
-	if p == nil {
+	rings := tl.rings.Load()
+	if len(rings) == 0 {
 		return snap
 	}
-	rings := *p
 	snap.Workers = len(rings)
-	total := 0
+	snap.Records = make([]Record, 0, len(rings)*tl.capacity)
 	for _, r := range rings {
-		total += len(r.slots)
-	}
-	snap.Records = make([]Record, 0, total)
-	for _, r := range rings {
-		var dropped int64
-		snap.Records, dropped = r.snapshot(snap.Records)
+		written, dropped := r.buf.Read(func(_ uint64, p []uint64) {
+			snap.Records = append(snap.Records, Record{
+				Worker:  r.worker,
+				Phase:   Phase(p[0]),
+				StartNS: int64(p[1]),
+				EndNS:   int64(p[2]),
+			})
+		})
+		snap.Written += int64(written)
 		snap.Dropped += dropped
-		snap.Written += int64(r.Written())
 	}
 	sort.SliceStable(snap.Records, func(i, j int) bool {
 		a, b := snap.Records[i], snap.Records[j]

@@ -1,9 +1,9 @@
 // Package obsdiff is the run-report regression comparator behind the
-// obsdiff and obsbundle CLIs: it loads two schema-versioned run reports
-// (the JSON documents produced by obs.Tracer.Report / imrun -report /
-// the serve plane's /report endpoint / a flight-recorder bundle) and
-// flags regressions, so observability artifacts gate performance the
-// same way BENCH_rrset.json gates microbenchmarks.
+// obsdiff CLI: it loads two schema-versioned run reports (the JSON
+// documents produced by obs.Tracer.Report / imrun -report / the serve
+// plane's /report endpoint, or a flight-recorder bundle directory's
+// report.json) and flags regressions, so observability artifacts gate
+// performance the same way BENCH_rrset.json gates microbenchmarks.
 //
 // Three metric families are compared:
 //
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -47,7 +48,7 @@ func Run(args []string, out io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(out, "usage: obsdiff [flags] base.json new.json")
+		fmt.Fprintln(out, "usage: obsdiff [flags] <base.json|bundle-dir> <new.json|bundle-dir>")
 		return 2
 	}
 	base, err := LoadReport(fs.Arg(0))
@@ -77,8 +78,12 @@ func Run(args []string, out io.Writer) int {
 	return 0
 }
 
-// LoadReport reads and schema-checks one run report.
+// LoadReport reads and schema-checks one run report. A directory path
+// is a flight-recorder bundle and means its report.json.
 func LoadReport(path string) (*obs.Report, error) {
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		path = filepath.Join(path, "report.json")
+	}
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -23,7 +23,15 @@ type SubsimBucketed struct {
 // true the bucket-jump chain is built as well, removing the O(log d)
 // bucket-touch term at the price of O(log² d) extra preprocessing per
 // node.
+//
+// The samplers draw in-edge positions, mapped back to sources at
+// generation time, so on a skewed graph the in-edges are first sorted
+// exactly as NewSubsim sorts them: a Subsim built later on the same graph
+// then leaves the positions valid.
 func NewSubsimBucketed(g *graph.Graph, jump bool) *SubsimBucketed {
+	if !g.UniformIn() {
+		g.SortInEdges()
+	}
 	sb := &SubsimBucketed{
 		t:        newTraversal(g),
 		samplers: make([]*sampling.Bucketed, g.N()),

@@ -245,7 +245,7 @@ func BenchmarkInstrumentedGenerate(b *testing.B) {
 	b.Run("timeline-on", func(b *testing.B) {
 		// Worker timing plus per-set interval recording into the timeline
 		// ring — the full execution-timeline cost. The acceptance bar is
-		// ≤2% over worker-timed: a Record is six uncontended atomics.
+		// ≤2% over worker-timed: a Record is seven uncontended atomics.
 		m := obs.NewMetricSet()
 		m.Timeline = timeline.New(0, nil)
 		run(b, InstrumentWorker(NewSubsim(g), m, 0))

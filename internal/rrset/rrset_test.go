@@ -10,16 +10,16 @@ import (
 )
 
 // allGenerators returns every IC generator kind over g, keyed by name.
-// NewSubsim comes first because it may sort g's in-edges in place, and
-// the bucketed samplers address in-edges by position, so they must be
-// built over the final order.
+// The bucketed ones are built first on purpose: NewSubsim sorts a skewed
+// graph's in-edges in place, and the bucketed samplers address in-edges
+// by position, so they must stay valid across that sort.
 func allGenerators(g *graph.Graph) map[string]Generator {
-	sub := NewSubsim(g)
+	bucketed, jump := NewSubsimBucketed(g, false), NewSubsimBucketed(g, true)
 	return map[string]Generator{
-		"subsim":   sub,
+		"subsim":   NewSubsim(g),
 		"vanilla":  NewVanilla(g),
-		"bucketed": NewSubsimBucketed(g, false),
-		"jump":     NewSubsimBucketed(g, true),
+		"bucketed": bucketed,
+		"jump":     jump,
 	}
 }
 
