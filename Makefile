@@ -55,12 +55,13 @@ test:
 # allocation-free per RR set in steady state (see BENCH_rrset.json),
 # including across repeated Fill→SelectSeeds rounds (the shard arenas,
 # CSR double buffers and selection scratch are reused, not reallocated),
-# the timeline's per-RR-set Record must not allocate, and the always-on
-# flight recorder must journal and sample without allocating.
+# the timeline's per-RR-set Record must not allocate, the always-on
+# flight recorder must journal and sample without allocating, and a nil
+# tracer's spans and a nil-sink obs.Run must allocate nothing.
 test-alloc:
 	$(GO) test ./internal/im -run 'AllocFree|AmortizedAllocs|RoundsAllocs' -v
 	$(GO) test ./internal/coverage -run 'ScratchReuse' -v
-	$(GO) test ./internal/obs/timeline ./internal/obs/flight -run 'AllocFree' -v
+	$(GO) test ./internal/obs ./internal/obs/timeline ./internal/obs/flight -run 'AllocFree|AllocationFree' -v
 
 race:
 	$(GO) test -race ./...

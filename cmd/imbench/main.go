@@ -43,7 +43,6 @@ import (
 	"subsim"
 	"subsim/internal/bench"
 	"subsim/internal/obs"
-	"subsim/internal/obs/flight"
 	"subsim/internal/obs/serve"
 )
 
@@ -134,7 +133,7 @@ func main() {
 	}
 
 	if *logFmt != "" {
-		cfg.Logger = obs.NewLoggerWriter(os.Stderr, *logFmt, nil)
+		cfg.Logger = obs.NewLoggerWriter(os.Stderr, *logFmt)
 	}
 	var tr *obs.Tracer
 	if *tracePath != "" || *metrics || *serveAddr != "" || *flightOn {
@@ -173,7 +172,6 @@ func main() {
 		defer fl.CapturePanic()
 		stopSignals := fl.InstallSignalHandlers()
 		defer stopSignals()
-		cfg.Logger = cfg.Logger.WithFlight(fl.Journal().Stream(flight.StreamRun))
 	}
 	var plane *serve.Plane
 	if *serveAddr != "" {

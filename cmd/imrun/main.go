@@ -60,7 +60,6 @@ import (
 
 	"subsim"
 	"subsim/internal/obs"
-	"subsim/internal/obs/flight"
 	"subsim/internal/obs/serve"
 	"subsim/internal/seedio"
 )
@@ -219,9 +218,6 @@ func main() {
 		defer fl.CapturePanic()
 		stopSignals := fl.InstallSignalHandlers()
 		defer stopSignals()
-		// Mirror run lifecycle events into the journal even when -log is
-		// off; with -log on, the same logger feeds both sinks.
-		opt.Logger = opt.Logger.WithFlight(fl.Journal().Stream(flight.StreamRun))
 
 		if *flightSelftest != "" {
 			flightSelftestRun(tr, fl, *flightSelftest, window, stallBundle)

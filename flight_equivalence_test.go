@@ -42,7 +42,8 @@ func capture(res *subsim.Result) []byte {
 // TestFlightRecorderEquivalence pins the always-on promise of the flight
 // recorder: attaching the journal, sampler and watchdog must not perturb
 // the algorithm — run output is byte-identical with the recorder on and
-// off, at every worker count.
+// off, at every worker count. HIST covers the phase and sentinel-round
+// events.
 func TestFlightRecorderEquivalence(t *testing.T) {
 	g, err := subsim.GenPreferentialAttachment(900, 4, false, 23)
 	if err != nil {
@@ -50,7 +51,7 @@ func TestFlightRecorderEquivalence(t *testing.T) {
 	}
 	g.AssignWCVariant(2)
 
-	for _, alg := range []subsim.Algorithm{subsim.AlgOPIMC, subsim.AlgSUBSIM} {
+	for _, alg := range []subsim.Algorithm{subsim.AlgOPIMC, subsim.AlgSUBSIM, subsim.AlgHISTSubsim} {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%v/workers=%d", alg, workers), func(t *testing.T) {
 				opt := subsim.Options{K: 5, Eps: 0.3, Seed: 11, Workers: workers}
@@ -66,8 +67,6 @@ func TestFlightRecorderEquivalence(t *testing.T) {
 				})
 				defer fl.Close()
 				opt.Tracer = tr
-				opt.Logger = (*obs.Logger)(nil).WithFlight(
-					fl.Journal().Stream(flight.StreamRun))
 				recorded, err := subsim.Maximize(g, alg, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -82,5 +81,60 @@ func TestFlightRecorderEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRunJournalsOneRecordPerRound: every counted round reports exactly
+// one round record, so a run's journal holds Result.Rounds round.done
+// events, and nothing else journals the bounds. The HIST input runs
+// sentinel-phase rounds before its residual phase, and the SSA input
+// ends on its θ-cap round.
+func TestRunJournalsOneRecordPerRound(t *testing.T) {
+	pa, err := subsim.GenPreferentialAttachment(3000, 4, false, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa.AssignWCVariant(2)
+	small, err := subsim.GenPreferentialAttachment(60, 3, false, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.AssignWC()
+
+	cases := []struct {
+		alg subsim.Algorithm
+		g   *subsim.Graph
+		opt subsim.Options
+	}{
+		{subsim.AlgIMM, small, subsim.Options{K: 3, Eps: 0.3, Seed: 3, Workers: 1}},
+		{subsim.AlgSSA, small, subsim.Options{K: 3, Eps: 0.3, Seed: 3, Workers: 1}},
+		{subsim.AlgOPIMC, small, subsim.Options{K: 3, Eps: 0.3, Seed: 3, Workers: 1}},
+		{subsim.AlgTIMPlus, small, subsim.Options{K: 3, Eps: 0.3, Seed: 3, Workers: 1}},
+		{subsim.AlgHISTSubsim, pa, subsim.Options{K: 10, Eps: 0.2, Seed: 3, Workers: 1}},
+	}
+	for _, c := range cases {
+		t.Run(c.alg.String(), func(t *testing.T) {
+			tr := obs.NewTracer()
+			fl := tr.EnableFlight(obs.FlightConfig{SampleEvery: -1})
+			defer fl.Close()
+			opt := c.opt
+			opt.Tracer = tr
+			res, err := subsim.Maximize(c.g, c.alg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds := 0
+			for _, e := range fl.Journal().Snapshot().Events {
+				if e.Kind == flight.KindRoundDone {
+					rounds++
+				}
+				if e.Kind.String() == "bounds.update" {
+					t.Errorf("bounds journaled outside the round record: %+v", e)
+				}
+			}
+			if rounds != res.Rounds {
+				t.Errorf("journal holds %d round.done events, Result.Rounds = %d", rounds, res.Rounds)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"time"
 
 	"subsim/internal/core"
@@ -62,9 +63,9 @@ type Config struct {
 	// the per-algorithm phase spans and RR metrics of every run it times.
 	// Nil disables all instrumentation at zero cost.
 	Tracer *obs.Tracer
-	// Logger, when non-nil, receives structured run events from every
-	// timed run (see obs.Logger); nil is silent at zero cost.
-	Logger *obs.Logger
+	// Logger, when non-nil, receives the structured run events of every
+	// timed run (see obs.Run); nil is silent at zero cost.
+	Logger *slog.Logger
 }
 
 // DefaultConfig returns a full-reproduction configuration at laptop

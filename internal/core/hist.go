@@ -6,8 +6,6 @@
 package core
 
 import (
-	"time"
-
 	"subsim/internal/bounds"
 	"subsim/internal/coverage"
 	"subsim/internal/graph"
@@ -82,36 +80,26 @@ func SUBSIM(g *graph.Graph, opt im.Options) (*im.Result, error) {
 // Vanilla matches the paper's "HIST", and HIST with Subsim matches
 // "HIST+SUBSIM".
 func HIST(gen rrset.Generator, opt im.Options) (*im.Result, error) {
-	start := time.Now() //lint:allow timing (wall-clock Elapsed reporting only)
-	g := gen.Graph()
-	n := g.N()
+	n := gen.Graph().N()
 	opt.Revised = true // Algorithm 6 is integral to HIST
 	if err := opt.Normalize(n); err != nil {
 		return nil, err
 	}
 	eps1, eps2 := opt.Eps/2, opt.Eps/2
 	delta1, delta2 := opt.Delta/2, opt.Delta/2
+	outDeg := im.OutDegrees(gen)
 
-	tr := opt.Tracer
-	run := tr.Span("hist")
-	opt.Logger.RunStart("hist", n, g.M(), opt.K, opt.Eps, opt.Seed, opt.Workers)
-	phase1 := run.Child("sentinel-phase")
-	sentinels, p1 := sentinelSet(gen, opt, phase1, eps1, delta1)
+	run := im.StartRun("hist", gen, opt)
+	phase1 := run.Phase("sentinel-phase")
+	sentinels, p1 := sentinelSet(gen, opt, &run, phase1, outDeg, eps1, delta1)
 	phase1.SetInt("sentinels", int64(len(sentinels))).
 		SetInt("rr_generated", p1.rrGenerated).
 		SetInt("sentinel_hits", p1.stats.SentinelHits).
-		SetInt("rounds", int64(p1.rounds)).
-		End()
-	opt.Logger.PhaseDone("hist", "sentinel-phase", time.Since(start).Nanoseconds()) //lint:allow timing (phase.done log event, observability only)
+		SetInt("rounds", int64(p1.rounds))
+	run.PhaseDone()
 
-	phase2start := time.Now() //lint:allow timing (phase.done log event, observability only)
-	phase2 := run.Child("residual-phase")
-	res, err := imSentinel(gen, opt, phase2, sentinels, eps2, delta2)
-	if err != nil {
-		phase2.End()
-		run.End()
-		return nil, err
-	}
+	phase2 := run.Phase("residual-phase")
+	res := imSentinel(gen, opt, &run, phase2, outDeg, sentinels, eps2, delta2)
 	// Every residual-phase RR set is sentinel-terminated, so the hit
 	// rate here is exactly the fraction of sets HIST truncated early —
 	// the directly measured form of Figure 3's hit-and-stop saving.
@@ -119,17 +107,14 @@ func HIST(gen rrset.Generator, opt im.Options) (*im.Result, error) {
 		phase2.SetFloat("sentinel_hit_rate",
 			float64(res.RRStats.SentinelHits)/float64(res.RRStats.Sets))
 	}
-	phase2.SetInt("rounds", int64(res.Rounds)).End()
-	opt.Logger.PhaseDone("hist", "residual-phase", time.Since(phase2start).Nanoseconds()) //lint:allow timing (phase.done log event, observability only)
+	phase2.SetInt("rounds", int64(res.Rounds))
+	run.PhaseDone()
 
 	res.SentinelRR = p1.rrGenerated
 	res.SentinelSize = len(sentinels)
 	res.RRStats.Add(p1.stats)
 	res.Rounds += p1.rounds
-	run.SetInt("rounds", int64(res.Rounds)).End()
-	res.Elapsed = time.Since(start) //lint:allow timing (wall-clock Elapsed reporting only)
-	opt.Logger.RunDone("hist", res.Rounds, res.RRStats.Sets, res.Influence, res.Elapsed.Nanoseconds())
-	res.Report = tr.Report()
+	res.Elapsed, res.Report = run.Done(res.Rounds, res.RRStats.Sets, res.Influence)
 	return res, nil
 }
 
@@ -143,7 +128,7 @@ type phase1Report struct {
 // sentinelSet is Algorithm 7. It returns the sentinel nodes S_b* (in
 // greedy order) such that, with probability at least 1-δ₁,
 // I(S_b*) ≥ (1-(1-1/k)^b-ε₁)·I(S_k°).
-func sentinelSet(gen rrset.Generator, opt im.Options, phase *obs.Span, eps1, delta1 float64) ([]int32, phase1Report) {
+func sentinelSet(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Span, outDeg []int32, eps1, delta1 float64) ([]int32, phase1Report) {
 	g := gen.Graph()
 	n := g.N()
 	k := opt.K
@@ -160,7 +145,6 @@ func sentinelSet(gen rrset.Generator, opt im.Options, phase *obs.Span, eps1, del
 	deltaL := delta1 / (6 * float64(iMax))
 
 	b1 := im.NewInstrumentedBatcher(gen, opt.Seed, opt.Workers, opt.Tracer.Metrics())
-	outDeg := outDegrees(g)
 	idx1 := im.NewEstimator(n, outDeg, opt, opt.Tracer.Metrics())
 
 	rep := phase1Report{}
@@ -191,15 +175,15 @@ func sentinelSet(gen rrset.Generator, opt im.Options, phase *obs.Span, eps1, del
 			}
 		}
 		bc.End()
-		rs.SetInt("theta", theta1).SetInt("prefix", int64(b))
-		if b == 0 && i >= iMax {
-			// Budget exhausted with no verified prefix: θ_max samples
-			// make the full greedy set qualified by Lemma 6, so return
-			// it (the second phase then has nothing left to select).
+		rs.SetInt("prefix", int64(b))
+		// Budget exhausted with no verified prefix: θ_max samples make
+		// the full greedy set qualified by Lemma 6, so return it (the
+		// second phase then has nothing left to select).
+		stop := b == 0 && i >= iMax
+		if stop {
 			sb = sel.Seeds
-			rs.End()
-			break
 		}
+		var lower, target float64
 		if b > 0 {
 			sb = sel.Seeds[:b]
 			sentinel := markSentinels(n, sb)
@@ -207,31 +191,30 @@ func sentinelSet(gen rrset.Generator, opt im.Options, phase *obs.Span, eps1, del
 			// an RR set is covered by S_b* exactly when it stopped on a
 			// sentinel, so only the hit count matters.
 			vs := rs.Child("verify")
-			theta2 := theta1
-			hits := countHits(b1, int(theta2), sentinel)
-			rep.rrGenerated += theta2
-			lower := bounds.LowerBound(hits, theta2, n, deltaL)
-			target := bounds.ApproxFactor(k, b, eps1)
-			if lower/upper > target {
-				vs.SetInt("hits", hits).SetInt("drawn", theta2).End()
-				rs.End()
-				break
+			drawn := theta1
+			hits := countHits(b1, int(drawn), sentinel)
+			lower = bounds.LowerBound(hits, drawn, n, deltaL)
+			target = bounds.ApproxFactor(k, b, eps1)
+			if !(lower/upper > target) {
+				// Tighten once by growing R₂ to 4|R₁| (Algorithm 7
+				// lines 13-15) before giving up on this candidate.
+				extra := 3 * theta1
+				hits += countHits(b1, int(extra), sentinel)
+				drawn += extra
+				lower = bounds.LowerBound(hits, drawn, n, deltaL)
 			}
-			// Tighten once by growing R₂ to 4|R₁| (Algorithm 7 lines
-			// 13-15) before giving up on this candidate.
-			extra := 3 * theta2
-			hits += countHits(b1, int(extra), sentinel)
-			rep.rrGenerated += extra
-			lower = bounds.LowerBound(hits, theta2+extra, n, deltaL)
-			vs.SetInt("hits", hits).SetInt("drawn", theta2+extra).End()
-			if lower/upper > target {
-				rs.End()
-				break
-			}
-			if i >= iMax {
-				rs.End()
-				break
-			}
+			rep.rrGenerated += drawn
+			vs.SetInt("hits", hits).SetInt("drawn", drawn).End()
+			stop = lower/upper > target || i >= iMax
+		}
+		approx := lower / upper
+		run.Round(rs, obs.RoundRecord{Round: i, Theta: theta1, Lower: lower, Upper: upper, Approx: approx})
+		if b > 0 && approx > target {
+			run.Crossed(i, approx, target)
+		}
+		if stop {
+			rs.End()
+			break
 		}
 		// Double R₁ and retry.
 		sp := rs.Child("sampling")
@@ -247,9 +230,8 @@ func sentinelSet(gen rrset.Generator, opt im.Options, phase *obs.Span, eps1, del
 
 // imSentinel is Algorithm 8: select the remaining k-b seeds over
 // sentinel-terminated RR collections.
-func imSentinel(gen rrset.Generator, opt im.Options, phase *obs.Span, sb []int32, eps2, delta2 float64) (*im.Result, error) {
-	g := gen.Graph()
-	n := g.N()
+func imSentinel(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Span, outDeg, sb []int32, eps2, delta2 float64) *im.Result {
+	n := gen.Graph().N()
 	k := opt.K
 	b := len(sb)
 	sentinel := markSentinels(n, sb)
@@ -263,19 +245,17 @@ func imSentinel(gen rrset.Generator, opt im.Options, phase *obs.Span, sb []int32
 	thetaMax := thetaWorst
 	if opt.Bound == im.BoundTight && thetaTight < thetaMax {
 		thetaMax = thetaTight
-		opt.Tracer.Metrics().AddThetaSaved(thetaWorst - thetaTight)
 	}
 	iMax := ceilLog2Ratio(theta0, thetaMax)
 	deltaIter := delta2 / (3 * float64(iMax))
 	target := bounds.GreedyFactor(opt.Eps)
 
 	batch := im.NewInstrumentedBatcher(gen, opt.Seed+1, opt.Workers, opt.Tracer.Metrics())
-	outDeg := outDegrees(g)
 	idx1 := im.NewEstimator(n, outDeg, opt, opt.Tracer.Metrics())
 	idx2 := im.NewEstimator(n, outDeg, opt, opt.Tracer.Metrics())
 
 	res := &im.Result{ThetaWorstCase: thetaWorst, ThetaTight: thetaTight}
-	opt.Tracer.Metrics().SetTheta(thetaWorst, thetaTight)
+	run.Theta(thetaWorst, thetaTight, thetaMax)
 	var hits1, hits2 int64
 	var theta1, theta2 int64
 	theta := theta0
@@ -304,12 +284,11 @@ func imSentinel(gen rrset.Generator, opt im.Options, phase *obs.Span, sb []int32
 			res.Approx = res.LowerBound / res.UpperBound
 		}
 		bc.End()
-		opt.Tracer.Metrics().SetBounds(i, res.LowerBound, res.UpperBound, res.Approx)
-		opt.Logger.RoundDone("hist", i, theta1, res.LowerBound, res.UpperBound, res.Approx)
-		rs.SetInt("theta", theta1).SetFloat("approx", res.Approx)
+		run.Round(rs, obs.RoundRecord{Round: i, Theta: theta1,
+			Lower: res.LowerBound, Upper: res.UpperBound, Approx: res.Approx})
 		if res.Approx > target || i >= iMax {
 			if res.Approx > target {
-				opt.Logger.BoundCrossed("hist", i, res.Approx, target)
+				run.Crossed(i, res.Approx, target)
 			}
 			rs.End()
 			break
@@ -324,7 +303,7 @@ func imSentinel(gen rrset.Generator, opt im.Options, phase *obs.Span, sb []int32
 		theta *= 2
 	}
 	res.RRStats = batch.Stats()
-	return res, nil
+	return res
 }
 
 // countHits draws `count` sentinel-terminated RR sets and returns how
@@ -348,14 +327,6 @@ func markSentinels(n int, sb []int32) []bool {
 		sentinel[v] = true
 	}
 	return sentinel
-}
-
-func outDegrees(g *graph.Graph) []int32 {
-	deg := make([]int32, g.N())
-	for v := range deg {
-		deg[v] = int32(g.OutDegree(int32(v)))
-	}
-	return deg
 }
 
 func ceilLog2Ratio(initial, max int64) int {

@@ -12,6 +12,7 @@ package im
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
 	"runtime"
 	"sync"
@@ -62,11 +63,11 @@ type Options struct {
 	// Result.Report. Nil disables all instrumentation at zero cost —
 	// see the obs package's nil-tracer contract.
 	Tracer *obs.Tracer
-	// Logger receives structured run events (run.start, round.done,
-	// bound.crossed, run.done — see obs.Logger's event schema) through
-	// log/slog. Nil — the default — is silent and allocation-free on
-	// every emit site, mirroring the nil-tracer contract.
-	Logger *obs.Logger
+	// Logger receives the structured run events (run.start, round.done,
+	// bound.crossed, phase.done, run.done; schema in obs.Run). Nil — the
+	// default — is silent and allocation-free, mirroring the nil-tracer
+	// contract.
+	Logger *slog.Logger
 }
 
 // BoundKind selects the sample-complexity analysis used to cap θ.
@@ -540,9 +541,18 @@ func NewEstimator(n int, outDeg []int32, opt Options, m *obs.MetricSet) coverage
 	return s
 }
 
-// outDegrees extracts the out-degree array used by the Revised-Greedy
+// StartRun opens the recorder of one run of alg over gen's graph (see
+// obs.Run), with the run.start parameters read off opt.
+func StartRun(alg string, gen rrset.Generator, opt Options) obs.Run {
+	g := gen.Graph()
+	return obs.StartRun(opt.Tracer, opt.Logger, alg, obs.RunParams{
+		N: g.N(), M: g.M(), K: opt.K, Eps: opt.Eps, Seed: opt.Seed, Workers: opt.Workers,
+	})
+}
+
+// OutDegrees extracts the out-degree array used by the Revised-Greedy
 // tie-break.
-func outDegrees(gen rrset.Generator) []int32 {
+func OutDegrees(gen rrset.Generator) []int32 {
 	g := gen.Graph()
 	deg := make([]int32, g.N())
 	for v := range deg {

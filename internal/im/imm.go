@@ -2,7 +2,6 @@ package im
 
 import (
 	"math"
-	"time"
 
 	"subsim/internal/bounds"
 	"subsim/internal/coverage"
@@ -24,7 +23,6 @@ import (
 // exponent l is adjusted by the standard l·(1 + ln 2 / ln n) correction so
 // the union bound over both phases still yields 1 - n^{-l}.
 func IMM(gen rrset.Generator, opt Options) (*Result, error) {
-	start := time.Now() //lint:allow timing (wall-clock Elapsed reporting only)
 	g := gen.Graph()
 	n := g.N()
 	if err := opt.Normalize(n); err != nil {
@@ -38,12 +36,11 @@ func IMM(gen rrset.Generator, opt Options) (*Result, error) {
 	epsPrime := math.Sqrt2 * opt.Eps
 
 	tr := opt.Tracer
-	run := tr.Span("imm")
-	opt.Logger.RunStart("imm", n, g.M(), opt.K, opt.Eps, opt.Seed, opt.Workers)
+	run := StartRun("imm", gen, opt)
 	b := NewInstrumentedBatcher(gen, opt.Seed, opt.Workers, tr.Metrics())
 	var outDeg []int32
 	if opt.Revised {
-		outDeg = outDegrees(gen)
+		outDeg = OutDegrees(gen)
 	}
 	idx := NewEstimator(n, outDeg, opt, tr.Metrics())
 
@@ -54,7 +51,7 @@ func IMM(gen rrset.Generator, opt Options) (*Result, error) {
 	if maxI < 1 {
 		maxI = 1
 	}
-	est1 := run.Child("opt-estimation")
+	est1 := run.Span().Child("opt-estimation")
 	for i := 1; i < maxI; i++ {
 		res.Rounds = i
 		rs := est1.Child(obs.Round(i))
@@ -69,18 +66,17 @@ func IMM(gen rrset.Generator, opt Options) (*Result, error) {
 		sel := idx.SelectSeeds(coverage.GreedyOptions{K: opt.K, Revised: opt.Revised})
 		ss.End()
 		est := float64(n) * float64(sel.TotalCoverage(0)) / float64(idx.NumSets())
-		rs.SetInt("theta", int64(idx.NumSets())).SetFloat("estimate", est).End()
-		tr.Metrics().SetBounds(i, lb, 0, 0)
-		opt.Logger.RoundDone("imm", i, int64(idx.NumSets()), lb, 0, 0)
+		run.Round(rs, obs.RoundRecord{Round: i, Theta: int64(idx.NumSets()), Lower: lb})
+		rs.SetFloat("estimate", est).End()
 		if est >= (1+epsPrime)*x {
 			lb = est / (1 + epsPrime)
-			opt.Logger.BoundCrossed("imm", i, est, (1+epsPrime)*x)
+			run.Crossed(i, est, (1+epsPrime)*x)
 			break
 		}
 	}
 	est1.SetFloat("opt_lower_bound", lb).End()
 
-	ns := run.Child("node-selection")
+	ns := run.Span().Child("node-selection")
 	thetaWorst := bounds.IMMTheta(n, opt.K, opt.Eps, l, lb)
 	// The OPT-estimation lower bound also feeds the tightened one-shot
 	// budget: both analyses certify (1-1/e-ε, 1-δ) for the greedy set
@@ -90,12 +86,11 @@ func IMM(gen rrset.Generator, opt Options) (*Result, error) {
 		thetaTight = thetaWorst
 	}
 	res.ThetaWorstCase, res.ThetaTight = thetaWorst, thetaTight
-	tr.Metrics().SetTheta(thetaWorst, thetaTight)
 	theta := thetaWorst
 	if opt.Bound == BoundTight && thetaTight < theta {
 		theta = thetaTight
-		tr.Metrics().AddThetaSaved(thetaWorst - thetaTight)
 	}
+	run.Theta(thetaWorst, thetaTight, theta)
 	if add := theta - int64(idx.NumSets()); add > 0 {
 		sp := ns.Child("sampling")
 		b.Fill(idx, int(add), nil)
@@ -108,9 +103,6 @@ func IMM(gen rrset.Generator, opt Options) (*Result, error) {
 	res.Seeds = sel.Seeds
 	res.Influence = float64(n) * float64(sel.TotalCoverage(0)) / float64(idx.NumSets())
 	res.RRStats = b.Stats()
-	run.SetInt("rounds", int64(res.Rounds)).End()
-	res.Elapsed = time.Since(start) //lint:allow timing (wall-clock Elapsed reporting only)
-	opt.Logger.RunDone("imm", res.Rounds, res.RRStats.Sets, res.Influence, res.Elapsed.Nanoseconds())
-	res.Report = tr.Report()
+	res.Elapsed, res.Report = run.Done(res.Rounds, res.RRStats.Sets, res.Influence)
 	return res, nil
 }

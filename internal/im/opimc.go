@@ -1,8 +1,6 @@
 package im
 
 import (
-	"time"
-
 	"subsim/internal/bounds"
 	"subsim/internal/coverage"
 	"subsim/internal/obs"
@@ -19,7 +17,6 @@ import (
 // both collections double, up to the budget θ_max that guarantees success
 // in the final iteration.
 func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
-	start := time.Now() //lint:allow timing (wall-clock Elapsed reporting only)
 	g := gen.Graph()
 	n := g.N()
 	if err := opt.Normalize(n); err != nil {
@@ -38,27 +35,26 @@ func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
 	target := bounds.GreedyFactor(opt.Eps)
 
 	tr := opt.Tracer
-	run := tr.Span("opimc")
-	opt.Logger.RunStart("opimc", n, g.M(), opt.K, opt.Eps, opt.Seed, opt.Workers)
+	run := StartRun("opimc", gen, opt)
 	b := NewInstrumentedBatcher(gen, opt.Seed, opt.Workers, tr.Metrics())
 	var outDeg []int32
 	if opt.Revised {
-		outDeg = outDegrees(gen)
+		outDeg = OutDegrees(gen)
 	}
 	idx1 := NewEstimator(n, outDeg, opt, tr.Metrics())
 	idx2 := NewEstimator(n, outDeg, opt, tr.Metrics())
 
 	res := &Result{ThetaWorstCase: thetaWorst, ThetaTight: thetaTight}
-	tr.Metrics().SetTheta(thetaWorst, thetaTight)
+	run.Theta(thetaWorst, thetaTight, thetaMax)
 	theta := theta0
-	sp := run.Child("sampling")
+	sp := run.Span().Child("sampling")
 	b.Fill(idx1, int(theta), nil)
 	b.Fill(idx2, int(theta), nil)
 	sp.SetInt("theta", theta).End()
 
 	for i := 1; ; i++ {
 		res.Rounds = i
-		rs := run.Child(obs.Round(i))
+		rs := run.Span().Child(obs.Round(i))
 		ss := rs.Child("selection")
 		sel := idx1.SelectSeeds(coverage.GreedyOptions{K: opt.K, Revised: opt.Revised})
 		ss.End()
@@ -72,14 +68,14 @@ func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
 			res.Approx = res.LowerBound / res.UpperBound
 		}
 		bc.End()
-		tr.Metrics().SetBounds(i, res.LowerBound, res.UpperBound, res.Approx)
-		opt.Logger.RoundDone("opimc", i, int64(idx1.NumSets()), res.LowerBound, res.UpperBound, res.Approx)
-		rs.SetInt("theta", int64(idx1.NumSets())).SetFloat("approx", res.Approx)
+		run.Round(rs, obs.RoundRecord{Round: i, Theta: int64(idx1.NumSets()),
+			Lower: res.LowerBound, Upper: res.UpperBound, Approx: res.Approx})
 		if opt.Bound == BoundTight && res.LowerBound > float64(opt.K) {
 			// The certified influence lower bound is an OPT lower bound,
 			// so the adaptive tightened budget may shrink θ_max further.
 			if t := bounds.ThetaTightOPT(n, opt.K, opt.Eps, opt.Delta, res.LowerBound); t < thetaMax {
 				thetaMax = t
+				run.Theta(thetaWorst, thetaTight, thetaMax)
 			}
 		}
 		stop := res.Approx > target || i >= iMax
@@ -88,7 +84,7 @@ func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
 		}
 		if stop {
 			if res.Approx > target {
-				opt.Logger.BoundCrossed("opimc", i, res.Approx, target)
+				run.Crossed(i, res.Approx, target)
 			}
 			rs.End()
 			break
@@ -100,13 +96,7 @@ func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
 		rs.End()
 		theta *= 2
 	}
-	if opt.Bound == BoundTight && thetaMax < thetaWorst {
-		tr.Metrics().AddThetaSaved(thetaWorst - thetaMax)
-	}
 	res.RRStats = b.Stats()
-	run.SetInt("rounds", int64(res.Rounds)).End()
-	res.Elapsed = time.Since(start) //lint:allow timing (wall-clock Elapsed reporting only)
-	opt.Logger.RunDone("opimc", res.Rounds, res.RRStats.Sets, res.Influence, res.Elapsed.Nanoseconds())
-	res.Report = tr.Report()
+	res.Elapsed, res.Report = run.Done(res.Rounds, res.RRStats.Sets, res.Influence)
 	return res, nil
 }

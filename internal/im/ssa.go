@@ -2,7 +2,6 @@ package im
 
 import (
 	"math"
-	"time"
 
 	"subsim/internal/bounds"
 	"subsim/internal/coverage"
@@ -24,7 +23,6 @@ import (
 // θ_max (the same pessimistic bound OPIM-C uses) caps the doubling so the
 // final iteration is unconditionally safe.
 func SSA(gen rrset.Generator, opt Options) (*Result, error) {
-	start := time.Now() //lint:allow timing (wall-clock Elapsed reporting only)
 	g := gen.Graph()
 	n := g.N()
 	if err := opt.Normalize(n); err != nil {
@@ -56,24 +54,20 @@ func SSA(gen rrset.Generator, opt Options) (*Result, error) {
 	upsilon := int64(math.Ceil(1 + (1+eps2)*(2+2*eps2/3)*math.Log(2/deltaIter)/(eps2*eps2)))
 
 	tr := opt.Tracer
-	run := tr.Span("ssa")
-	opt.Logger.RunStart("ssa", n, g.M(), opt.K, opt.Eps, opt.Seed, opt.Workers)
+	run := StartRun("ssa", gen, opt)
 	b := NewInstrumentedBatcher(gen, opt.Seed, opt.Workers, tr.Metrics())
 	var outDeg []int32
 	if opt.Revised {
-		outDeg = outDegrees(gen)
+		outDeg = OutDegrees(gen)
 	}
 	idx := NewEstimator(n, outDeg, opt, tr.Metrics())
 
 	res := &Result{ThetaWorstCase: thetaWorst, ThetaTight: thetaTight}
-	tr.Metrics().SetTheta(thetaWorst, thetaTight)
-	if opt.Bound == BoundTight && thetaMax < thetaWorst {
-		tr.Metrics().AddThetaSaved(thetaWorst - thetaMax)
-	}
+	run.Theta(thetaWorst, thetaTight, thetaMax)
 	theta := lambda
 	for t := 1; ; t++ {
 		res.Rounds = t
-		rs := run.Child(obs.Round(t))
+		rs := run.Span().Child(obs.Round(t))
 		if add := theta - int64(idx.NumSets()); add > 0 {
 			sp := rs.Child("sampling")
 			b.Fill(idx, int(add), nil)
@@ -85,41 +79,35 @@ func SSA(gen rrset.Generator, opt Options) (*Result, error) {
 		res.Seeds = sel.Seeds
 		covEst := float64(n) * float64(sel.TotalCoverage(0)) / float64(idx.NumSets())
 		res.Influence = covEst
-		rs.SetInt("theta", int64(idx.NumSets()))
-
-		if t >= tMax {
-			rs.End()
-			break
-		}
 
 		// Stare: verify on an independent stream until Υ covers or the
-		// budget (twice the selection collection) is exhausted.
-		vs := rs.Child("verify")
-		verified, used := b.verify(res.Seeds, upsilon, 2*theta)
-		vs.SetInt("covered", verified).SetInt("used", used).End()
+		// budget (twice the selection collection) is exhausted. The cap
+		// round stops unverified and keeps the last verified lower bound.
+		capped := t >= tMax
 		crossed := false
-		if used > 0 {
-			est := float64(verified) * float64(n) / float64(used)
-			res.LowerBound = bounds.LowerBound(verified, used, n, deltaIter)
-			crossed = verified >= upsilon && est >= covEst/(1+eps1)
-			if crossed {
-				opt.Logger.BoundCrossed("ssa", t, est, covEst/(1+eps1))
+		var est float64
+		if !capped {
+			vs := rs.Child("verify")
+			verified, used := b.verify(res.Seeds, upsilon, 2*theta)
+			vs.SetInt("covered", verified).SetInt("used", used).End()
+			if used > 0 {
+				est = float64(verified) * float64(n) / float64(used)
+				res.LowerBound = bounds.LowerBound(verified, used, n, deltaIter)
+				crossed = verified >= upsilon && est >= covEst/(1+eps1)
 			}
 		}
-		tr.Metrics().SetBounds(t, res.LowerBound, 0, 0)
-		opt.Logger.RoundDone("ssa", t, int64(idx.NumSets()), res.LowerBound, 0, 0)
+		run.Round(rs, obs.RoundRecord{Round: t, Theta: int64(idx.NumSets()), Lower: res.LowerBound})
 		if crossed {
-			rs.End()
-			break
+			run.Crossed(t, est, covEst/(1+eps1))
 		}
 		rs.End()
+		if capped || crossed {
+			break
+		}
 		theta *= 2
 	}
 	res.RRStats = b.Stats()
-	run.SetInt("rounds", int64(res.Rounds)).End()
-	res.Elapsed = time.Since(start) //lint:allow timing (wall-clock Elapsed reporting only)
-	opt.Logger.RunDone("ssa", res.Rounds, res.RRStats.Sets, res.Influence, res.Elapsed.Nanoseconds())
-	res.Report = tr.Report()
+	res.Elapsed, res.Report = run.Done(res.Rounds, res.RRStats.Sets, res.Influence)
 	return res, nil
 }
 

@@ -2,10 +2,10 @@ package im
 
 import (
 	"math"
-	"time"
 
 	"subsim/internal/bounds"
 	"subsim/internal/coverage"
+	"subsim/internal/obs"
 	"subsim/internal/rrset"
 )
 
@@ -25,7 +25,6 @@ import (
 // final KPT* = max(KPT, KPT′) tightens the sample size
 // θ = λ/KPT* with λ = (8+2ε)·n·(l·ln n + ln C(n,k) + ln 2)/ε².
 func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
-	start := time.Now() //lint:allow timing (wall-clock Elapsed reporting only)
 	g := gen.Graph()
 	n := g.N()
 	if err := opt.Normalize(n); err != nil {
@@ -35,12 +34,11 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	l := math.Max(1, -math.Log(opt.Delta)/logn)
 
 	tr := opt.Tracer
-	run := tr.Span("timplus")
-	opt.Logger.RunStart("timplus", n, g.M(), opt.K, opt.Eps, opt.Seed, opt.Workers)
+	run := StartRun("timplus", gen, opt)
 	b := NewInstrumentedBatcher(gen, opt.Seed, opt.Workers, tr.Metrics())
 	var outDeg []int32
 	if opt.Revised {
-		outDeg = outDegrees(gen)
+		outDeg = OutDegrees(gen)
 	}
 	idx := NewEstimator(n, outDeg, opt, tr.Metrics())
 
@@ -63,7 +61,7 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	baseCount := int64(math.Ceil((6*l*logn + 6*math.Ln2)))
 	var kappaSum float64
 	measured := 0
-	kptSpan := run.Child("kpt-estimation")
+	kptSpan := run.Span().Child("kpt-estimation")
 	for i := 1; i <= maxI; i++ {
 		res.Rounds = i
 		want := baseCount << uint(i)
@@ -83,15 +81,14 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 				return true
 			})
 		}
+		run.Round(nil, obs.RoundRecord{Round: i, Theta: int64(idx.NumSets()), Lower: kpt})
 		if measured == 0 {
 			continue
 		}
 		avg := kappaSum / float64(measured)
-		tr.Metrics().SetBounds(i, kpt, 0, 0)
-		opt.Logger.RoundDone("timplus", i, int64(idx.NumSets()), kpt, 0, 0)
 		if avg > 1/math.Pow(2, float64(i)) {
 			kpt = avg * float64(n) / 2
-			opt.Logger.BoundCrossed("timplus", i, avg, 1/math.Pow(2, float64(i)))
+			run.Crossed(i, avg, 1/math.Pow(2, float64(i)))
 			break
 		}
 	}
@@ -100,7 +97,7 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 
 	// Refinement: the greedy seed set's de-biased coverage over a fresh
 	// collection sharpens KPT.
-	refine := run.Child("refinement")
+	refine := run.Span().Child("refinement")
 	selPrev := idx.SelectSeeds(coverage.GreedyOptions{K: opt.K, Revised: opt.Revised})
 	epsPrime := 5 * math.Cbrt(l*opt.Eps*opt.Eps/(l+float64(opt.K)/math.Max(1, logn)))
 	if epsPrime > 1 {
@@ -120,7 +117,7 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	refine.SetFloat("kpt", kpt).End()
 
 	// Final sampling and selection.
-	ns := run.Child("node-selection")
+	ns := run.Span().Child("node-selection")
 	lambda := (8 + 2*opt.Eps) * float64(n) *
 		(l*logn + bounds.LogChoose(n, opt.K) + math.Ln2) / (opt.Eps * opt.Eps)
 	thetaWorst := int64(math.Ceil(lambda / kpt))
@@ -131,12 +128,11 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 		thetaTightC = thetaWorst
 	}
 	res.ThetaWorstCase, res.ThetaTight = thetaWorst, thetaTightC
-	tr.Metrics().SetTheta(thetaWorst, thetaTightC)
 	theta := thetaWorst
 	if opt.Bound == BoundTight && thetaTightC < theta {
 		theta = thetaTightC
-		tr.Metrics().AddThetaSaved(thetaWorst - thetaTightC)
 	}
+	run.Theta(thetaWorst, thetaTightC, theta)
 	if add := theta - int64(idx.NumSets()); add > 0 {
 		b.Fill(idx, int(add), nil)
 	}
@@ -145,9 +141,6 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	res.Seeds = sel.Seeds
 	res.Influence = float64(n) * float64(sel.TotalCoverage(0)) / float64(idx.NumSets())
 	res.RRStats = b.Stats()
-	run.SetInt("rounds", int64(res.Rounds)).End()
-	res.Elapsed = time.Since(start) //lint:allow timing (wall-clock Elapsed reporting only)
-	opt.Logger.RunDone("timplus", res.Rounds, res.RRStats.Sets, res.Influence, res.Elapsed.Nanoseconds())
-	res.Report = tr.Report()
+	res.Elapsed, res.Report = run.Done(res.Rounds, res.RRStats.Sets, res.Influence)
 	return res, nil
 }

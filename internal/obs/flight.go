@@ -58,13 +58,14 @@ type Flight struct {
 var ErrFlightDisabled = errors.New("obs: flight recorder not enabled")
 
 // EnableFlight attaches a flight recorder to the tracer: journal hooks
-// on span open/close and the bound/θ publishers, a runtime-metrics
-// sampler goroutine, and (when cfg.StallWindow > 0) a stall watchdog
-// that writes a diagnostic bundle when an active phase stops making
-// progress. The journal (flight.DefaultCapacity events per stream) and
-// the history (flight.DefaultHistoryCapacity samples) share the tracer's
-// *current* clock (captured by value, like EnableTimeline), so fake
-// clocks installed via SetClock flow through to journal events.
+// on span open/close and on the events of every Run started on the
+// tracer afterwards, a runtime-metrics sampler goroutine, and (when
+// cfg.StallWindow > 0) a stall watchdog that writes a diagnostic bundle
+// when an active phase stops making progress. The journal
+// (flight.DefaultCapacity events per stream) and the history
+// (flight.DefaultHistoryCapacity samples) share the tracer's *current*
+// clock (captured by value, like EnableTimeline), so fake clocks
+// installed via SetClock flow through to journal events.
 // Idempotent: a second call returns the existing recorder. Returns nil on
 // a nil tracer, keeping the nil-tracer contract.
 func (t *Tracer) EnableFlight(cfg FlightConfig) *Flight {
@@ -87,9 +88,7 @@ func (t *Tracer) EnableFlight(cfg FlightConfig) *Flight {
 	t.flight = f
 	t.mu.Unlock()
 
-	rec := f.journal.Stream(flight.StreamRun)
-	t.flightRec.Store(rec)
-	t.metrics.flightRec.Store(rec)
+	t.flightRec.Store(f.journal.Stream(flight.StreamRun))
 
 	if cfg.SampleEvery >= 0 {
 		f.sampler = f.history.StartSampler(cfg.SampleEvery)

@@ -7,8 +7,8 @@
 //
 //   - Journal / Recorder: fixed-capacity single-writer event rings
 //     (journal.go) capturing the structured run events — run.start,
-//     round.done, bound.crossed, phase.done, run.done — plus span
-//     open/close transitions and θ/bound updates.
+//     theta.update, round.done, bound.crossed, phase.done, run.done —
+//     plus span open/close transitions.
 //   - History: a periodic runtime/metrics sampler (history.go) turning
 //     point-in-time scrapes into bounded time series (heap bytes, GC
 //     pause, scheduler latency, goroutine count).
@@ -18,8 +18,9 @@
 //     (bundle.go) that snapshots everything into one directory.
 //
 // Like internal/obs/timeline, the package imports only internal/obs/ring,
-// so obs can embed it the same way it embeds the timeline. The glue that feeds it (span hooks, logger hooks, bundle
-// producers for the run report and Chrome trace) lives in obs.
+// so obs can embed it the same way it embeds the timeline. The glue that
+// feeds it (span hooks, the run recorder obs.Run, bundle producers for
+// the run report and Chrome trace) lives in obs.
 //
 // # Memory-ordering contract
 //
@@ -56,30 +57,27 @@ type Kind uint8
 const (
 	// KindNone is the zero Kind; it never appears in a snapshot.
 	KindNone Kind = iota
-	// KindRunStart mirrors Logger.RunStart: label=algorithm, A=n, B=m,
-	// F1=k, F2=eps, F3=workers.
+	// KindRunStart is obs.StartRun: label=algorithm, A=n, B=m, F1=k,
+	// F2=eps, F3=workers.
 	KindRunStart
-	// KindRoundDone mirrors Logger.RoundDone: label=algorithm, A=round,
-	// B=theta, F1=lower, F2=upper, F3=approx.
+	// KindRoundDone is Run.Round: label=algorithm, A=round, B=theta,
+	// F1=lower, F2=upper, F3=approx.
 	KindRoundDone
-	// KindBoundCrossed mirrors Logger.BoundCrossed: label=algorithm,
-	// A=round, F1=approx, F2=target.
+	// KindBoundCrossed is Run.Crossed: label=algorithm, A=round,
+	// F1=approx, F2=target.
 	KindBoundCrossed
-	// KindPhaseDone mirrors Logger.PhaseDone: label=phase, A=durationNS.
+	// KindPhaseDone is Run.PhaseDone: label=phase, A=durationNS.
 	KindPhaseDone
-	// KindRunDone mirrors Logger.RunDone: label=algorithm, A=rounds,
-	// B=sets, F1=influence, F2=elapsedNS.
+	// KindRunDone is Run.Done: label=algorithm, A=rounds, B=sets,
+	// F1=influence, F2=elapsedNS.
 	KindRunDone
 	// KindSpanOpen is a tracer span opening: label=span name.
 	KindSpanOpen
 	// KindSpanClose is a tracer span closing: label=span name,
 	// A=startNS of the span (the event time is the close time).
 	KindSpanClose
-	// KindBounds is a certified-bound update (MetricSet.SetBounds):
-	// A=round, F1=lower, F2=upper, F3=approx.
-	KindBounds
-	// KindTheta is a θ-budget update (MetricSet.SetTheta): A=worst-case
-	// θ, B=tightened θ.
+	// KindTheta is a θ-budget update (Run.Theta): A=worst-case θ,
+	// B=tightened θ, F1=the cap the run enforces.
 	KindTheta
 	// KindStall is a watchdog trip: label=context, A=idleNS.
 	KindStall
@@ -92,7 +90,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"none", "run.start", "round.done", "bound.crossed", "phase.done",
-	"run.done", "span.open", "span.close", "bounds.update", "theta.update",
+	"run.done", "span.open", "span.close", "theta.update",
 	"watchdog.stall", "bundle.write",
 }
 
@@ -124,8 +122,8 @@ func (k *Kind) UnmarshalText(b []byte) error {
 // Well-known journal streams. Each stream has exactly one writing
 // goroutine; see the package comment's memory-ordering contract.
 const (
-	// StreamRun carries the coordinator-loop events: run/round/phase
-	// logger events, span transitions, θ/bound updates.
+	// StreamRun carries the coordinator-loop events: the obs.Run events
+	// and span transitions.
 	StreamRun = 0
 	// StreamWatchdog carries stall events from the watchdog goroutine.
 	StreamWatchdog = 1

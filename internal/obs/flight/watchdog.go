@@ -112,19 +112,26 @@ func (w *Watchdog) loop() {
 
 	last := w.cfg.Progress()
 	lastChange := w.clock()
-	armed := true
+	armed, active := true, true
 	for {
 		select {
 		case <-w.stop:
 			return
 		case <-tick.C:
 		}
-		now := w.clock()
 		if w.cfg.Active != nil && !w.cfg.Active() {
-			// Nothing worth watching: treat the idle phase as progress
-			// so a stall can only accumulate inside an active phase.
-			lastChange = now
-			armed = true
+			// Nothing worth watching: a stall can only accumulate inside
+			// an active phase.
+			active = false
+			continue
+		}
+		now := w.clock()
+		if !active {
+			// First tick of an active phase: the window starts here, at a
+			// clock read taken after the phase was seen active, so a
+			// delayed tick can only start it late, never before activation.
+			active, armed = true, true
+			last, lastChange = w.cfg.Progress(), now
 			continue
 		}
 		if p := w.cfg.Progress(); p != last {

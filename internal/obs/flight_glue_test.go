@@ -63,8 +63,8 @@ func TestEnableFlightIdempotent(t *testing.T) {
 }
 
 // TestFlightJournalCapturesRunEvents drives every journal hook — span
-// transitions, bound/θ publishers, and the typed logger events — under a
-// fake clock and checks the journal saw them all in order.
+// transitions and each obs.Run event — under a fake clock and checks the
+// journal saw them all, once each and in order.
 func TestFlightJournalCapturesRunEvents(t *testing.T) {
 	tr := NewTracer()
 	var tick atomic.Int64
@@ -80,22 +80,22 @@ func TestFlightJournalCapturesRunEvents(t *testing.T) {
 	if tr.hasOpenSpans() {
 		t.Error("hasOpenSpans must drop after End")
 	}
-	tr.Metrics().SetBounds(2, 10.5, 20.5, 0.75)
-	tr.Metrics().SetTheta(1<<20, 1<<16)
 
-	log := (*Logger)(nil).WithFlight(fl.Journal().Stream(flight.StreamRun))
-	log.RunStart("opimc", 100, 200, 10, 0.1, 7, 4)
-	log.RoundDone("opimc", 1, 4096, 1.5, 2.5, 0.6)
-	log.BoundCrossed("opimc", 3, 0.91, 0.9)
-	log.PhaseDone("opimc", "selection", 1234)
-	log.RunDone("opimc", 3, 9999, 42.5, 5678)
+	r := StartRun(tr, nil, "opimc", RunParams{N: 100, M: 200, K: 10, Eps: 0.1, Seed: 7, Workers: 4})
+	r.Theta(1<<20, 1<<16, 1<<18)
+	r.Round(nil, RoundRecord{Round: 1, Theta: 4096, Lower: 1.5, Upper: 2.5, Approx: 0.6})
+	r.Crossed(3, 0.91, 0.9)
+	r.Phase("selection")
+	r.PhaseDone()
+	r.Done(3, 9999, 42.5)
 
 	snap := fl.Journal().Snapshot()
 	wantKinds := []flight.Kind{
 		flight.KindSpanOpen, flight.KindSpanClose,
-		flight.KindBounds, flight.KindTheta,
-		flight.KindRunStart, flight.KindRoundDone,
-		flight.KindBoundCrossed, flight.KindPhaseDone, flight.KindRunDone,
+		flight.KindSpanOpen, flight.KindRunStart, flight.KindTheta,
+		flight.KindRoundDone, flight.KindBoundCrossed,
+		flight.KindSpanOpen, flight.KindSpanClose, flight.KindPhaseDone,
+		flight.KindSpanClose, flight.KindRunDone,
 	}
 	if len(snap.Events) != len(wantKinds) {
 		t.Fatalf("journal saw %d events, want %d: %+v", len(snap.Events), len(wantKinds), snap.Events)
@@ -108,14 +108,48 @@ func TestFlightJournalCapturesRunEvents(t *testing.T) {
 	if e := snap.Events[0]; e.Label != "sampling" {
 		t.Errorf("span.open label = %q", e.Label)
 	}
-	if e := snap.Events[2]; e.A != 2 || e.F1 != 10.5 || e.F2 != 20.5 || e.F3 != 0.75 {
-		t.Errorf("bounds.update payload = %+v", e)
+	if e := snap.Events[3]; e.Label != "opimc" || e.A != 100 || e.B != 200 || e.F1 != 10 || e.F3 != 4 {
+		t.Errorf("run.start payload = %+v", e)
 	}
-	if e := snap.Events[3]; e.A != 1<<20 || e.B != 1<<16 {
+	if e := snap.Events[4]; e.A != 1<<20 || e.B != 1<<16 || e.F1 != 1<<18 {
 		t.Errorf("theta.update payload = %+v", e)
 	}
-	if e := snap.Events[8]; e.Label != "opimc" || e.A != 3 || e.B != 9999 || e.F1 != 42.5 {
+	if e := snap.Events[5]; e.Label != "opimc" || e.A != 1 || e.B != 4096 || e.F1 != 1.5 || e.F2 != 2.5 || e.F3 != 0.6 {
+		t.Errorf("round.done payload = %+v", e)
+	}
+	if e := snap.Events[9]; e.Label != "selection" || e.A < 0 {
+		t.Errorf("phase.done payload = %+v", e)
+	}
+	if e := snap.Events[11]; e.Label != "opimc" || e.A != 3 || e.B != 9999 || e.F1 != 42.5 {
 		t.Errorf("run.done payload = %+v", e)
+	}
+
+	// The round record is also the one writer of the bound gauges, and
+	// the θ event of theta_saved_total.
+	m := tr.Metrics()
+	if m.Round.Load() != 1 || m.Lower.Load() != 1.5 || m.Upper.Load() != 2.5 || m.Approx.Load() != 0.6 {
+		t.Errorf("bound gauges = round %d [%v, %v] %v", m.Round.Load(), m.Lower.Load(), m.Upper.Load(), m.Approx.Load())
+	}
+	if m.ThetaWorst.Load() != 1<<20 || m.ThetaTight.Load() != 1<<16 || m.ThetaSaved.Load() != 1<<20-1<<18 {
+		t.Errorf("theta instruments = %d/%d saved %d", m.ThetaWorst.Load(), m.ThetaTight.Load(), m.ThetaSaved.Load())
+	}
+}
+
+// TestRunThetaCreditsSavedBudgetOnce: a run that lowers its θ cap again
+// (OPIM-C's adaptive tightened budget) credits theta_saved_total with
+// the total reduction, never the same reduction twice.
+func TestRunThetaCreditsSavedBudgetOnce(t *testing.T) {
+	tr := NewTracer()
+	r := StartRun(tr, nil, "opimc", RunParams{})
+	r.Theta(1000, 400, 1000) // worst-case cap: nothing saved
+	if got := tr.Metrics().ThetaSaved.Load(); got != 0 {
+		t.Fatalf("worst-case cap credited %d", got)
+	}
+	r.Theta(1000, 400, 400)
+	r.Theta(1000, 400, 250)
+	r.Theta(1000, 400, 300) // a higher cap never takes credit back
+	if got := tr.Metrics().ThetaSaved.Load(); got != 750 {
+		t.Errorf("theta_saved_total = %d, want 750", got)
 	}
 }
 

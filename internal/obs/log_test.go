@@ -6,39 +6,44 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
+// testParams are the run.start parameters the logging tests record.
+var testParams = RunParams{N: 1000, M: 5000, K: 50, Eps: 0.1, Seed: 42, Workers: 8}
+
+// driveRun reports one event of every kind on r, in schema order: the
+// five logged events plus the θ budget, which only the journal and the
+// gauges receive.
+func driveRun(r *Run) (time.Duration, *Report) {
+	r.Theta(1<<20, 1<<16, 1<<16)
+	r.Round(r.Span().Child(Round(3)), RoundRecord{Round: 3, Theta: 4096, Lower: 120.5, Upper: 200, Approx: 0.6})
+	r.Crossed(3, 0.64, 0.53)
+	r.Phase("sentinel-phase")
+	r.PhaseDone()
+	return r.Done(3, 8192, 130.2)
+}
+
 func TestNilLoggerIsSilentAndAllocationFree(t *testing.T) {
-	var l *Logger
-	if l.Slog() != nil {
-		t.Error("nil logger exposes a slog.Logger")
-	}
-	if l.With("k", 1) != nil {
-		t.Error("nil logger With returned non-nil")
-	}
-	// The typed emitters take concrete arguments, so the disabled path
-	// must not box or allocate — the logging twin of the nil-tracer
-	// contract.
+	// With a nil tracer and a nil logger every Run method must neither
+	// box nor allocate — the logging twin of the nil-tracer contract.
 	allocs := testing.AllocsPerRun(100, func() {
-		l.RunStart("opimc", 1000, 5000, 50, 0.1, 42, 8)
-		l.RoundDone("opimc", 3, 4096, 120.5, 200, 0.6)
-		l.BoundCrossed("opimc", 3, 0.64, 0.53)
-		l.PhaseDone("hist", "sentinel-phase", 123456)
-		l.RunDone("opimc", 3, 8192, 130.2, 987654)
+		r := StartRun(nil, nil, "opimc", testParams)
+		driveRun(&r)
 	})
 	if allocs != 0 {
-		t.Errorf("nil logger emitters allocate %.1f per run, want 0", allocs)
+		t.Errorf("nil-sink Run allocates %.1f per run, want 0", allocs)
+	}
+	r := StartRun(nil, nil, "opimc", testParams)
+	if elapsed, rep := driveRun(&r); elapsed < 0 || rep != nil {
+		t.Errorf("nil-sink Done = (%v, %v), want an Elapsed and no report", elapsed, rep)
 	}
 }
 
 func TestLoggerEventSchema(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLoggerWriter(&buf, "json", nil)
-	l.RunStart("opimc", 1000, 5000, 50, 0.1, 42, 8)
-	l.RoundDone("opimc", 3, 4096, 120.5, 200, 0.6)
-	l.BoundCrossed("opimc", 3, 0.64, 0.53)
-	l.PhaseDone("hist", "sentinel-phase", 123456)
-	l.RunDone("opimc", 3, 8192, 130.2, 987654)
+	r := StartRun(nil, NewLoggerWriter(&buf, "json"), "opimc", testParams)
+	driveRun(&r)
 
 	// The exact attribute set of each event, beyond slog's own time,
 	// level and msg keys: DESIGN.md "Structured log events" freezes it.
@@ -80,18 +85,24 @@ func TestLoggerEventSchema(t *testing.T) {
 }
 
 func TestNewLoggerDisabledForms(t *testing.T) {
-	if NewLogger(nil) != nil {
-		t.Error("NewLogger(nil) should be the disabled logger")
+	for _, format := range []string{"json", "text"} {
+		if NewLoggerWriter(nil, format) != nil {
+			t.Errorf("NewLoggerWriter(nil, %q) should be the disabled logger", format)
+		}
 	}
-	if NewLoggerWriter(nil, "json", nil) != nil {
-		t.Error("NewLoggerWriter(nil, ...) should be the disabled logger")
+	// A tracer without a logger still records the run: spans and gauges,
+	// but no log output anywhere to write to.
+	r := StartRun(NewTracer(), nil, "opimc", testParams)
+	if _, rep := driveRun(&r); rep.Span("opimc") == nil || rep.Gauges["round"] != 3 {
+		t.Errorf("logger-less run lost its root span or round gauge: %+v", rep)
 	}
 }
 
 func TestLoggerTextFormat(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLoggerWriter(&buf, "text", nil)
-	l.BoundCrossed("hist", 2, 0.7, 0.53)
+	r := StartRun(nil, NewLoggerWriter(&buf, "text"), "hist", testParams)
+	buf.Reset()
+	r.Crossed(2, 0.7, 0.53)
 	out := buf.String()
 	if !strings.Contains(out, "msg=bound.crossed") || !strings.Contains(out, "alg=hist") {
 		t.Errorf("text record missing fields: %s", out)

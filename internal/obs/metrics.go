@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"subsim/internal/obs/flight"
 	"subsim/internal/obs/ring"
 	"subsim/internal/obs/timeline"
 )
@@ -246,9 +245,9 @@ type MetricSet struct {
 	Timeline *timeline.Timeline
 
 	// Lower, Upper and Approx are the live certified bounds (Equations
-	// 1/2) as of the most recent bound-check, published by the algorithms
-	// through SetBounds so the /progress endpoint can watch them tighten
-	// mid-run. Round is the doubling round that produced them.
+	// 1/2) as of the most recent round, published by Run.Round through
+	// SetBounds so the /progress endpoint can watch them tighten mid-run.
+	// Round is the doubling round that produced them.
 	Lower  Gauge
 	Upper  Gauge
 	Approx Gauge
@@ -260,19 +259,12 @@ type MetricSet struct {
 	SketchBytes IntGauge
 	// ThetaWorst and ThetaTight are the worst-case (IMM/OPIM-C) and
 	// tightened (Sadeh–Cohen–Kaplan style) RR sample budgets of the
-	// current run, published through SetTheta. ThetaSaved accumulates
-	// the budget reduction actually engaged when Options.Bound selects
-	// the tightened analysis.
+	// current run, published by Run.Theta through SetTheta. ThetaSaved
+	// accumulates the budget reduction actually engaged when
+	// Options.Bound selects the tightened analysis.
 	ThetaWorst IntGauge
 	ThetaTight IntGauge
 	ThetaSaved Counter
-
-	// flightRec mirrors the coordinator-stream journal recorder of an
-	// attached flight recorder (see Tracer.EnableFlight) so the bound/θ
-	// publishers can journal their updates with one atomic load. Nil —
-	// and therefore free, per the flight nil contract — until a flight
-	// recorder is attached.
-	flightRec atomic.Pointer[flight.Recorder]
 
 	workerSets ring.Vector[Counter]
 	workerBusy ring.Vector[Counter]
@@ -348,12 +340,12 @@ func loadCounters(cs []*Counter) []int64 {
 }
 
 // SetBounds publishes the latest certified bounds and the round that
-// produced them; the live /progress endpoint reads them back. Nil-safe,
-// allocation-free: four atomic stores, plus a journal event when a
-// flight recorder is attached. Round is stored last so a reader that
-// observes round i sees bounds from round i or newer — never a fresh
-// round number over stale bounds (the ordering contract documented in
-// DESIGN.md "Live telemetry plane").
+// produced them (Run.Round is the one caller); the live /progress
+// endpoint reads them back. Nil-safe, allocation-free: four atomic
+// stores. Round is stored last so a reader that observes round i sees
+// bounds from round i or newer — never a fresh round number over stale
+// bounds (the ordering contract documented in DESIGN.md "Live telemetry
+// plane").
 func (m *MetricSet) SetBounds(round int, lower, upper, approx float64) {
 	if m == nil {
 		return
@@ -362,24 +354,22 @@ func (m *MetricSet) SetBounds(round int, lower, upper, approx float64) {
 	m.Upper.Set(upper)
 	m.Approx.Set(approx)
 	m.Round.Set(int64(round))
-	m.flightRec.Load().Emit(flight.KindBounds, "", int64(round), 0, lower, upper, approx)
 }
 
 // SetTheta publishes the run's worst-case and tightened RR sample
-// budgets. Nil-safe, allocation-free: two atomic stores, plus a journal
-// event when a flight recorder is attached.
+// budgets (Run.Theta is the one caller). Nil-safe, allocation-free: two
+// atomic stores.
 func (m *MetricSet) SetTheta(worst, tight int64) {
 	if m == nil {
 		return
 	}
 	m.ThetaWorst.Set(worst)
 	m.ThetaTight.Set(tight)
-	m.flightRec.Load().Emit(flight.KindTheta, "", worst, tight, 0, 0, 0)
 }
 
 // AddThetaSaved accumulates RR sample budget shaved off by an engaged
-// tightened bound. Nil-safe, like every instrument entry point, so
-// algorithm code can call it through a disabled tracer.
+// tightened bound (Run.Theta is the one caller). Nil-safe, like every
+// instrument entry point.
 func (m *MetricSet) AddThetaSaved(d int64) {
 	if m == nil || d <= 0 {
 		return

@@ -15,16 +15,19 @@
 //     histograms (RR set size, edge examinations per set, geometric-skip
 //     lengths, per-worker sets generated and busy time, live certified
 //     bounds) cheap enough to stay on in the RR-generation hot path.
-//   - Logger: a nil-safe structured event logger over log/slog
-//     (see log.go) for round-boundary and bound-crossing events.
+//   - Run: the per-run recorder (see run.go). Each run event — start,
+//     θ budget, round, bound crossing, phase end, run end — is one call
+//     that writes the span attributes, MetricSet gauges, slog record and
+//     flight-journal event it projects to.
 //   - Report: a schema-versioned JSON run report (see report.go) and a
 //     Prometheus-style text dump (see prom.go). The live HTTP telemetry
 //     plane over all of the above lives in the obs/serve subpackage.
 //
 // # The nil-tracer zero-overhead contract
 //
-// Every method of Tracer, Span, Logger, Counter, Gauge and Histogram is
-// safe to call on a nil receiver and is a no-op there. A nil *Tracer
+// Every method of Tracer, Span, Counter, Gauge and Histogram is safe to
+// call on a nil receiver and is a no-op there, and a Run started on a
+// nil tracer and a nil logger allocates nothing. A nil *Tracer
 // therefore threads through im.Options at zero cost: span creation
 // returns nil without allocating, attribute setters return immediately,
 // and the rrset.Instrument wrapper unwraps to the bare generator when
@@ -99,14 +102,14 @@ type Tracer struct {
 	// flight is the attached flight recorder (see EnableFlight); the
 	// coordinator-stream journal recorder is mirrored in flightRec so the
 	// span hooks — including Span.End, which never takes the tracer
-	// mutex — reach it with one atomic load.
+	// mutex — and StartRun reach it with one atomic load.
 	flight    *Flight
 	flightRec atomic.Pointer[flight.Recorder]
 }
 
-// flightRecorder returns the journal recorder for span events (nil when
-// no flight recorder is attached, making every hook a no-op via the
-// flight package's nil contract).
+// flightRecorder returns the journal recorder for span and run events
+// (nil when no flight recorder is attached, making every hook a no-op
+// via the flight package's nil contract).
 func (t *Tracer) flightRecorder() *flight.Recorder {
 	if t == nil {
 		return nil

@@ -1,10 +1,9 @@
 package rrset
 
 import (
-	"time"
-
 	"subsim/internal/graph"
 	"subsim/internal/obs"
+	"subsim/internal/obs/ring"
 	"subsim/internal/obs/timeline"
 	"subsim/internal/rng"
 )
@@ -27,6 +26,7 @@ type Instrumented struct {
 	workerSets *obs.Counter
 	workerBusy *obs.Counter
 	ring       *timeline.Ring
+	clock      func() int64 // nil: the set is not timed
 }
 
 // skipInstrumentable is implemented by generators that can observe their
@@ -55,9 +55,12 @@ func Instrument(gen Generator, m *obs.MetricSet, workerSets *obs.Counter) Genera
 // feeds the live telemetry plane's worker-utilization gauge, plus —
 // when the metric set carries a timeline — worker w's interval ring, so
 // every generated set leaves a [start,end] record on the worker's
-// timeline track. Timing each set costs two clock reads, which only the
-// batcher's worker loops — where a set is a full reverse BFS — opt
-// into; the plain Instrument path stays clock-free.
+// timeline track. The busy clock is chosen here, once: the timeline's
+// lock-free clock when a ring is attached, so busy time and intervals
+// share one time base, and ring.WallClock otherwise. Timing each set
+// costs two clock reads, which only the batcher's worker loops — where
+// a set is a full reverse BFS — opt into; the plain Instrument path
+// stays clock-free.
 func InstrumentWorker(gen Generator, m *obs.MetricSet, w int) Generator {
 	if m == nil {
 		return gen
@@ -65,34 +68,20 @@ func InstrumentWorker(gen Generator, m *obs.MetricSet, w int) Generator {
 	ig := Instrument(gen, m, m.WorkerSets(w)).(*Instrumented)
 	ig.workerBusy = m.WorkerBusyNS(w)
 	ig.ring = m.TimelineRing(w)
+	if ig.ring != nil {
+		ig.clock = ig.ring.Now
+	} else {
+		ig.clock = ring.WallClock()
+	}
 	return ig
 }
 
 // Generate delegates to the wrapped generator and records the per-set
-// deltas of its counters. When a timeline ring is attached the busy time
-// is read off the ring's lock-free clock and the interval lands on the
-// worker's timeline track too; otherwise the plain wall clock feeds the
-// busy counter alone.
+// deltas of its counters.
 func (ig *Instrumented) Generate(r *rng.Source, root int32, sentinel []bool) RRSet {
-	before := ig.gen.Stats()
-	if ig.ring != nil {
-		t0 := ig.ring.Now()
-		set := ig.gen.Generate(r, root, sentinel)
-		t1 := ig.ring.Now()
-		ig.workerBusy.Add(t1 - t0)
-		ig.ring.Record(timeline.PhaseGenerate, t0, t1)
-		ig.observe(before, int64(len(set)))
-		return set
-	}
-	var t0 time.Time
-	if ig.workerBusy != nil {
-		t0 = time.Now() //lint:allow timing (per-worker busy-time metric, observability only)
-	}
+	before, t0 := ig.gen.Stats(), ig.now()
 	set := ig.gen.Generate(r, root, sentinel)
-	if ig.workerBusy != nil {
-		ig.workerBusy.Add(time.Since(t0).Nanoseconds()) //lint:allow timing (per-worker busy-time metric, observability only)
-	}
-	ig.observe(before, int64(len(set)))
+	ig.observe(before, t0, int64(len(set)))
 	return set
 }
 
@@ -101,29 +90,29 @@ func (ig *Instrumented) Generate(r *rng.Source, root int32, sentinel []bool) RRS
 //
 //subsim:hotpath
 func (ig *Instrumented) GenerateInto(a *Arena, r *rng.Source, root int32, sentinel []bool) []int32 {
-	before := ig.gen.Stats()
-	if ig.ring != nil {
-		t0 := ig.ring.Now()
-		set := ig.gen.GenerateInto(a, r, root, sentinel)
-		t1 := ig.ring.Now()
-		ig.workerBusy.Add(t1 - t0)
-		ig.ring.Record(timeline.PhaseGenerate, t0, t1)
-		ig.observe(before, int64(len(set)))
-		return set
-	}
-	var t0 time.Time
-	if ig.workerBusy != nil {
-		t0 = time.Now() //lint:allow timing (per-worker busy-time metric, observability only)
-	}
+	before, t0 := ig.gen.Stats(), ig.now()
 	set := ig.gen.GenerateInto(a, r, root, sentinel)
-	if ig.workerBusy != nil {
-		ig.workerBusy.Add(time.Since(t0).Nanoseconds()) //lint:allow timing (per-worker busy-time metric, observability only)
-	}
-	ig.observe(before, int64(len(set)))
+	ig.observe(before, t0, int64(len(set)))
 	return set
 }
 
-func (ig *Instrumented) observe(before Stats, size int64) {
+// now reads the busy clock (0 when sets are not timed).
+func (ig *Instrumented) now() int64 {
+	if ig.clock == nil {
+		return 0
+	}
+	return ig.clock()
+}
+
+// observe records one generated set that started at t0: its busy time
+// and timeline interval when the set is timed, then the deltas of the
+// generator's counters.
+func (ig *Instrumented) observe(before Stats, t0, size int64) {
+	if ig.clock != nil {
+		t1 := ig.clock()
+		ig.workerBusy.Add(t1 - t0)
+		ig.ring.Record(timeline.PhaseGenerate, t0, t1)
+	}
 	after := ig.gen.Stats()
 	m := ig.m
 	edges := after.EdgesExamined - before.EdgesExamined
@@ -156,6 +145,7 @@ func (ig *Instrumented) Clone() Generator {
 	c := Instrument(ig.gen.Clone(), ig.m, ig.workerSets).(*Instrumented)
 	c.workerBusy = ig.workerBusy
 	c.ring = ig.ring
+	c.clock = ig.clock
 	return c
 }
 

@@ -36,6 +36,7 @@ package subsim
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 
 	"subsim/internal/core"
@@ -140,17 +141,17 @@ type RRMetrics = obs.MetricSet
 // NewTracer returns an enabled tracer with a fresh metric set.
 func NewTracer() *Tracer { return obs.NewTracer() }
 
-// Logger emits structured run events (run.start, round.done,
-// bound.crossed, phase.done, run.done) through log/slog; attach one to
-// Options.Logger. A nil *Logger is silent and allocation-free on every
-// emit site, mirroring the nil-tracer contract.
-type Logger = obs.Logger
+// Logger is the log/slog logger that receives a run's structured events
+// (run.start, round.done, bound.crossed, phase.done, run.done); attach
+// one to Options.Logger. A nil *Logger is silent and allocation-free,
+// mirroring the nil-tracer contract.
+type Logger = slog.Logger
 
 // NewLogger builds a run-event logger writing to w: format "json" uses
 // slog's JSONHandler, anything else the TextHandler. A nil writer
 // returns a nil (disabled) logger.
 func NewLogger(w io.Writer, format string) *Logger {
-	return obs.NewLoggerWriter(w, format, nil)
+	return obs.NewLoggerWriter(w, format)
 }
 
 // RRSet is one reverse-reachable sample.
