@@ -1,8 +1,11 @@
 package subsim_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"subsim"
@@ -136,5 +139,57 @@ func TestRunJournalsOneRecordPerRound(t *testing.T) {
 				t.Errorf("journal holds %d round.done events, Result.Rounds = %d", rounds, res.Rounds)
 			}
 		})
+	}
+}
+
+// TestHISTRoundsLogTheirPhase: round numbers restart in each HIST phase,
+// so every round.done record of an AlgHISTSubsim run names its phase —
+// the sentinel-phase rounds first, then the residual-phase rounds — and
+// the run logs Result.Rounds of them.
+func TestHISTRoundsLogTheirPhase(t *testing.T) {
+	g, err := subsim.GenPreferentialAttachment(3000, 4, false, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AssignWCVariant(2)
+	var buf bytes.Buffer
+	res, err := subsim.Maximize(g, subsim.AlgHISTSubsim, subsim.Options{
+		K: 10, Eps: 0.2, Seed: 3, Workers: 1, Logger: subsim.NewLogger(&buf, "json"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phases []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec struct {
+			Msg   string  `json:"msg"`
+			Phase *string `json:"phase"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("record is not JSON: %v\n%s", err, line)
+		}
+		if rec.Msg != "round.done" {
+			continue
+		}
+		if rec.Phase == nil {
+			t.Fatalf("round.done without a phase: %s", line)
+		}
+		phases = append(phases, *rec.Phase)
+	}
+	if len(phases) != res.Rounds {
+		t.Fatalf("logged %d round.done records, Result.Rounds = %d", len(phases), res.Rounds)
+	}
+	residual := slices.Index(phases, "residual-phase")
+	if residual < 1 {
+		t.Fatalf("round.done phases %v: want sentinel-phase rounds, then residual-phase rounds", phases)
+	}
+	for i, p := range phases {
+		want := "residual-phase"
+		if i < residual {
+			want = "sentinel-phase"
+		}
+		if p != want {
+			t.Fatalf("round.done %d phase = %q, want %q (phases %v)", i, p, want, phases)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package coverage
 
 import (
+	"container/heap"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -200,27 +202,128 @@ func naiveGreedy(n int, sets [][]int32, k int, outDeg []int32) []int32 {
 	return seeds
 }
 
-// TestLazyGreedyMatchesEagerGreedy quick-checks that the CELF heap
-// selects exactly the eager greedy sequence (with matching tie-breaks).
+// refEntry and refHeap are the reference lazy greedy's CELF heap over
+// container/heap, in the (gain, out-degree, id) order the exact engine's
+// bucket queue replaced.
+type refEntry struct {
+	gain       int64
+	node, iter int32
+}
+
+type refHeap struct {
+	e      []refEntry
+	outDeg []int32 // nil disables the out-degree tie-break
+}
+
+func (h *refHeap) Len() int { return len(h.e) }
+func (h *refHeap) Less(i, j int) bool {
+	a, b := h.e[i], h.e[j]
+	if a.gain != b.gain {
+		return a.gain > b.gain
+	}
+	if h.outDeg != nil && h.outDeg[a.node] != h.outDeg[b.node] {
+		return h.outDeg[a.node] > h.outDeg[b.node]
+	}
+	return a.node < b.node
+}
+func (h *refHeap) Swap(i, j int) { h.e[i], h.e[j] = h.e[j], h.e[i] }
+func (h *refHeap) Push(x any)    { h.e = append(h.e, x.(refEntry)) }
+func (h *refHeap) Pop() any {
+	top := h.e[len(h.e)-1]
+	h.e = h.e[:len(h.e)-1]
+	return top
+}
+
+// refLazyGreedy is the lazy greedy the exact engine ran before its
+// bucket queue: pop the heap top, recompute and push it back while it is
+// stale, take it once fresh or zero, and tighten Λᵘ at prefix 0, every
+// power of two and k with the topL largest stored gains.
+func refLazyGreedy(n int, sets [][]int32, outDeg []int32, opt GreedyOptions) GreedyResult {
+	k, topL, tie := selectParams(opt, n, outDeg)
+	covered := make([]bool, len(sets))
+	marginal := func(v int32) int64 {
+		var g int64
+		for i, set := range sets {
+			if !covered[i] && slices.Contains(set, v) {
+				g++
+			}
+		}
+		return g
+	}
+	h := &refHeap{outDeg: tie}
+	for v := int32(0); v < int32(n); v++ {
+		if opt.Exclude == nil || !opt.Exclude[v] {
+			h.e = append(h.e, refEntry{gain: marginal(v), node: v})
+		}
+	}
+	heap.Init(h)
+	res := GreedyResult{CoverageUpper: int64(len(sets)) + opt.Base}
+	upper := func(cum int64) {
+		gains := make([]int64, len(h.e))
+		for i, e := range h.e {
+			gains[i] = e.gain
+		}
+		res.tightenUpper(opt.Base + cum + refTopSum(gains, topL))
+	}
+	upper(0)
+	var cum int64
+	nextBoundAt := 1
+	for round := int32(1); int(round) <= k && h.Len() > 0; round++ {
+		var pick refEntry
+		for {
+			pick = heap.Pop(h).(refEntry)
+			if pick.iter == round-1 || pick.gain == 0 {
+				break
+			}
+			pick.gain, pick.iter = marginal(pick.node), round-1
+			heap.Push(h, pick)
+		}
+		for i, set := range sets {
+			if !covered[i] && slices.Contains(set, pick.node) {
+				covered[i] = true
+				cum++
+			}
+		}
+		res.Seeds = append(res.Seeds, pick.node)
+		res.Coverage = append(res.Coverage, opt.Base+cum)
+		if int(round) == nextBoundAt || int(round) == k {
+			upper(cum)
+			nextBoundAt *= 2
+		}
+	}
+	return res
+}
+
+// TestLazyGreedyMatchesEagerGreedy quick-checks the exact engine's lazy
+// greedy on every shard count exactFromSets builds and under both forms
+// of the queue's top bucket: its Seeds, Coverage and CoverageUpper must
+// equal refLazyGreedy's, and without exclusions its seeds must be the
+// eager greedy sequence (with matching tie-breaks). Out-degrees draw
+// from three values, so the Revised tie-break sees many ties. The last
+// two nodes are in no set, so K = n exceeds the positive-gain candidates
+// and reaches the zero gains.
 func TestLazyGreedyMatchesEagerGreedy(t *testing.T) {
+	restoreBucketShift(t)
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		n := 4 + r.Intn(12)
+		n := 6 + r.Intn(12)
 		numSets := r.Intn(40)
 		sets := make([][]int32, numSets)
 		for i := range sets {
 			sz := 1 + r.Intn(4)
 			seen := map[int32]bool{}
 			for len(seen) < sz {
-				seen[int32(r.Intn(n))] = true
+				seen[int32(r.Intn(n-2))] = true
 			}
 			for v := range seen {
 				sets[i] = append(sets[i], v)
 			}
 		}
 		outDeg := make([]int32, n)
+		exclude := make([]bool, n)
 		for v := range outDeg {
-			outDeg[v] = int32(r.Intn(5))
+			outDeg[v] = int32(r.Intn(3))
+			exclude[v] = r.Intn(4) == 0
 		}
 		k := 1 + r.Intn(n)
 		for _, revised := range []bool{false, true} {
@@ -228,14 +331,25 @@ func TestLazyGreedyMatchesEagerGreedy(t *testing.T) {
 			if revised {
 				od = outDeg
 			}
+			opts := []GreedyOptions{
+				{K: k, Revised: revised},
+				{K: n, Revised: revised},
+				{K: k, Revised: revised, Exclude: exclude, Base: 5, TopL: k + 2},
+				{K: k, Revised: revised, Exclude: exclude, Base: 2, TopL: 1 + r.Intn(k)},
+			}
 			for _, x := range exactFromSets(n, od, sets) {
-				lazy := x.SelectSeeds(GreedyOptions{K: k, Revised: revised}).Seeds
-				eager := naiveGreedy(n, sets, k, od)
-				if len(lazy) != len(eager) {
-					return false
-				}
-				for i := range lazy {
-					if lazy[i] != eager[i] {
+				for i, opt := range opts {
+					sparseBucketShift = bucketShifts[(uint64(i)+seed)%uint64(len(bucketShifts))]
+					got := x.SelectSeeds(opt)
+					want := refLazyGreedy(n, sets, od, opt)
+					if !slices.Equal(got.Seeds, want.Seeds) || !slices.Equal(got.Coverage, want.Coverage) ||
+						got.CoverageUpper != want.CoverageUpper {
+						t.Logf("S=%d shift=%d opt=%+v: got %v %v upper %d, reference %v %v upper %d", x.NumShards(), sparseBucketShift, opt,
+							got.Seeds, got.Coverage, got.CoverageUpper, want.Seeds, want.Coverage, want.CoverageUpper)
+						return false
+					}
+					if opt.Exclude == nil && !slices.Equal(got.Seeds, naiveGreedy(n, sets, opt.K, od)) {
+						t.Logf("S=%d opt=%+v: seeds %v differ from the eager greedy", x.NumShards(), opt, got.Seeds)
 						return false
 					}
 				}

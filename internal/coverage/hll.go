@@ -204,9 +204,9 @@ type HLL struct {
 	// initial-gain vector, the frontier and values of the Λᵘ top-L walk,
 	// and absorb spans.
 	cov         []uint8
-	selEntries  []celfEntry[float64]
+	selEntries  []celfEntry
 	selGains    []float64
-	topWalk     []frontierItem[float64]
+	topWalk     []frontierItem
 	topVals     []float64
 	spanScratch []hllSpan
 }
@@ -500,12 +500,12 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 	k, topL, tie := selectParams(opt, h.n, h.outDeg)
 
 	if cap(h.selEntries) < h.n {
-		h.selEntries = make([]celfEntry[float64], 0, h.n)
+		h.selEntries = make([]celfEntry, 0, h.n)
 	}
 	if len(h.selGains) < h.n {
 		h.selGains = make([]float64, h.n)
 	}
-	heap := celfHeap[float64]{entries: h.selEntries[:0], outDeg: tie}
+	heap := celfHeap{entries: h.selEntries[:0], outDeg: tie}
 	gains := h.selGains[:h.n] // initial gains; excluded nodes' slots are never read
 	for i := range h.cov {
 		h.cov[i] = 0
@@ -526,7 +526,7 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 		if opt.Exclude != nil && opt.Exclude[v] {
 			continue
 		}
-		heap.entries = append(heap.entries, celfEntry[float64]{gain: gains[v], node: int32(v)})
+		heap.entries = append(heap.entries, celfEntry{gain: gains[v], node: int32(v)})
 	}
 	heap.init()
 
@@ -540,7 +540,7 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 	covEst := 0.0
 	nextBoundAt := 1
 	for round := int32(1); int(round) <= k && heap.Len() > 0; round++ {
-		var pick celfEntry[float64]
+		var pick celfEntry
 		for {
 			pick = heap.pop()
 			if pick.iter == round-1 || pick.gain <= 0 {
@@ -573,7 +573,212 @@ func (h *HLL) SelectSeeds(opt GreedyOptions) GreedyResult {
 // heap (which holds exactly the unselected candidates), all inflated by
 // the certified relative error so the sketch-valued bound still
 // dominates the exact one.
-func (h *HLL) upperAt(res *GreedyResult, heap *celfHeap[float64], base int64, covEst float64, topL int) {
+func (h *HLL) upperAt(res *GreedyResult, heap *celfHeap, base int64, covEst float64, topL int) {
 	b := (float64(base) + covEst + heap.topSum(topL, &h.topWalk, &h.topVals)) * (1 + h.relErr)
 	res.tightenUpper(int64(math.Ceil(b)))
+}
+
+// celfEntry is one lazy-greedy heap element of the sketch backend: the
+// node and its most recently estimated marginal coverage, which by
+// submodularity upper bounds its current marginal.
+type celfEntry struct {
+	gain float64
+	node int32
+	iter int32 // selection round the gain was computed in
+}
+
+// celfHeap is the sketch backend's hand-rolled max-heap over celfEntry.
+// container/heap boxes every pushed and popped element into an
+// interface, which put tens of thousands of allocations on the selection
+// path; the direct implementation keeps Push/Pop allocation-free. The
+// comparison is a total order (node ids are unique) and never tests
+// gains for equality, so the pop sequence — and with it every greedy
+// pick — is deterministic. Float gains cannot be bucketed, so the exact
+// engine's bucketQueue does not apply here; it orders its integer gains
+// the same way.
+type celfHeap struct {
+	entries []celfEntry
+	outDeg  []int32 // nil disables the out-degree tie-break
+}
+
+func (h *celfHeap) Len() int { return len(h.entries) }
+
+// less orders entries by gain, then the optional out-degree tie-break,
+// then node id.
+//
+//subsim:hotpath
+func (h *celfHeap) less(i, j int) bool {
+	a, b := h.entries[i], h.entries[j]
+	if a.gain > b.gain {
+		return true
+	}
+	if a.gain < b.gain {
+		return false
+	}
+	if h.outDeg != nil && h.outDeg[a.node] != h.outDeg[b.node] {
+		return h.outDeg[a.node] > h.outDeg[b.node]
+	}
+	return a.node < b.node
+}
+
+// swap exchanges two entries in place.
+//
+//subsim:hotpath
+func (h *celfHeap) swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
+
+// init establishes the heap invariant over the current entries in O(n).
+func (h *celfHeap) init() {
+	n := len(h.entries)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.siftDown(i, n)
+	}
+}
+
+// siftDown restores the invariant below i over the first n entries.
+//
+//subsim:hotpath
+func (h *celfHeap) siftDown(i, n int) {
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		best := l
+		if r := l + 1; r < n && h.less(r, l) {
+			best = r
+		}
+		if !h.less(best, i) {
+			return
+		}
+		h.swap(i, best)
+		i = best
+	}
+}
+
+// siftUp restores the invariant above i.
+//
+//subsim:hotpath
+func (h *celfHeap) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			return
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+// push adds an entry, keeping the invariant.
+//
+//subsim:hotpath
+func (h *celfHeap) push(e celfEntry) {
+	h.entries = append(h.entries, e)
+	h.siftUp(len(h.entries) - 1)
+}
+
+// pop removes and returns the maximum entry.
+//
+//subsim:hotpath
+func (h *celfHeap) pop() celfEntry {
+	n := len(h.entries) - 1
+	h.swap(0, n)
+	top := h.entries[n]
+	h.entries = h.entries[:n]
+	h.siftDown(0, n)
+	return top
+}
+
+// topSum returns the sum of the l largest positive gains stored in the
+// heap — the top-L term of the Λᵘ prefix bound — without modifying the
+// heap. less orders by gain first, so no entry's gain exceeds its
+// parent's, and the largest gain not yet taken always sits on the
+// frontier: the root, then the children of every entry already taken.
+// The frontier is kept as a max-heap of positions, so l steps cost
+// O(l log l) however many entries the heap holds. Non-positive gains are
+// never enqueued (gains are non-negative, so nothing below a zero can
+// add to the sum).
+//
+// The walk takes values in descending order; they are buffered in vals
+// and summed ascending, the order in which a sorted top-L buffer sums
+// them, so the float bound's rounding — and with it every bit of the
+// bound — is independent of how the values were found. f and vals are
+// caller-owned scratch, reused across walks.
+//
+//subsim:hotpath
+func (h *celfHeap) topSum(l int, f *[]frontierItem, vals *[]float64) float64 {
+	e := h.entries
+	q := (*f)[:0]
+	if len(e) > 0 && e[0].gain > 0 {
+		q = frontierPush(q, e[0].gain, 0)
+	}
+	taken := (*vals)[:0]
+	for len(taken) < l && len(q) > 0 {
+		var top frontierItem
+		top, q = frontierPop(q)
+		taken = append(taken, top.gain)
+		c := 2*int(top.pos) + 1
+		for end := min(c+2, len(e)); c < end; c++ {
+			if e[c].gain > 0 {
+				q = frontierPush(q, e[c].gain, c)
+			}
+		}
+	}
+	var sum float64
+	for i := len(taken) - 1; i >= 0; i-- {
+		sum += taken[i]
+	}
+	*f, *vals = q, taken
+	return sum
+}
+
+// frontierItem is one candidate of a celfHeap.topSum walk: a heap
+// position and the gain stored there. A walk keeps its candidates in a
+// max-heap by gain, which holds at most l+1 items for l steps.
+type frontierItem struct {
+	gain float64
+	pos  int32
+}
+
+// frontierPush adds the candidate at heap position pos to the frontier
+// q and returns the grown frontier.
+//
+//subsim:hotpath
+func frontierPush(q []frontierItem, gain float64, pos int) []frontierItem {
+	q = append(q, frontierItem{gain: gain, pos: int32(pos)})
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p].gain >= q[i].gain {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	return q
+}
+
+// frontierPop removes the candidate with the largest gain from the
+// non-empty frontier q and returns it with the shrunk frontier.
+//
+//subsim:hotpath
+func frontierPop(q []frontierItem) (frontierItem, []frontierItem) {
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].gain > q[c].gain {
+			c++
+		}
+		if q[i].gain >= q[c].gain {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	return top, q
 }

@@ -3,13 +3,12 @@
 // Every parallel pass is byte-identical to its serial counterpart — the
 // repo's worker-independence invariant (TestPipelineEquivalence) demands
 // it — because every goroutine writes only into ranges that are disjoint
-// by construction: shard rebuilds and per-round reduces partition the
-// shards across lanes, and the first CELF round partitions the node
-// space into equal ranges with per-range entry slots derived from a
-// prefix sum over the non-excluded counts (entrySlots), so the CELF
-// entry order (ascending node id) is preserved. Determinism therefore
-// never depends on goroutine scheduling: the worker count only decides
-// how the work is partitioned, never what is written where.
+// by construction: the exact engine's shard rebuilds and per-round
+// reduces partition the shards across lanes, and the sketch backend's
+// initial-gain pass partitions the node space into equal ranges, each
+// gain a pure per-node value. Determinism therefore never depends on
+// goroutine scheduling: the worker count only decides how the work is
+// partitioned, never what is written where.
 package coverage
 
 import "sync"
@@ -21,7 +20,7 @@ import "sync"
 var parallelBuildMinDelta = 1 << 12
 
 // parallelGainsMinNodes is the smallest node count worth fanning out
-// the SelectSeeds initial-entry fill for.
+// the sketch backend's SelectSeeds initial-gain pass for.
 var parallelGainsMinNodes = 1 << 12
 
 // runParallel executes fn(w) for w in [0, workers): workers-1 goroutines
@@ -40,26 +39,4 @@ func runParallel(workers int, fn func(w int)) {
 	}
 	fn(0)
 	wg.Wait()
-}
-
-// entrySlots splits the node space [0, n) into len(base) equal ranges,
-// sets base[w] to the first entry slot of range w — the number of
-// non-excluded nodes before it — and returns the total entry count.
-func entrySlots(base []int64, exclude []bool, n int) int64 {
-	workers := len(base)
-	var total int64
-	for w := 0; w < workers; w++ {
-		base[w] = total
-		lo, hi := n*w/workers, n*(w+1)/workers
-		if exclude == nil {
-			total += int64(hi - lo)
-			continue
-		}
-		for _, ex := range exclude[lo:hi] {
-			if !ex {
-				total++
-			}
-		}
-	}
-	return total
 }

@@ -14,10 +14,11 @@ func benchSets(count int) ([][]int32, int) {
 	return randomSets(r, n, count, 30), n
 }
 
-// benchSelectGains isolates the first CELF round: SelectSeeds with K=1
+// benchSelectGains isolates the first greedy round: SelectSeeds with K=1
 // on a warm engine (one shard per worker, as im.NewEstimator builds it)
-// is dominated by the initial-gain fill over all n nodes plus the
-// heapify, the part the parallel gains pass partitions.
+// is dominated by the serial pass that fills the bucket queue with every
+// node's initial gain, its posting lengths summed over the shards. The
+// worker count sets only the number of shards that pass sums over.
 func benchSelectGains(b *testing.B, workers int) {
 	b.Helper()
 	sets, n := benchSets(20000)

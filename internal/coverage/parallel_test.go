@@ -8,9 +8,9 @@ import (
 	"subsim/internal/rng"
 )
 
-// forceParallel drops the size thresholds so the parallel build and
-// gains paths run even on the tiny inputs the tests use, restoring the
-// originals on cleanup.
+// forceParallel drops the size thresholds so the parallel shard build
+// and the sketch backend's parallel initial-gain pass run even on the
+// tiny inputs the tests use, restoring the originals on cleanup.
 func forceParallel(t *testing.T) {
 	t.Helper()
 	buildMin, gainsMin := parallelBuildMinDelta, parallelGainsMinNodes
@@ -82,10 +82,12 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 }
 
 // TestParallelGainsMatchSerial compares full SelectSeeds outcomes —
-// seeds, coverages, upper bound — between a serial engine and one with
-// the parallel initial-gain pass forced, with and without exclusions.
+// seeds, coverages, upper bound — between a serial engine and one built
+// as im.NewEstimator builds it for W workers (W shards), whose initial
+// gains sum over the shards and whose per-round reduces are forced to
+// fan out, with and without exclusions.
 func TestParallelGainsMatchSerial(t *testing.T) {
-	forceParallel(t)
+	forceParallelSharded(t)
 	const n = 61
 	r := rng.New(7)
 	sets := randomSets(r, n, 300, 6)
@@ -99,7 +101,7 @@ func TestParallelGainsMatchSerial(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		serial := shardedFromSets(n, 1, outDeg, sets)
-		par := shardedFromSets(n, 1, outDeg, sets)
+		par := shardedFromSets(n, workers, outDeg, sets)
 		par.SetWorkers(workers)
 		for _, opt := range []GreedyOptions{
 			{K: 1},

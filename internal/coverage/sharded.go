@@ -34,15 +34,14 @@
 //   - CSR rebuilds: each dirty shard rebuilds its own index (a delta
 //     counting sort) with no cross-shard data; lanes pick up shards
 //     round-robin.
-//   - First CELF round: node-range partition, each entry's gain summed
-//     over all shard heads, entries filled through prefix-summed slots
-//     (entrySlots).
-//   - Every later CELF round: a stale heap top's marginal is recomputed
-//     as per-shard partials (each lane walks only its shards' posting
-//     lists against its shards' covered stamps — disjoint state), and
-//     the winning seed's covered-bit update fans out the same way, each
-//     recorded as timeline.PhaseReduce so rounds beyond the first are
-//     visible as parallel in the timeline digest.
+//   - Seed selection: one serial pass fills the bucket queue (queue.go)
+//     with each node's posting length summed over all shards. After
+//     that, the queue top's stale marginal is recomputed as per-shard
+//     partials (each lane walks only its shards' posting lists against
+//     its shards' covered stamps — disjoint state), and the winning
+//     seed's covered-bit update fans out the same way, each recorded as
+//     timeline.PhaseReduce so the rounds are visible as parallel in the
+//     timeline digest.
 package coverage
 
 import (
@@ -103,14 +102,13 @@ type Sharded struct {
 	shards  []covShard
 	workers int
 
-	// Selection scratch reused across SelectSeeds runs: CELF heap
-	// backing, the frontier and values of the Λᵘ top-L walk, and the
-	// per-lane reduce partials (also the entry-slot bases of the
-	// partitioned first round).
-	selEntries []celfEntry[int64]
-	topWalk    []frontierItem[int64]
-	topVals    []int64
-	partial    []int64
+	// Selection scratch reused across SelectSeeds runs: the bucket
+	// queue, the Revised-Greedy key order (nodes by out-degree
+	// descending, then id; built by the first Revised run), and the
+	// per-lane reduce partials.
+	queue   bucketQueue
+	revised []int32
+	partial []int64
 
 	// Observability hooks (nil-safe): rebuild durations land on the
 	// index-build histograms, split by the serial/parallel path taken
@@ -174,9 +172,8 @@ func (x *Sharded) NumShards() int { return len(x.shards) }
 // picks the delta up lazily on the next query.
 func (x *Sharded) ShardArena(s int) *rrset.Arena { return &x.shards[s].arena }
 
-// SetWorkers bounds the internal parallelism of shard rebuilds, the
-// initial-gain pass, and the per-round reduces (clamped to >= 1). It
-// never changes any result.
+// SetWorkers bounds the internal parallelism of shard rebuilds and the
+// per-round reduces (clamped to >= 1). It never changes any result.
 func (x *Sharded) SetWorkers(w int) {
 	if w < 1 {
 		w = 1
@@ -215,7 +212,7 @@ func (x *Sharded) refreshSections() {
 		return
 	}
 	x.secBuild = obs.Section("index-build", x.workers)
-	x.secGains = obs.Section("select-gains", x.workers)
+	x.secGains = obs.Section("select-gains", 1)
 	x.secSelect = obs.Section("select", 1)
 	x.secReduce = obs.Section("reduce", x.workers)
 }
@@ -633,38 +630,52 @@ func (x *Sharded) commitSeed(v int32) int64 {
 	return d
 }
 
-// initialEntries is the first CELF round over shard sums: one entry per
-// non-excluded node in ascending node order, its gain the sum of the
-// node's posting lengths across shards, filled through per-range
-// prefix-summed slots when parallel, so the array matches the serial
-// fill exactly. entries must have capacity >= n.
-func (x *Sharded) initialEntries(entries []celfEntry[int64], exclude []bool) []celfEntry[int64] {
-	workers := 1
-	if x.workers > 1 && x.n >= parallelGainsMinNodes {
-		workers = x.workers
+// revisedOrder returns the Revised-Greedy key order: every node, sorted
+// by out-degree descending and then by id, so that a node's key (its
+// position) orders ties the way Algorithm 6 breaks them. A counting sort
+// builds it on the first Revised run; out-degrees are fixed for the
+// estimator's lifetime.
+func (x *Sharded) revisedOrder() []int32 {
+	if x.revised != nil {
+		return x.revised
 	}
-	x.growPartial(workers)
-	entries = entries[:entrySlots(x.partial, exclude, x.n)]
-	if workers == 1 {
-		r := x.ring(0)
-		t0 := r.Now()
-		x.fillEntriesRange(entries, exclude, 0, x.n, 0)
-		r.Record(timeline.PhaseGains, t0, r.Now())
-		return entries
+	var maxDeg int32
+	for _, d := range x.outDeg {
+		maxDeg = max(maxDeg, d)
 	}
-	x.runTimed(timeline.PhaseGains, workers, func(w int) {
-		x.fillEntriesRange(entries, exclude, x.n*w/workers, x.n*(w+1)/workers, int(x.partial[w]))
-	})
-	return entries
+	// next[b] is the next position for a node of out-degree maxDeg-b.
+	next := make([]int32, maxDeg+1)
+	for _, d := range x.outDeg {
+		next[maxDeg-d]++
+	}
+	var pos int32
+	for b, c := range next {
+		next[b] = pos
+		pos += c
+	}
+	order := make([]int32, x.n)
+	for v, d := range x.outDeg {
+		order[next[maxDeg-d]] = int32(v)
+		next[maxDeg-d]++
+	}
+	x.revised = order
+	return order
 }
 
-// fillEntriesRange writes the CELF entries of the non-excluded nodes in
-// [lo, hi) into consecutive slots from slot, each gain the node's
-// posting lengths summed over all shards.
+// fillQueue is the first greedy round: it stores every non-excluded node
+// in the emptied bucket queue at its initial gain, the node's posting
+// lengths summed over all shards. order maps keys to nodes (nil: a key
+// is the node id). Keys are added in descending order, so each bucket
+// list starts out ascending and its first sort finds it in order.
 //
 //subsim:hotpath
-func (x *Sharded) fillEntriesRange(entries []celfEntry[int64], exclude []bool, lo, hi, slot int) {
-	for v := lo; v < hi; v++ {
+func (x *Sharded) fillQueue(order []int32, exclude []bool) {
+	q := &x.queue
+	for key := int32(x.n) - 1; key >= 0; key-- {
+		v := key
+		if order != nil {
+			v = order[key]
+		}
 		if exclude != nil && exclude[v] {
 			continue
 		}
@@ -673,47 +684,54 @@ func (x *Sharded) fillEntriesRange(entries []celfEntry[int64], exclude []bool, l
 			sh := &x.shards[s]
 			g += sh.heads[v+1] - sh.heads[v]
 		}
-		entries[slot] = celfEntry[int64]{gain: g, node: int32(v)}
-		slot++
+		q.add(key, int(g), 0)
 	}
+	q.settle()
 }
 
 // SelectSeeds runs the (revised) greedy max-coverage algorithm with lazy
 // marginal evaluation and computes the Λᵘ upper bound along the way.
 //
-// Lazy evaluation is exact: a popped entry whose gain is stale is
-// recomputed and pushed back, so the node actually selected in each round
-// has the true maximum marginal coverage (with the configured tie-break
-// applied to recomputed values). Every round's heavy work — stale-top
-// marginal recomputes and the covered-bit commit — fans out across
-// shards and is tree-reduced once the posting mass warrants it.
+// Candidates sit in a bucket queue keyed by their stored gain (see
+// bucketQueue), ordered by gain and then by key: the node id, or under
+// Revised the node's position in revisedOrder. Lazy evaluation is exact:
+// a stale top is recomputed and moved down to its new gain, so the node
+// actually selected in each round has the true maximum marginal coverage
+// (with the configured tie-break applied to recomputed values). Every
+// round's heavy work — stale-top marginal recomputes and the covered-bit
+// commit — fans out across shards and is tree-reduced once the posting
+// mass warrants it.
 //
 // The upper bound is evaluated at prefix 0, at every power-of-two prefix,
 // and at the final prefix; the minimum is returned. Skipping intermediate
 // prefixes can only loosen the bound, never invalidate it. Each
-// evaluation reads its top-L gains off the heap (celfHeap.topSum), so
-// the bound costs O(L log L · log k) per run, independent of n.
+// evaluation sums its top-L gains off the bucket counts from the top
+// gain down.
 //
-// Per-run scratch (heap backing array, walk frontier) is reused across
-// calls, so repeated selection rounds on a warm estimator do not
-// allocate beyond the returned Seeds/Coverage slices.
+// The queue's scratch is reused across calls, so repeated selection
+// rounds on a warm estimator do not allocate beyond the returned
+// Seeds/Coverage slices (and the queue's geometric growth as θ grows).
 //
 //subsim:parallel
 func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 	k, topL, tie := selectParams(opt, x.n, x.outDeg)
+	var order []int32
+	if tie != nil {
+		order = x.revisedOrder()
+	}
 
 	x.ensureIndexed()
 	for s := range x.shards {
 		x.shards[s].newRun()
 	}
-	if cap(x.selEntries) < x.n {
-		x.selEntries = make([]celfEntry[int64], 0, x.n)
-	}
-	h := celfHeap[int64]{outDeg: tie}
+	q := &x.queue
+	q.reset(x.n)
 
 	secG := x.secGains.Enter()
-	h.entries = x.initialEntries(x.selEntries, opt.Exclude)
-	h.init()
+	rG := x.ring(0)
+	tG := rG.Now()
+	x.fillQueue(order, opt.Exclude)
+	rG.Record(timeline.PhaseGains, tG, rG.Now())
 	secG.Exit()
 
 	res := GreedyResult{
@@ -723,45 +741,51 @@ func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 	}
 	// Upper bound at prefix 0: Base + sum of the topL largest initial
 	// coverages.
-	res.tightenUpper(opt.Base + h.topSum(topL, &x.topWalk, &x.topVals))
+	res.tightenUpper(opt.Base + q.topSum(topL))
 
 	secS := x.secSelect.Enter()
 	rSel := x.ring(0)
 	tSel := rSel.Now()
 	var cum int64
 	nextBoundAt := 1
-	for round := int32(1); int(round) <= k && h.Len() > 0; round++ {
-		var pick celfEntry[int64]
-		for {
-			pick = h.pop()
-			if pick.iter == round-1 || pick.gain == 0 {
-				// Fresh (computed against the current covered state), or
-				// zero — no stale entry can beat zero since gains are
-				// non-negative.
+	for round := int32(1); int(round) <= k && q.size > 0; round++ {
+		// Refresh the top until it is fresh (computed against the current
+		// covered state) or zero — no stale entry can beat zero since
+		// gains are non-negative. A refresh that keeps the gain leaves the
+		// entry on top, fresh, so it is taken.
+		for q.top > 0 {
+			key := q.peek()
+			if q.iter[key] == round-1 {
 				break
 			}
-			// Stale: recompute the exact marginal (fanning out across
-			// shards when the posting mass warrants it) and reinsert.
-			pick.gain = x.marginal(pick.node)
-			pick.iter = round - 1
-			h.push(pick)
+			v := key
+			if order != nil {
+				v = order[key]
+			}
+			g := int(x.marginal(v))
+			if g == q.top {
+				break
+			}
+			q.lower(g, round-1)
 		}
-		v := pick.node
+		v := q.take()
+		if order != nil {
+			v = order[v]
+		}
 		cum += x.commitSeed(v)
 		res.Seeds = append(res.Seeds, v)
 		res.Coverage = append(res.Coverage, opt.Base+cum)
 
 		if int(round) == nextBoundAt || int(round) == k {
-			// The heap holds exactly the unselected candidates, and each
+			// The queue holds exactly the unselected candidates, and each
 			// stored gain upper-bounds its node's current marginal
 			// (submodularity), so their topL sum dominates the true maxMC
 			// sum at this prefix.
-			res.tightenUpper(opt.Base + cum + h.topSum(topL, &x.topWalk, &x.topVals))
+			res.tightenUpper(opt.Base + cum + q.topSum(topL))
 			nextBoundAt *= 2
 		}
 	}
 	rSel.Record(timeline.PhaseSelect, tSel, rSel.Now())
 	secS.Exit()
-	x.selEntries = h.entries[:0] // push may have regrown the backing array
 	return res
 }

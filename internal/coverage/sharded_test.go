@@ -10,8 +10,8 @@ import (
 )
 
 // forceParallelSharded drops every size threshold the sharded engine
-// gates its fan-outs on — build, initial gains, AND the per-round
-// reduces — so tiny test inputs exercise the parallel paths.
+// gates its fan-outs on — the build AND the per-round reduces — so tiny
+// test inputs exercise the parallel paths.
 func forceParallelSharded(t *testing.T) {
 	t.Helper()
 	forceParallel(t)

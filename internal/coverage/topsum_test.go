@@ -55,7 +55,8 @@ func insertionSort[G int64 | float64](a []G) {
 }
 
 // walkLengths are the L values every property check exercises: none,
-// one, a middle prefix, exactly the heap size, and more than it holds.
+// one, a middle prefix, exactly the number of stored entries, and more
+// than that.
 func walkLengths(size int) []int {
 	return []int{0, 1, size / 2, size, size + 3}
 }
@@ -76,63 +77,88 @@ func heapOp(r *rng.Source, size, fresh int) int {
 	return r.Intn(3)
 }
 
-// TestCELFHeapTopSumProperty drives celfHeap[int64] through random pop /
-// stale-recompute / push sequences — with heavy gain ties, zero gains,
-// and the out-degree tie-break on and off — and after every step checks
-// the frontier walk against refTopSum over the stored gains, and that
-// the walk left the heap untouched.
+// bucketShifts are the sparseBucketShift values the queue tests run
+// under: every top bucket sorted into the active buffer, every one
+// marked in the bitmap, and a mix (buckets over a quarter of the keys
+// in the bitmap).
+var bucketShifts = []int{0, 63, 2}
+
+// restoreBucketShift restores sparseBucketShift when the test ends.
+func restoreBucketShift(t *testing.T) {
+	t.Helper()
+	old := sparseBucketShift
+	t.Cleanup(func() { sparseBucketShift = old })
+}
+
+// TestCELFHeapTopSumProperty drives the exact engine's bucket queue —
+// which replaced its CELF heap — through random take / refresh
+// sequences, with heavy gain ties, zero gains, absent (excluded) keys
+// and keys filled in random order, reusing one queue across trials of
+// different sizes and both forms of the top bucket. After every step it
+// checks the top against the (gain descending, key ascending) maximum of
+// the stored entries, and the top-L count walk against refTopSum over
+// the stored gains.
 func TestCELFHeapTopSumProperty(t *testing.T) {
+	restoreBucketShift(t)
 	r := rng.New(41)
-	var f []frontierItem[int64]
-	var vals []int64
+	var q bucketQueue
 	for trial := 0; trial < 300; trial++ {
-		nodes := 1 + r.Intn(120)
+		sparseBucketShift = bucketShifts[trial%len(bucketShifts)]
+		keys := 1 + r.Intn(120)
 		maxGain := 1 + r.Intn(6) // small ranges force ties
 		if trial%4 == 0 {
-			maxGain = 1 << 20
+			maxGain = 1 << 16
 		}
-		h := celfHeap[int64]{entries: make([]celfEntry[int64], 0, nodes)}
-		if trial%2 == 1 {
-			h.outDeg = make([]int32, nodes)
-			for v := range h.outDeg {
-				h.outDeg[v] = int32(r.Intn(4))
+		gain := make([]int, keys) // the model: stored gain per key, -1 when absent
+		q.reset(keys)
+		for _, key := range r.Perm(keys) {
+			gain[key] = -1
+			if r.Intn(5) == 0 {
+				continue
 			}
+			gain[key] = r.Intn(maxGain + 1)
+			q.add(int32(key), gain[key], 0)
 		}
-		initial := nodes / 2
-		for v := 0; v < initial; v++ {
-			h.entries = append(h.entries, celfEntry[int64]{gain: int64(r.Intn(maxGain + 1)), node: int32(v)})
-		}
-		h.init()
-		next := initial
-		for step := 0; step < 2*nodes; step++ {
-			op := heapOp(r, h.Len(), nodes-next)
-			if op < 0 {
-				break
+		q.settle()
+		for step := int32(1); ; step++ {
+			var gains []int64
+			best := -1
+			for key, g := range gain {
+				if g < 0 {
+					continue
+				}
+				gains = append(gains, int64(g))
+				if best < 0 || g > gain[best] {
+					best = key
+				}
 			}
-			switch op {
-			case 0:
-				h.pop()
-			case 1:
-				e := h.pop()
-				e.gain = int64(r.Intn(int(e.gain) + 1))
-				e.iter++
-				h.push(e)
-			case 2:
-				h.push(celfEntry[int64]{gain: int64(r.Intn(maxGain + 1)), node: int32(next)})
-				next++
+			if q.size != len(gains) {
+				t.Fatalf("trial %d step %d: size %d, model holds %d", trial, step, q.size, len(gains))
 			}
-			gains := make([]int64, h.Len())
-			for i, e := range h.entries {
-				gains[i] = e.gain
-			}
-			before := slices.Clone(h.entries)
-			for _, l := range walkLengths(h.Len()) {
-				if got, want := h.topSum(l, &f, &vals), refTopSum(gains, l); got != want {
+			for _, l := range walkLengths(len(gains)) {
+				if got, want := q.topSum(l), refTopSum(gains, l); got != want {
 					t.Fatalf("trial %d step %d: topSum(%d) = %d, reference %d (gains %v)", trial, step, l, got, want, gains)
 				}
 			}
-			if !slices.Equal(before, h.entries) {
-				t.Fatalf("trial %d step %d: topSum modified the heap", trial, step)
+			if best < 0 {
+				break
+			}
+			key := q.peek()
+			if int(key) != best || q.top != gain[best] {
+				t.Fatalf("trial %d step %d: top (%d, gain %d), want (%d, gain %d)", trial, step, key, q.top, best, gain[best])
+			}
+			switch g := r.Intn(q.top + 1); {
+			case q.top == 0 || r.Intn(3) == 0:
+				q.take()
+				gain[key] = -1
+			case g == q.top:
+				q.iter[key] = step // refreshed without change: stays on top
+			default:
+				q.lower(g, step)
+				gain[key] = g
+			}
+			if gain[key] >= 0 && q.iter[key] != step {
+				t.Fatalf("trial %d step %d: key %d refreshed at round %d, want %d", trial, step, key, q.iter[key], step)
 			}
 		}
 	}
@@ -152,18 +178,21 @@ func hllTestGain(r *rng.Source, mode int) float64 {
 	return r.Float64() * math.Pow(10, float64(r.Intn(17)))
 }
 
-// TestHLLHeapTopSumProperty is TestCELFHeapTopSumProperty for the
-// float-valued heap the sketch backend selects with (celfHeap[float64]).
-// The reference sums its sorted buffer ascending, so the walk must match
-// it bit for bit.
+// TestHLLHeapTopSumProperty drives the sketch backend's celfHeap through
+// random pop / stale-recompute / push sequences — with ties, zero gains,
+// gains spanning many orders of magnitude, and the out-degree tie-break
+// on and off — and after every step checks the frontier walk against
+// refTopSum over the stored gains, and that the walk left the heap
+// untouched. The reference sums its sorted buffer ascending, so the walk
+// must match it bit for bit.
 func TestHLLHeapTopSumProperty(t *testing.T) {
 	r := rng.New(43)
-	var f []frontierItem[float64]
+	var f []frontierItem
 	var vals []float64
 	for trial := 0; trial < 300; trial++ {
 		nodes := 1 + r.Intn(120)
 		mode := trial % 2
-		h := celfHeap[float64]{entries: make([]celfEntry[float64], 0, nodes)}
+		h := celfHeap{entries: make([]celfEntry, 0, nodes)}
 		if trial%4 >= 2 {
 			h.outDeg = make([]int32, nodes)
 			for v := range h.outDeg {
@@ -172,7 +201,7 @@ func TestHLLHeapTopSumProperty(t *testing.T) {
 		}
 		initial := nodes / 2
 		for v := 0; v < initial; v++ {
-			h.entries = append(h.entries, celfEntry[float64]{gain: hllTestGain(r, mode), node: int32(v)})
+			h.entries = append(h.entries, celfEntry{gain: hllTestGain(r, mode), node: int32(v)})
 		}
 		h.init()
 		next := initial
@@ -194,7 +223,7 @@ func TestHLLHeapTopSumProperty(t *testing.T) {
 				e.iter++
 				h.push(e)
 			case 2:
-				h.push(celfEntry[float64]{gain: hllTestGain(r, mode), node: int32(next)})
+				h.push(celfEntry{gain: hllTestGain(r, mode), node: int32(next)})
 				next++
 			}
 			gains := make([]float64, h.Len())

@@ -40,6 +40,41 @@ func TestNilLoggerIsSilentAndAllocationFree(t *testing.T) {
 	}
 }
 
+// TestRoundCarriesPhase: while a phase opened by Phase is open,
+// round.done names it; PhaseDone clears the name, so a later round
+// carries none. With nil sinks the phased path allocates nothing.
+func TestRoundCarriesPhase(t *testing.T) {
+	phased := func(r *Run) {
+		r.Phase("sentinel-phase")
+		r.Round(nil, RoundRecord{Round: 1, Theta: 64})
+		r.PhaseDone()
+		r.Round(nil, RoundRecord{Round: 2, Theta: 128})
+	}
+	var buf bytes.Buffer
+	r := StartRun(nil, NewLoggerWriter(&buf, "json"), "hist", testParams)
+	phased(&r)
+	var phases []any
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("record is not JSON: %v\n%s", err, line)
+		}
+		if rec["msg"] == "round.done" {
+			phases = append(phases, rec["phase"])
+		}
+	}
+	if want := []any{"sentinel-phase", nil}; !slices.Equal(phases, want) {
+		t.Errorf("round.done phases = %v, want %v", phases, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r := StartRun(nil, nil, "hist", testParams)
+		phased(&r)
+	})
+	if allocs != 0 {
+		t.Errorf("nil-sink phased Run allocates %.1f per run, want 0", allocs)
+	}
+}
+
 func TestLoggerEventSchema(t *testing.T) {
 	var buf bytes.Buffer
 	r := StartRun(nil, NewLoggerWriter(&buf, "json"), "opimc", testParams)

@@ -12,15 +12,15 @@ func TestBucketBoundaries(t *testing.T) {
 		want int
 	}{
 		{-5, 0}, {0, 0}, // bucket 0: v <= 0
-		{1, 1},                   // [1,2)
-		{2, 2}, {3, 2},           // [2,4)
-		{4, 3}, {7, 3},           // [4,8)
-		{8, 4},                   // [8,16)
-		{1 << 37, 38},            // [2^37, 2^38)
-		{1<<38 - 1, 38},          // last middle bucket
-		{1 << 38, 39},            // overflow
-		{math.MaxInt64, 39},      // clamped to overflow
-		{1<<62 + 12345, 39},      // deep overflow still clamps
+		{1, 1},         // [1,2)
+		{2, 2}, {3, 2}, // [2,4)
+		{4, 3}, {7, 3}, // [4,8)
+		{8, 4},              // [8,16)
+		{1 << 37, 38},       // [2^37, 2^38)
+		{1<<38 - 1, 38},     // last middle bucket
+		{1 << 38, 39},       // overflow
+		{math.MaxInt64, 39}, // clamped to overflow
+		{1<<62 + 12345, 39}, // deep overflow still clamps
 	}
 	for _, c := range cases {
 		if got := bucketIndex(c.v); got != c.want {
@@ -60,10 +60,10 @@ func TestBucketUpper(t *testing.T) {
 
 func TestHistogramObserve(t *testing.T) {
 	var h Histogram
-	h.Observe(0)           // bucket 0
-	h.Observe(1)           // bucket 1
-	h.Observe(3)           // bucket 2
-	h.Observe(1 << 50)     // overflow bucket
+	h.Observe(0)       // bucket 0
+	h.Observe(1)       // bucket 1
+	h.Observe(3)       // bucket 2
+	h.Observe(1 << 50) // overflow bucket
 	if h.Count() != 4 {
 		t.Errorf("Count = %d, want 4", h.Count())
 	}

@@ -100,7 +100,8 @@ func (r *Run) Theta(worst, tight, cap int64) {
 
 // Round reports one counted round: θ on the round span, plus approx
 // where the algorithm certifies an upper bound; the bound gauges; and
-// round.done.
+// round.done, which names the open phase while one opened by Phase is
+// open (round numbers restart in each phase).
 func (r *Run) Round(span *Span, rec RoundRecord) {
 	span.SetInt("theta", rec.Theta)
 	if rec.Upper > 0 {
@@ -108,9 +109,15 @@ func (r *Run) Round(span *Span, rec RoundRecord) {
 	}
 	r.tracer.Metrics().SetBounds(rec.Round, rec.Lower, rec.Upper, rec.Approx)
 	r.rec.Emit(flight.KindRoundDone, r.alg, int64(rec.Round), rec.Theta, rec.Lower, rec.Upper, rec.Approx)
-	r.info(flight.KindRoundDone, slog.String("alg", r.alg), slog.Int("round", rec.Round),
+	attrs := [...]slog.Attr{slog.String("alg", r.alg), slog.Int("round", rec.Round),
 		slog.Int64("theta", rec.Theta), slog.Float64("lower", rec.Lower),
-		slog.Float64("upper", rec.Upper), slog.Float64("approx", rec.Approx))
+		slog.Float64("upper", rec.Upper), slog.Float64("approx", rec.Approx),
+		slog.String("phase", r.phaseName)}
+	n := len(attrs)
+	if r.phaseName == "" {
+		n-- // a run without phases keeps the original key set
+	}
+	r.info(flight.KindRoundDone, attrs[:n]...)
 }
 
 // Crossed reports the stopping event: at round the certified ratio
@@ -131,16 +138,18 @@ func (r *Run) Phase(name string) *Span {
 	return r.phase
 }
 
-// PhaseDone ends the phase opened by Phase and reports phase.done with
-// its wall time.
+// PhaseDone ends the phase opened by Phase, reports phase.done with its
+// wall time, and clears the phase name, so later rounds carry none.
 func (r *Run) PhaseDone() {
 	r.phase.End()
+	name := r.phaseName
+	r.phaseName = ""
 	if r.log == nil && r.rec == nil {
 		return
 	}
 	ns := time.Since(r.phaseStart).Nanoseconds()
-	r.rec.Emit(flight.KindPhaseDone, r.phaseName, ns, 0, 0, 0, 0)
-	r.info(flight.KindPhaseDone, slog.String("alg", r.alg), slog.String("phase", r.phaseName),
+	r.rec.Emit(flight.KindPhaseDone, name, ns, 0, 0, 0, 0)
+	r.info(flight.KindPhaseDone, slog.String("alg", r.alg), slog.String("phase", name),
 		slog.Int64("elapsed_ns", ns))
 }
 

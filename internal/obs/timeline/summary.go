@@ -14,11 +14,11 @@ const (
 // snapshot: how busy each worker was, how skewed the load is per phase,
 // and how much of the wall span no worker covered (the serial gap).
 type Summary struct {
-	Schema        string         `json:"schema"`
-	SchemaVersion int            `json:"schema_version"`
-	Workers       int            `json:"workers"`
-	Records       int            `json:"records"`
-	Dropped       int64          `json:"dropped"`
+	Schema        string `json:"schema"`
+	SchemaVersion int    `json:"schema_version"`
+	Workers       int    `json:"workers"`
+	Records       int    `json:"records"`
+	Dropped       int64  `json:"dropped"`
 	// SpanNS is first record start → last record end.
 	SpanNS int64 `json:"span_ns"`
 	// BusyNS is the sum of all record durations (can exceed SpanNS when

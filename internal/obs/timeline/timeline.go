@@ -41,8 +41,9 @@ const (
 	// coverage.Sharded (one interval per lane of a parallel rebuild, or
 	// one for the whole serial rebuild).
 	PhaseIndexBuild
-	// PhaseGains is one worker's share of the first CELF round (the
-	// initial-gain pass of coverage.Sharded.SelectSeeds).
+	// PhaseGains is the first greedy round: the serial pass of
+	// coverage.Sharded.SelectSeeds that fills its bucket queue with
+	// every node's initial gain.
 	PhaseGains
 	// PhaseSelect is the serial lazy-greedy CELF loop (coordinator only).
 	PhaseSelect
