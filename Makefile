@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race serve-smoke scale-smoke flight-smoke bench-smoke cover bench bench-kernel bench-json bench-scale bench-sketch bench-matrix benchcmp benchcheck benchobs examples experiments quick clean
+.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race serve-smoke flight-smoke bench-smoke cover bench bench-kernel bench-json bench-scale benchcmp benchcheck benchobs examples experiments quick clean
 
-all: build vet lint test test-alloc race serve-smoke scale-smoke flight-smoke bench-smoke escape-gate
+all: build vet lint test test-alloc race serve-smoke flight-smoke bench-smoke escape-gate
 
 build:
 	$(GO) build ./...
@@ -43,14 +43,15 @@ escape-baseline:
 	$(GO) run ./cmd/subsimlint -compiler -baseline lint_baseline.json -baseline-write ./...
 
 # 30s native-fuzzing smoke pass per target over the untrusted-input
-# parsers and the bucketed sampler invariants (seed corpora committed
-# under testdata/fuzz/).
+# parsers, the bucketed sampler invariants and Maximize on degenerate
+# inputs (seed corpora committed under testdata/fuzz/ or added in the
+# targets).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzBucketedSampler$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/coverage -run '^$$' -fuzz '^FuzzHLLMerge$$' -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz '^FuzzMaximize$$' -fuzztime $(FUZZTIME)
 
 # Text dumps from test/bench targets land under bin/ (gitignored as a
 # whole), so scratch artifacts can never reappear at the repo root.
@@ -83,19 +84,6 @@ serve-smoke:
 	$(GO) build -o bin/imrun ./cmd/imrun
 	$(GO) build -o bin/obsdiff ./cmd/obsdiff
 	$(GO) run ./cmd/servesmoke
-
-# Scaling-observatory smoke gate: run a tiny 2-worker scaling matrix
-# end to end (fresh tracer + timeline per cell, per-phase medians,
-# Amdahl fits, worker-independence assertion) and obsdiff-self-compare
-# the run report it emits, proving the matrix artifacts stay consumable
-# by the observability toolchain. Seconds, not minutes.
-scale-smoke:
-	$(GO) build -o bin/scalematrix ./cmd/scalematrix
-	$(GO) build -o bin/obsdiff ./cmd/obsdiff
-	bin/scalematrix -graphs pa:3000x4 -gens subsim -workers 1,2 -trials 1 \
-		-sets 3000 -rounds 2 -k 10 -report bin/scalematrix_smoke_report.json
-	bin/obsdiff bin/scalematrix_smoke_report.json bin/scalematrix_smoke_report.json
-	rm -f bin/scalematrix_smoke_report.json
 
 # Post-mortem smoke gate for the flight recorder: force the two crash
 # paths out of the real imrun binary (-flight-selftest panic re-panics
@@ -184,35 +172,6 @@ bench-scale:
 	$(GO) test ./internal/coverage -run '^$$' -bench '$(BENCH_SCALE_COV)' -benchmem 2>&1 | tee -a bin/bench_scale.txt
 	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -label parallel-cover bin/bench_scale.txt
 	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -check arena-csr,parallel-cover -filter '_W1$$'
-
-# Coverage-estimator memory/time crossover: the fill→select path through
-# the exact engine vs the HLL sketch backend on the largest bench
-# graph, recorded under the "sketch-cover" label. The "index-bytes"
-# extra column is the evidence: the sketch's register file stays at
-# m bytes/node while the exact engine grows with θ. The gate re-checks
-# ns/op of the recorded pair so a sketch slowdown can't creep in.
-bench-sketch:
-	@mkdir -p bin
-	$(GO) test ./internal/im -run '^$$' -bench 'BenchmarkSketchCover' -benchmem 2>&1 | tee bin/bench_sketch.txt
-	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -label sketch-cover bin/bench_sketch.txt
-	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -check sketch-cover,sketch-cover
-
-# Workers×graph scaling matrix: sweep the full pipeline (generate,
-# delta CSR build, select) over worker counts, compute per-phase
-# speedup/efficiency curves and least-squares Amdahl serial-fraction
-# fits, and record them into BENCH_rrset.json under the "scale-matrix"
-# label. On a host where GOMAXPROCS < max workers the run (and the
-# recorded JSON) is tagged with a caveat — those rows measure
-# partitioning overhead, not speedup. Override MATRIX_* to change shape.
-MATRIX_GRAPHS ?= pa:20000x8
-MATRIX_GENS ?= subsim,vanilla
-MATRIX_WORKERS ?= 1,2,4,8
-bench-matrix:
-	$(GO) build -o bin/scalematrix ./cmd/scalematrix
-	bin/scalematrix -graphs $(MATRIX_GRAPHS) -gens $(MATRIX_GENS) \
-		-workers $(MATRIX_WORKERS) -trials 3 \
-		-json bin/scalematrix_result.json \
-		-bench-file BENCH_rrset.json -bench-label scale-matrix
 
 # Observability overhead: bare vs nil-wrapped vs metrics-on vs
 # worker-timed vs live-scraped RR generation, recorded into

@@ -14,12 +14,6 @@
 //	-eps     approximation parameter ε
 //	-seed    RNG seed
 //	-workers RR-generation parallelism (0 = GOMAXPROCS)
-//	-estimator coverage backend: exact (per-worker shards with CSR
-//	         inverted indexes, default) or hll (HyperLogLog sketches:
-//	         θ-independent memory, estimates within the backend's
-//	         certified relative error)
-//	-sketch-p HLL register-index width p, 2^p registers per node
-//	         (0 = default 8, i.e. 256 B/node, ~6.5% relative error)
 //	-bound   sample-complexity analysis capping θ: imm (worst-case
 //	         IMM/OPIM-C constants, default) or tight (stop at the smaller
 //	         Sadeh-Cohen-Kaplan-style tightened budget); both budgets are
@@ -99,8 +93,6 @@ func main() {
 	eps := flag.Float64("eps", 0.1, "approximation parameter epsilon")
 	seed := flag.Uint64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "RR generation workers (0 = GOMAXPROCS)")
-	estimator := flag.String("estimator", "exact", "coverage backend: exact or hll")
-	sketchP := flag.Int("sketch-p", 0, "HLL precision p (2^p registers/node, 0 = default)")
 	bound := flag.String("bound", "imm", "sample-complexity bound: imm or tight")
 	mc := flag.Int("mc", 10000, "forward simulations for spread estimate (0 = skip)")
 	lt := flag.Bool("lt", false, "use the Linear Threshold model")
@@ -145,21 +137,13 @@ func main() {
 		*repeat = 1
 	}
 
-	est, err := subsim.ParseEstimator(*estimator)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "imrun: %v\n", err)
-		os.Exit(2)
-	}
 	bnd, err := subsim.ParseBound(*bound)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "imrun: %v\n", err)
 		os.Exit(2)
 	}
 
-	opt := subsim.Options{
-		K: *k, Eps: *eps, Seed: *seed, Workers: *workers,
-		Estimator: est, SketchPrecision: *sketchP, Bound: bnd,
-	}
+	opt := subsim.Options{K: *k, Eps: *eps, Seed: *seed, Workers: *workers, Bound: bnd}
 	if *logFmt != "" {
 		opt.Logger = subsim.NewLogger(os.Stderr, *logFmt)
 	}
@@ -180,7 +164,6 @@ func main() {
 		tr.SetMeta("k", *k)
 		tr.SetMeta("eps", *eps)
 		tr.SetMeta("seed", *seed)
-		tr.SetMeta("estimator", est.String())
 		tr.SetMeta("bound", bnd.String())
 		opt.Tracer = tr
 	}

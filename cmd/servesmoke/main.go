@@ -3,25 +3,22 @@
 // way an operator would:
 //
 //  1. generate a small graph with graphgen,
-//  2. start `imrun -serve 127.0.0.1:0` on it with enough -repeat
-//     iterations to keep the run alive while we scrape,
+//  2. start `imrun -bound tight -serve 127.0.0.1:0` on it with enough
+//     -repeat iterations to keep the run alive while we scrape,
 //  3. assert every plane endpoint answers 200 (and /readyz flips from
 //     graph readiness), that subsim_rr_sets_total is present, parseable
-//     and strictly increases across scrapes of the live run, that
-//     /progress reports a non-empty phase mid-run, that /trace serves a
-//     well-formed trace-event document with complete events on a named
-//     worker track, that /events serves a schema-versioned flight
-//     journal carrying run events, and that GET /debug/bundle writes a
-//     complete diagnostic bundle whose manifest validates on disk,
+//     and strictly increases across scrapes of the live run, that the
+//     published sample budgets are ordered (0 < subsim_theta_tight <=
+//     subsim_theta_worst), that /progress reports a non-empty phase
+//     mid-run, that /trace serves a well-formed trace-event document
+//     with complete events on a named worker track, that /events serves
+//     a schema-versioned flight journal carrying run events, and that
+//     GET /debug/bundle writes a complete diagnostic bundle whose
+//     manifest validates on disk,
 //  4. capture /report and check `obsdiff report report` exits 0
 //     (self-compare is clean) while the committed regressed fixture
 //     pair exits 1 (the gate actually fails on regressions),
-//  5. shut the run down and make sure the plane goes away with it,
-//  6. repeat a shortened pass with `-estimator hll -bound tight` and
-//     assert the plane reports the sketch backend (subsim_sketch_bytes
-//     > 0) and an ordered tightened budget (0 < theta_tight <=
-//     theta_worst), so the estimator dimension stays scrapeable
-//     end to end.
+//  5. shut the run down and make sure the plane goes away with it.
 //
 // It exits 0 on success, 1 on any assertion failure, 2 on usage/setup
 // errors. All scratch files live in a temp dir.
@@ -96,7 +93,7 @@ func smoke(t tools, dir, fixtures string, deadline time.Time) error {
 	// 2. Long-lived imrun with the plane on an ephemeral port.
 	imrun := exec.Command(t.imrun,
 		"-graph", graph, "-alg", "opimc", "-k", "20", "-eps", "0.3",
-		"-mc", "0", "-repeat", "400", "-serve", "127.0.0.1:0",
+		"-bound", "tight", "-mc", "0", "-repeat", "400", "-serve", "127.0.0.1:0",
 		"-flight-dir", dir)
 	stderr, err := imrun.StderrPipe()
 	if err != nil {
@@ -138,6 +135,9 @@ func smoke(t tools, dir, fixtures string, deadline time.Time) error {
 	if err := checkSetsMonotone(base, deadline); err != nil {
 		return err
 	}
+	if err := checkBudgets(base, deadline); err != nil {
+		return err
+	}
 	if err := checkProgressLive(base, deadline); err != nil {
 		return err
 	}
@@ -173,74 +173,7 @@ func smoke(t tools, dir, fixtures string, deadline time.Time) error {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		return fmt.Errorf("plane still serving after imrun exit")
 	}
-
-	// 6. The estimator dimension: a second pass on the sketch backend
-	// with the tightened bound must keep the plane coherent.
-	return smokeSketch(t, graph, deadline)
-}
-
-// smokeSketch runs a shortened imrun pass with the HLL estimator and
-// tightened bound, asserting the plane identifies the sketch backend
-// and publishes ordered sample budgets.
-func smokeSketch(t tools, graph string, deadline time.Time) error {
-	imrun := exec.Command(t.imrun,
-		"-graph", graph, "-alg", "opimc", "-k", "20", "-eps", "0.3",
-		"-estimator", "hll", "-bound", "tight",
-		"-mc", "0", "-repeat", "400", "-serve", "127.0.0.1:0",
-		"-flight-dir", filepath.Dir(graph))
-	stderr, err := imrun.StderrPipe()
-	if err != nil {
-		return err
-	}
-	imrun.Stdout = io.Discard
-	if err := imrun.Start(); err != nil {
-		return fmt.Errorf("start sketch imrun: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- imrun.Wait() }()
-	defer func() {
-		_ = imrun.Process.Kill()
-		<-done
-	}()
-
-	addr, err := scanServeAddr(stderr, deadline)
-	if err != nil {
-		return err
-	}
-	base := "http://" + addr
-	if err := waitReady(base, deadline); err != nil {
-		return err
-	}
-	// The gauges are published once the first run sizes its sketch, so
-	// poll until subsim_sketch_bytes turns nonzero, then check the
-	// budget ordering from the same scrape.
-	for time.Now().Before(deadline) {
-		body, err := get(base+"/metrics", http.StatusOK)
-		if err != nil {
-			return err
-		}
-		sketchBytes, err := scrapeCounter(body, "subsim_sketch_bytes")
-		if err != nil {
-			return err
-		}
-		if sketchBytes == 0 {
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		worst, err := scrapeCounter(body, "subsim_theta_worst")
-		if err != nil {
-			return err
-		}
-		tight, err := scrapeCounter(body, "subsim_theta_tight")
-		if err != nil {
-			return err
-		}
-		if tight < 1 || tight > worst {
-			return fmt.Errorf("sketch pass budgets not ordered: theta_tight %d, theta_worst %d", tight, worst)
-		}
-		return nil
-	}
-	return fmt.Errorf("sketch pass never published subsim_sketch_bytes > 0")
+	return nil
 }
 
 // scanServeAddr reads imrun's stderr until the "serving telemetry on
@@ -336,6 +269,35 @@ func checkSetsMonotone(base string, deadline time.Time) error {
 		return fmt.Errorf("rr_sets_total never increased during the run")
 	}
 	return nil
+}
+
+// checkBudgets polls /metrics until the run publishes its sample
+// budgets, then asserts the tightened one is ordered: 0 < theta_tight
+// <= theta_worst.
+func checkBudgets(base string, deadline time.Time) error {
+	for time.Now().Before(deadline) {
+		body, err := get(base+"/metrics", http.StatusOK)
+		if err != nil {
+			return err
+		}
+		worst, err := scrapeCounter(body, "subsim_theta_worst")
+		if err != nil {
+			return err
+		}
+		if worst == 0 {
+			time.Sleep(20 * time.Millisecond)
+			continue
+		}
+		tight, err := scrapeCounter(body, "subsim_theta_tight")
+		if err != nil {
+			return err
+		}
+		if tight < 1 || tight > worst {
+			return fmt.Errorf("budgets not ordered: theta_tight %d, theta_worst %d", tight, worst)
+		}
+		return nil
+	}
+	return fmt.Errorf("run never published subsim_theta_worst > 0")
 }
 
 // scrapeCounter pulls one un-labelled series value out of a Prometheus

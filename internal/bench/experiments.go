@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"subsim/internal/core"
-	"subsim/internal/coverage"
 	"subsim/internal/diffusion"
 	"subsim/internal/graph"
 	"subsim/internal/im"
@@ -32,11 +31,6 @@ type Config struct {
 	Seed uint64
 	// Workers bounds RR-generation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Estimator selects the coverage backend every timed run uses (exact
-	// CSR index, or the HLL sketch); SketchPrecision sets the HLL
-	// register exponent p (0 = default).
-	Estimator       coverage.EstimatorKind
-	SketchPrecision int
 	// Bound selects the sample-complexity analysis (worst-case IMM/OPIM-C
 	// constants, or the tightened variant).
 	Bound im.BoundKind
@@ -112,8 +106,7 @@ func (c *Config) datasets() []Dataset {
 
 func (c *Config) options(k int) im.Options {
 	return im.Options{K: k, Eps: c.Eps, Delta: c.Delta, Seed: c.Seed, Workers: c.Workers,
-		Estimator: c.Estimator, SketchPrecision: c.SketchPrecision, Bound: c.Bound,
-		Tracer: c.Tracer, Logger: c.Logger}
+		Bound: c.Bound, Tracer: c.Tracer, Logger: c.Logger}
 }
 
 // highTarget caps the θ₄ₖ-style calibration target so it stays a feasible

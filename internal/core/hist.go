@@ -91,7 +91,10 @@ func HIST(gen rrset.Generator, opt im.Options) (*im.Result, error) {
 
 	run := im.StartRun("hist", gen, opt)
 	phase1 := run.Phase("sentinel-phase")
-	sentinels, p1 := sentinelSet(gen, opt, &run, phase1, outDeg, eps1, delta1)
+	sentinels, p1, err := sentinelSet(gen, opt, &run, phase1, outDeg, eps1, delta1)
+	if err != nil {
+		return nil, err
+	}
 	phase1.SetInt("sentinels", int64(len(sentinels))).
 		SetInt("rr_generated", p1.rrGenerated).
 		SetInt("sentinel_hits", p1.stats.SentinelHits).
@@ -99,7 +102,10 @@ func HIST(gen rrset.Generator, opt im.Options) (*im.Result, error) {
 	run.PhaseDone()
 
 	phase2 := run.Phase("residual-phase")
-	res := imSentinel(gen, opt, &run, phase2, outDeg, sentinels, eps2, delta2)
+	res, err := imSentinel(gen, opt, &run, phase2, outDeg, sentinels, eps2, delta2)
+	if err != nil {
+		return nil, err
+	}
 	// Every residual-phase RR set is sentinel-terminated, so the hit
 	// rate here is exactly the fraction of sets HIST truncated early —
 	// the directly measured form of Figure 3's hit-and-stop saving.
@@ -128,7 +134,7 @@ type phase1Report struct {
 // sentinelSet is Algorithm 7. It returns the sentinel nodes S_b* (in
 // greedy order) such that, with probability at least 1-δ₁,
 // I(S_b*) ≥ (1-(1-1/k)^b-ε₁)·I(S_k°).
-func sentinelSet(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Span, outDeg []int32, eps1, delta1 float64) ([]int32, phase1Report) {
+func sentinelSet(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Span, outDeg []int32, eps1, delta1 float64) ([]int32, phase1Report, error) {
 	g := gen.Graph()
 	n := g.N()
 	k := opt.K
@@ -150,7 +156,9 @@ func sentinelSet(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.S
 	rep := phase1Report{}
 	theta := theta0
 	sp := phase.Child("sampling")
-	b1.Fill(idx1, int(theta), nil)
+	if _, err := b1.Fill(idx1, int(theta), nil); err != nil {
+		return nil, rep, err
+	}
 	sp.SetInt("theta", theta).End()
 
 	var sb []int32
@@ -218,19 +226,21 @@ func sentinelSet(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.S
 		}
 		// Double R₁ and retry.
 		sp := rs.Child("sampling")
-		b1.Fill(idx1, int(theta), nil)
+		if _, err := b1.Fill(idx1, int(theta), nil); err != nil {
+			return nil, rep, err
+		}
 		sp.SetInt("theta", theta).End()
 		rs.End()
 		theta *= 2
 	}
 	rep.rrGenerated += int64(idx1.NumSets())
 	rep.stats = b1.Stats()
-	return sb, rep
+	return sb, rep, nil
 }
 
 // imSentinel is Algorithm 8: select the remaining k-b seeds over
 // sentinel-terminated RR collections.
-func imSentinel(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Span, outDeg, sb []int32, eps2, delta2 float64) *im.Result {
+func imSentinel(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Span, outDeg, sb []int32, eps2, delta2 float64) (*im.Result, error) {
 	n := gen.Graph().N()
 	k := opt.K
 	b := len(sb)
@@ -256,14 +266,14 @@ func imSentinel(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Sp
 
 	res := &im.Result{ThetaWorstCase: thetaWorst, ThetaTight: thetaTight}
 	run.Theta(thetaWorst, thetaTight, thetaMax)
-	var hits1, hits2 int64
-	var theta1, theta2 int64
 	theta := theta0
 	sp := phase.Child("sampling")
-	hits1 += batch.Fill(idx1, int(theta), sentinel)
-	hits2 += batch.Fill(idx2, int(theta), sentinel)
+	hits1, hits2, err := batch.FillPair(idx1, idx2, int(theta), sentinel)
+	if err != nil {
+		return nil, err
+	}
 	sp.SetInt("theta", theta).End()
-	theta1, theta2 = theta, theta
+	theta1, theta2 := theta, theta
 
 	for i := 1; ; i++ {
 		res.Rounds = i
@@ -294,8 +304,11 @@ func imSentinel(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Sp
 			break
 		}
 		sp := rs.Child("sampling")
-		hits1 += batch.Fill(idx1, int(theta), sentinel)
-		hits2 += batch.Fill(idx2, int(theta), sentinel)
+		h1, h2, err := batch.FillPair(idx1, idx2, int(theta), sentinel)
+		if err != nil {
+			return nil, err
+		}
+		hits1, hits2 = hits1+h1, hits2+h2
 		sp.SetInt("theta", theta).End()
 		rs.End()
 		theta1 += theta
@@ -303,7 +316,7 @@ func imSentinel(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Sp
 		theta *= 2
 	}
 	res.RRStats = batch.Stats()
-	return res
+	return res, nil
 }
 
 // countHits draws `count` sentinel-terminated RR sets and returns how

@@ -1,72 +1,40 @@
 package coverage
 
 import (
-	"math"
 	"testing"
 
 	"subsim/internal/rng"
 	"subsim/internal/rrset"
 )
 
-// Compile-time: every backend satisfies the Estimator contract.
-var (
-	_ Estimator = (*HLL)(nil)
-	_ Estimator = (*Sharded)(nil)
-)
-
-// estimatorCase is one backend under conformance test. tol(want)
-// returns the absolute slack allowed on a count query whose true value
-// is want: zero for the exact engine, RelError-scaled (with a small
-// additive floor for tiny counts) for sketches.
+// estimatorCase is one engine shape under conformance test.
 type estimatorCase struct {
 	name string
-	make func(n int, outDeg []int32) Estimator
-	kind EstimatorKind
-	tol  func(e Estimator, want int64) int64
+	make func(n int, outDeg []int32) *Sharded
 }
 
-func exactTol(Estimator, int64) int64 { return 0 }
-
-func sketchTol(e Estimator, want int64) int64 {
-	// 6 standard errors plus a floor of 4: deterministic inputs make the
-	// check reproducible, the generous band keeps it honest about what
-	// the backend certifies rather than tuned to one RNG stream.
-	return int64(math.Ceil(6*e.RelError()*float64(want))) + 4
-}
-
-// conformanceCases enumerates the two coverage backends, the exact
-// engine at two shard counts: the serial S=1 engine ("exact") and S=3
-// ("sharded"), a shard count different from every tested worker count,
-// so any accidental shard/worker coupling would show up.
+// conformanceCases enumerates the exact engine at two shard counts: the
+// serial S=1 engine ("exact") and S=3 ("sharded"), a shard count
+// different from every tested worker count, so any accidental
+// shard/worker coupling would show up.
 func conformanceCases() []estimatorCase {
 	return []estimatorCase{
 		{
 			name: "exact",
-			make: func(n int, outDeg []int32) Estimator { return NewSharded(n, outDeg, 1) },
-			kind: EstimatorExact,
-			tol:  exactTol,
-		},
-		{
-			name: "hll",
-			make: func(n int, outDeg []int32) Estimator { return NewHLL(n, outDeg, 0) },
-			kind: EstimatorHLL,
-			tol:  sketchTol,
+			make: func(n int, outDeg []int32) *Sharded { return NewSharded(n, outDeg, 1) },
 		},
 		{
 			name: "sharded",
-			make: func(n int, outDeg []int32) Estimator { return NewSharded(n, outDeg, 3) },
-			kind: EstimatorExact,
-			tol:  exactTol,
+			make: func(n int, outDeg []int32) *Sharded { return NewSharded(n, outDeg, 3) },
 		},
 	}
 }
 
-// TestEstimatorConformance drives every backend through the same
-// append/query schedule and checks the whole interface contract:
-// bookkeeping (N, NumSets, Kind, RelError, MemoryBytes, Workers clamp),
-// count accuracy against brute force within the backend's certified
-// tolerance, sentinel handling on the batch ingestion path, and greedy
-// selection quality.
+// TestEstimatorConformance drives every engine shape through the same
+// append/query schedule and checks the whole contract: bookkeeping (N,
+// NumSets, MemoryBytes, Workers clamp), exact counts against brute
+// force, and picks, coverages and upper bound identical to the serial
+// S=1 engine's.
 func TestEstimatorConformance(t *testing.T) {
 	const n = 120
 	r := rng.New(17)
@@ -82,12 +50,6 @@ func TestEstimatorConformance(t *testing.T) {
 			e := tc.make(n, outDeg)
 			if e.N() != n {
 				t.Fatalf("N() = %d, want %d", e.N(), n)
-			}
-			if k, err := ParseEstimator(e.Kind().String()); e.Kind() != tc.kind || err != nil || k != tc.kind {
-				t.Fatalf("Kind() = %v (%q), want %v", e.Kind(), e.Kind().String(), tc.kind)
-			}
-			if re := e.RelError(); re < 0 || (tc.tol(e, 1000) == 0) != (re == 0) {
-				t.Fatalf("RelError() = %g inconsistent with tolerance model", re)
 			}
 			e.SetWorkers(0)
 			if e.Workers() != 1 {
@@ -108,52 +70,41 @@ func TestEstimatorConformance(t *testing.T) {
 			// Count accuracy: per-node degrees and multi-seed coverage.
 			for v := int32(0); v < n; v++ {
 				want := bruteCoverage(sets, []int32{v})
-				got := int64(e.Degree(v))
-				if d := got - want; d < -tc.tol(e, want) || d > tc.tol(e, want) {
-					t.Fatalf("Degree(%d) = %d, want %d ± %d", v, got, want, tc.tol(e, want))
+				if got := int64(e.Degree(v)); got != want {
+					t.Fatalf("Degree(%d) = %d, want %d", v, got, want)
 				}
 			}
 			for _, seeds := range [][]int32{{0}, {3, 50, 90}, {1, 2, 3, 4, 5, 6, 7, 8}} {
 				want := bruteCoverage(sets, seeds)
-				got := e.CoverageOf(seeds)
-				if d := got - want; d < -tc.tol(e, want) || d > tc.tol(e, want) {
-					t.Fatalf("CoverageOf(%v) = %d, want %d ± %d", seeds, got, want, tc.tol(e, want))
+				if got := e.CoverageOf(seeds); got != want {
+					t.Fatalf("CoverageOf(%v) = %d, want %d", seeds, got, want)
 				}
 			}
 			if e.MemoryBytes() <= 0 {
 				t.Fatal("MemoryBytes() not positive on a loaded estimator")
 			}
 
-			// Greedy quality: the true (brute-force) coverage of the picked
-			// seeds must be within 10% of the serial exact engine's pick —
-			// the exact engine matches it exactly at any shard count, the
-			// sketch may trade a little.
+			// Selection: the same picks, coverages and upper bound as the
+			// serial engine at any shard count.
 			res := e.SelectSeeds(GreedyOptions{K: 8})
 			if len(res.Seeds) != 8 {
 				t.Fatalf("SelectSeeds returned %d seeds, want 8", len(res.Seeds))
 			}
-			got := bruteCoverage(sets, res.Seeds)
-			want := bruteCoverage(sets, exactRes.Seeds)
-			if float64(got) < 0.9*float64(want) {
-				t.Fatalf("greedy quality: picked coverage %d < 90%% of exact's %d", got, want)
+			for i := range exactRes.Seeds {
+				if res.Seeds[i] != exactRes.Seeds[i] || res.Coverage[i] != exactRes.Coverage[i] {
+					t.Fatalf("engine diverged from the S=1 engine at pick %d: (%d,%d) vs (%d,%d)",
+						i, res.Seeds[i], res.Coverage[i], exactRes.Seeds[i], exactRes.Coverage[i])
+				}
 			}
-			if e.RelError() == 0 {
-				for i := range exactRes.Seeds {
-					if res.Seeds[i] != exactRes.Seeds[i] || res.Coverage[i] != exactRes.Coverage[i] {
-						t.Fatalf("exact backend diverged from the S=1 engine at pick %d: (%d,%d) vs (%d,%d)",
-							i, res.Seeds[i], res.Coverage[i], exactRes.Seeds[i], exactRes.Coverage[i])
-					}
-				}
-				if res.CoverageUpper != exactRes.CoverageUpper {
-					t.Fatalf("exact-class upper bound %d, want %d", res.CoverageUpper, exactRes.CoverageUpper)
-				}
+			if res.CoverageUpper != exactRes.CoverageUpper {
+				t.Fatalf("upper bound %d, want %d", res.CoverageUpper, exactRes.CoverageUpper)
 			}
 		})
 	}
 }
 
 // TestEstimatorConformanceWorkerIndependence pins the repo invariant on
-// every backend at once: the worker bound must never change a single
+// every engine shape: the worker bound must never change a single
 // query answer or pick, including with the parallel paths forced onto
 // the small test input.
 func TestEstimatorConformanceWorkerIndependence(t *testing.T) {
@@ -211,7 +162,7 @@ func TestEstimatorConformanceWorkerIndependence(t *testing.T) {
 }
 
 // TestEstimatorConformanceAbsorbArena checks the batch ingestion path on
-// every backend: sentinel-terminated sets are skipped and counted, and
+// every engine shape: sentinel-terminated sets are skipped and counted, and
 // the surviving collection answers like one built from per-set Adds.
 func TestEstimatorConformanceAbsorbArena(t *testing.T) {
 	const n = 10

@@ -4,13 +4,11 @@
 // Revised Greedy out-degree tie-break of Algorithm 6, and the coverage
 // upper bound Λᵘ (the maxMC prefix bound feeding Equation 2).
 //
-// Two backends implement the Estimator contract: the exact engine
-// (*Sharded, per-shard RR arenas with CSR node→sets indexes, see
-// sharded.go), which selects from a bucket queue over its integer gains
-// (queue.go), and the HyperLogLog sketch backend (*HLL, see hll.go),
-// which selects from a CELF heap over its float gain estimates. Both
-// order candidates by gain, then out-degree under Revised, then node id,
-// so they pick and bound the same way.
+// The engine is *Sharded (per-shard RR arenas with CSR node→sets
+// indexes, see sharded.go): it counts coverage exactly, so every bound
+// computed from its counts is certified, and it selects from a bucket
+// queue over its integer gains (queue.go), ordering candidates by gain,
+// then out-degree under Revised, then node id.
 package coverage
 
 // GreedyOptions configures one seed-selection run.
@@ -63,9 +61,9 @@ func (r *GreedyResult) tightenUpper(bound int64) {
 	}
 }
 
-// selectParams resolves the per-run selection parameters every backend
-// shares: K clamped to [0, n], TopL defaulted to K, and the out-degree
-// tie-break array (nil unless opt.Revised, which requires outDeg).
+// selectParams resolves the per-run selection parameters: K clamped to
+// [0, n], TopL defaulted to K, and the out-degree tie-break array (nil
+// unless opt.Revised, which requires outDeg).
 func selectParams(opt GreedyOptions, n int, outDeg []int32) (k, topL int, tie []int32) {
 	k = min(max(opt.K, 0), n)
 	topL = opt.TopL

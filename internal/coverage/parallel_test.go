@@ -8,16 +8,14 @@ import (
 	"subsim/internal/rng"
 )
 
-// forceParallel drops the size thresholds so the parallel shard build
-// and the sketch backend's parallel initial-gain pass run even on the
-// tiny inputs the tests use, restoring the originals on cleanup.
+// forceParallel drops the size threshold so the parallel shard build
+// runs even on the tiny inputs the tests use, restoring the original on
+// cleanup.
 func forceParallel(t *testing.T) {
 	t.Helper()
-	buildMin, gainsMin := parallelBuildMinDelta, parallelGainsMinNodes
-	parallelBuildMinDelta, parallelGainsMinNodes = 0, 0
-	t.Cleanup(func() {
-		parallelBuildMinDelta, parallelGainsMinNodes = buildMin, gainsMin
-	})
+	buildMin := parallelBuildMinDelta
+	parallelBuildMinDelta = 0
+	t.Cleanup(func() { parallelBuildMinDelta = buildMin })
 }
 
 // randomSets draws count RR-set-shaped slices over n nodes with sizes

@@ -18,9 +18,8 @@ var sparseBucketShift = 8
 // queue over integer stored gains. Keys are dense ids in [0, n) — node
 // ids, or under the Revised tie-break the node's rank by (out-degree
 // descending, id ascending) — and entries are ordered by stored gain
-// descending, then key ascending: the total order of the sketch
-// backend's celfHeap, so the exact engine picks, refreshes and bounds
-// exactly as a heap in that order would.
+// descending, then key ascending, so the engine picks, refreshes and
+// bounds exactly as a CELF heap in that order would.
 //
 // Each gain g below the top has an unsorted singly linked bucket list
 // (head[g], next[key]) and a count. The top bucket is gathered when it

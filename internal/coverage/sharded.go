@@ -2,7 +2,7 @@
 //
 // It keeps S independent shards, each owning its RR sets in a
 // shard-local rrset.Arena that IS its store segment — the batcher
-// generates straight into it (Batcher.FillSharded), so no set is ever
+// generates straight into it (Batcher.Fill), so no set is ever
 // copied between generation and indexing — plus a shard-local CSR
 // node→sets index and shard-local covered stamps. Shards never merge:
 // every query the greedy algorithms issue is an integer sum over shards.
@@ -61,7 +61,7 @@ var parallelReduceMinPostings = 1 << 11
 
 // ShardOf is the pure shard-assignment function: the RR set with global
 // index idx lives in shard idx mod shards. Both ingestion paths route
-// through it — Batcher.FillSharded by generation index, the generic
+// through it — Batcher.Fill by generation index, the generic
 // AbsorbArena by collection index — so placement never depends on
 // scheduling, only on (index, shard count).
 func ShardOf(idx int64, shards int) int {
@@ -291,12 +291,6 @@ func (x *Sharded) MemoryBytes() int64 {
 	return b
 }
 
-// Kind identifies the exact backend.
-func (x *Sharded) Kind() EstimatorKind { return EstimatorExact }
-
-// RelError is 0: shard sums count coverage exactly.
-func (x *Sharded) RelError() float64 { return 0 }
-
 // Add absorbs one RR set, routed by ShardOf over the current
 // collection index.
 func (x *Sharded) Add(set rrset.RRSet) {
@@ -306,8 +300,9 @@ func (x *Sharded) Add(set rrset.RRSet) {
 
 // AbsorbArena absorbs a flat arena buffer, skipping sentinel-terminated
 // sets and routing each kept set to ShardOf(collection index, S). It is
-// the generic ingestion path; Batcher.FillSharded bypasses it by
-// generating into the shard arenas directly.
+// the generic ingestion path; Batcher.Fill bypasses it by generating
+// into the shard arenas directly whenever the shard count equals its
+// worker count.
 func (x *Sharded) AbsorbArena(data []int32, ends []int64, sentinel []bool) int64 {
 	idx := int64(x.NumSets())
 	shards := len(x.shards)

@@ -112,7 +112,7 @@ func TestPipelineEquivalence(t *testing.T) {
 				// Selection and bounds must match exactly.
 				b2 := NewBatcher(c.gen(), seed, workers)
 				idx := NewEstimator(n, nil, Options{Workers: workers}, nil)
-				if hits := b2.Fill(idx, count, nil); hits != 0 {
+				if hits := mustFill(t, b2, idx, count, nil); hits != 0 {
 					t.Fatalf("workers=%d: unexpected sentinel hits %d", workers, hits)
 				}
 				if idx.NumSets() != refIdx.NumSets() {

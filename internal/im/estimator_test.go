@@ -1,7 +1,6 @@
 package im
 
 import (
-	"math"
 	"testing"
 
 	"subsim/internal/coverage"
@@ -10,11 +9,11 @@ import (
 	"subsim/internal/rrset"
 )
 
-// TestFillDispatchesExact pins the estimator seam: NewEstimator's exact
-// backend is the sharded engine with one shard per worker, Batcher.Fill
-// generates straight into every shard arena, and the result is
-// byte-identical to the single-shard workers=1 reference — same seeds,
-// same bounds — for every generator kind and worker count.
+// TestFillDispatchesExact pins the fill path: NewEstimator builds the
+// sharded engine with one shard per worker, Batcher.Fill generates
+// straight into every shard arena, and the result is byte-identical to
+// the single-shard workers=1 reference — same seeds, same bounds — for
+// every generator kind and worker count.
 func TestFillDispatchesExact(t *testing.T) {
 	const (
 		count = 1200
@@ -27,23 +26,19 @@ func TestFillDispatchesExact(t *testing.T) {
 			n := refGen.Graph().N()
 			refB := NewBatcher(refGen, seed, 1)
 			refIdx := coverage.NewSharded(n, nil, 1)
-			refB.Fill(refIdx, count, nil)
+			mustFill(t, refB, refIdx, count, nil)
 			refSel := refIdx.SelectSeeds(coverage.GreedyOptions{K: k})
 			for _, workers := range []int{1, 2, 8} {
 				b := NewBatcher(c.gen(), seed, workers)
 				est := NewEstimator(n, nil, Options{Workers: workers}, nil)
-				if hits := b.Fill(est, count, nil); hits != 0 {
+				if hits := mustFill(t, b, est, count, nil); hits != 0 {
 					t.Fatalf("workers=%d: unexpected sentinel hits %d", workers, hits)
 				}
-				if est.Kind() != coverage.EstimatorExact || est.Workers() != workers {
-					t.Fatalf("workers=%d: exact estimator reports kind %v, workers %d", workers, est.Kind(), est.Workers())
-				}
-				sh, ok := est.(*coverage.Sharded)
-				if !ok || sh.NumShards() != workers {
-					t.Fatalf("workers=%d: exact estimator is %T, want *coverage.Sharded with %d shards", workers, est, workers)
+				if est.Workers() != workers || est.NumShards() != workers {
+					t.Fatalf("workers=%d: estimator has %d workers, %d shards", workers, est.Workers(), est.NumShards())
 				}
 				for s := 0; s < workers; s++ {
-					if sh.ShardArena(s).Len() == 0 {
+					if est.ShardArena(s).Len() == 0 {
 						t.Fatalf("workers=%d: shard %d received no sets", workers, s)
 					}
 				}
@@ -79,11 +74,11 @@ func estimatorTestGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// runWith runs OPIM-C with the given estimator/bound configuration.
-func runWith(t *testing.T, g *graph.Graph, kind coverage.EstimatorKind, bound BoundKind, workers int) *Result {
+// runWith runs OPIM-C with the given bound and worker count.
+func runWith(t *testing.T, g *graph.Graph, bound BoundKind, workers int) *Result {
 	t.Helper()
 	res, err := OPIMC(rrset.NewSubsim(g), Options{
-		K: 10, Eps: 0.3, Seed: 13, Workers: workers, Estimator: kind, Bound: bound,
+		K: 10, Eps: 0.3, Seed: 13, Workers: workers, Bound: bound,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +86,9 @@ func runWith(t *testing.T, g *graph.Graph, kind coverage.EstimatorKind, bound Bo
 	return res
 }
 
-// TestExactBackendUnchangedByOptions proves threading the estimator
-// options through leaves the default exact path bit-identical: an
-// explicit Estimator: EstimatorExact run matches the zero-value Options
-// run exactly, at every worker count.
+// TestExactBackendUnchangedByOptions proves the worker count leaves a
+// run bit-identical: runs at W=1, 2 and 8 match the W=1 zero-value
+// Options run exactly.
 func TestExactBackendUnchangedByOptions(t *testing.T) {
 	g := estimatorTestGraph(t)
 	ref, err := OPIMC(rrset.NewSubsim(g), Options{K: 10, Eps: 0.3, Seed: 13, Workers: 1})
@@ -102,7 +96,7 @@ func TestExactBackendUnchangedByOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		res := runWith(t, g, coverage.EstimatorExact, BoundIMM, workers)
+		res := runWith(t, g, BoundIMM, workers)
 		if len(res.Seeds) != len(ref.Seeds) {
 			t.Fatalf("workers=%d: %d seeds, want %d", workers, len(res.Seeds), len(ref.Seeds))
 		}
@@ -121,46 +115,13 @@ func TestExactBackendUnchangedByOptions(t *testing.T) {
 	}
 }
 
-// TestSketchBackendAccuracy is the ε-accuracy property test of the HLL
-// backend: across worker counts the sketch run must be worker-
-// independent, and its influence estimate must land within the sketch's
-// certified relative error (with 4σ slack) of the exact backend's.
-func TestSketchBackendAccuracy(t *testing.T) {
-	g := estimatorTestGraph(t)
-	exact := runWith(t, g, coverage.EstimatorExact, BoundIMM, 1)
-	relErr := coverage.NewHLL(1, nil, 0).RelError()
-
-	ref := runWith(t, g, coverage.EstimatorHLL, BoundIMM, 1)
-	if tol := 4 * relErr * exact.Influence; math.Abs(ref.Influence-exact.Influence) > tol+3 {
-		t.Fatalf("sketch influence %v vs exact %v exceeds tolerance %v",
-			ref.Influence, exact.Influence, tol)
-	}
-	if ref.LowerBound <= 0 || ref.UpperBound < ref.LowerBound {
-		t.Fatalf("sketch run certified nonsense bounds: %+v", ref)
-	}
-	for _, workers := range []int{2, 8} {
-		res := runWith(t, g, coverage.EstimatorHLL, BoundIMM, workers)
-		if len(res.Seeds) != len(ref.Seeds) {
-			t.Fatalf("workers=%d: %d seeds, want %d", workers, len(res.Seeds), len(ref.Seeds))
-		}
-		for i := range res.Seeds {
-			if res.Seeds[i] != ref.Seeds[i] {
-				t.Fatalf("workers=%d: seed %d is %d, want %d", workers, i, res.Seeds[i], ref.Seeds[i])
-			}
-		}
-		if res.Influence != ref.Influence {
-			t.Fatalf("workers=%d: influence %v, want %v", workers, res.Influence, ref.Influence)
-		}
-	}
-}
-
 // TestTightBoundSavesSamples runs the standard configuration under both
 // analyses: the tightened run must report θ_tight ≤ θ_worst, stay a
 // valid certified result, and both θs must be visible in the result.
 func TestTightBoundSavesSamples(t *testing.T) {
 	g := estimatorTestGraph(t)
-	worst := runWith(t, g, coverage.EstimatorExact, BoundIMM, 1)
-	tight := runWith(t, g, coverage.EstimatorExact, BoundTight, 1)
+	worst := runWith(t, g, BoundIMM, 1)
+	tight := runWith(t, g, BoundTight, 1)
 	for name, res := range map[string]*Result{"worst": worst, "tight": tight} {
 		if res.ThetaWorstCase < 1 || res.ThetaTight < 1 {
 			t.Fatalf("%s run did not report both budgets: %+v", name, res)
@@ -180,13 +141,12 @@ func TestTightBoundSavesSamples(t *testing.T) {
 	}
 }
 
-// TestAlgorithmsRunWithSketch smokes every algorithm chassis against the
-// HLL backend and the tightened bound: valid seeds, sane influence, and
-// both reported budgets ordered.
+// TestAlgorithmsRunWithSketch smokes every algorithm chassis under the
+// tightened bound: valid seeds, sane influence, and both reported
+// budgets ordered.
 func TestAlgorithmsRunWithSketch(t *testing.T) {
 	g := estimatorTestGraph(t)
-	opt := Options{K: 5, Eps: 0.35, Seed: 7, Workers: 2,
-		Estimator: coverage.EstimatorHLL, Bound: BoundTight}
+	opt := Options{K: 5, Eps: 0.35, Seed: 7, Workers: 2, Bound: BoundTight}
 	algs := map[string]func(rrset.Generator, Options) (*Result, error){
 		"opimc": OPIMC, "imm": IMM, "ssa": SSA, "timplus": TIMPlus,
 	}

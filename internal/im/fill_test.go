@@ -13,7 +13,7 @@ import (
 // TestShardedPipelineEquivalence is the pipeline property test of the
 // exact engine's fill paths: for every generator kind and worker count,
 // Batcher.Fill into an engine with one shard per worker (the direct
-// FillSharded path) must yield the same set count, identical merged
+// shard-arena path) must yield the same set count, identical merged
 // generator stats, and byte-identical seeds and certified Λᵘ as the
 // workers=1, single-shard reference. A mismatched shard count (the
 // generic absorb fallback) must change nothing either.
@@ -29,13 +29,13 @@ func TestShardedPipelineEquivalence(t *testing.T) {
 			n := refGen.Graph().N()
 			refB := NewBatcher(refGen, seed, 1)
 			ref := coverage.NewSharded(n, nil, 1)
-			refB.Fill(ref, count, nil)
+			mustFill(t, refB, ref, count, nil)
 			refStats := refB.Stats()
 			refSel := ref.SelectSeeds(coverage.GreedyOptions{K: k})
 
 			check := func(t *testing.T, b *Batcher, sh *coverage.Sharded, workers int) {
 				t.Helper()
-				if hits := b.Fill(sh, count, nil); hits != 0 {
+				if hits := mustFill(t, b, sh, count, nil); hits != 0 {
 					t.Fatalf("workers=%d: unexpected sentinel hits %d", workers, hits)
 				}
 				if sh.NumSets() != ref.NumSets() {
@@ -60,7 +60,7 @@ func TestShardedPipelineEquivalence(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 2, 8} {
-				// Matched shard count: the direct FillSharded path.
+				// Matched shard count: the direct shard-arena path.
 				b := NewBatcher(c.gen(), seed, workers)
 				sh := coverage.NewSharded(n, nil, workers)
 				sh.SetWorkers(workers)
@@ -76,6 +76,33 @@ func TestShardedPipelineEquivalence(t *testing.T) {
 	}
 }
 
+// mustFill is Batcher.Fill for collections that stay far below
+// MaxSets: any error fails the test.
+func mustFill(t *testing.T, b *Batcher, est *coverage.Sharded, count int, sentinel []bool) int64 {
+	t.Helper()
+	hits, err := b.Fill(est, count, sentinel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hits
+}
+
+// TestFillRefusesPastMaxSets pins the collection cap: a Fill that would
+// grow an estimator past MaxSets sets returns an error before drawing
+// anything, instead of overflowing the int32 set ids of the postings.
+func TestFillRefusesPastMaxSets(t *testing.T) {
+	g := estimatorTestGraph(t)
+	b := NewBatcher(rrset.NewSubsim(g), 1, 2)
+	est := NewEstimator(g.N(), nil, Options{Workers: 2}, nil)
+	mustFill(t, b, est, 10, nil)
+	if _, err := b.Fill(est, MaxSets-9, nil); err == nil {
+		t.Fatal("Fill past MaxSets returned no error")
+	}
+	if est.NumSets() != 10 || b.Stats().Sets != 10 {
+		t.Fatalf("refused Fill drew sets: %d kept, %d generated", est.NumSets(), b.Stats().Sets)
+	}
+}
+
 // TestShardedCertifiedBoundsWorkerIndependent is the algorithm-level pin
 // of the worker-independence invariant under the tightened sample
 // budget: a full OPIM-C run (doubling loop, Eq. 1/2 certification) with
@@ -83,12 +110,12 @@ func TestShardedPipelineEquivalence(t *testing.T) {
 // influence, both certified bounds, and merged RR stats.
 func TestShardedCertifiedBoundsWorkerIndependent(t *testing.T) {
 	g := estimatorTestGraph(t)
-	ref := runWith(t, g, coverage.EstimatorExact, BoundTight, 1)
+	ref := runWith(t, g, BoundTight, 1)
 	if ref.LowerBound <= 0 || ref.UpperBound <= 0 {
 		t.Fatalf("reference run certified no bounds: %+v", ref)
 	}
 	for _, workers := range []int{2, 8} {
-		res := runWith(t, g, coverage.EstimatorExact, BoundTight, workers)
+		res := runWith(t, g, BoundTight, workers)
 		if len(res.Seeds) != len(ref.Seeds) {
 			t.Fatalf("workers=%d: %d seeds, want %d", workers, len(res.Seeds), len(ref.Seeds))
 		}
@@ -128,7 +155,7 @@ func TestShardedSentinelHits(t *testing.T) {
 
 	refB := NewBatcher(rrset.NewSubsim(g), seed, 1)
 	ref := coverage.NewSharded(g.N(), nil, 1)
-	refHits := refB.Fill(ref, count, sentinel)
+	refHits := mustFill(t, refB, ref, count, sentinel)
 	if refHits == 0 {
 		t.Fatal("reference run hit no sentinels; test graph/sentinel choice is broken")
 	}
@@ -138,7 +165,7 @@ func TestShardedSentinelHits(t *testing.T) {
 		b := NewBatcher(rrset.NewSubsim(g), seed, workers)
 		sh := coverage.NewSharded(g.N(), nil, workers)
 		sh.SetWorkers(workers)
-		hits := b.Fill(sh, count, sentinel)
+		hits := mustFill(t, b, sh, count, sentinel)
 		if hits != refHits {
 			t.Fatalf("workers=%d: %d sentinel hits, want %d", workers, hits, refHits)
 		}
@@ -199,7 +226,7 @@ func TestSpliceSentinelWorkerEquality(t *testing.T) {
 	}
 
 	ref := coverage.NewSharded(g.N(), nil, 1)
-	if hits := NewBatcher(rrset.NewSubsim(g), seed, 1).Fill(ref, count, sentinel); hits != wantHits {
+	if hits := mustFill(t, NewBatcher(rrset.NewSubsim(g), seed, 1), ref, count, sentinel); hits != wantHits {
 		t.Fatalf("reference fill: %d sentinel hits, want %d", hits, wantHits)
 	}
 	refSel := ref.SelectSeeds(coverage.GreedyOptions{K: 5, Exclude: sentinel})
@@ -208,8 +235,8 @@ func TestSpliceSentinelWorkerEquality(t *testing.T) {
 		b := NewBatcher(rrset.NewSubsim(g), seed, workers)
 		sh := coverage.NewSharded(g.N(), nil, workers)
 		sh.SetWorkers(workers)
-		hits := b.Fill(sh, count/2, sentinel)
-		hits += b.Fill(sh, count-count/2, sentinel)
+		hits := mustFill(t, b, sh, count/2, sentinel)
+		hits += mustFill(t, b, sh, count-count/2, sentinel)
 		if hits != wantHits {
 			t.Fatalf("workers=%d: %d sentinel hits, want %d", workers, hits, wantHits)
 		}
@@ -249,7 +276,7 @@ func TestSpliceSentinelWorkerEquality(t *testing.T) {
 // the serial fill.
 func TestShardedFillAmortizedAllocs(t *testing.T) { fillAmortizedAllocs(t, 2) }
 
-// TestShardedConcurrentFill exercises the multi-shard FillSharded path
+// TestShardedConcurrentFill exercises the multi-shard Fill path
 // (one goroutine per shard writing its own arena) repeatedly,
 // interleaved with parallel rebuilds and selections, so `go test -race`
 // covers the handoff; it re-checks set accounting.
@@ -281,7 +308,7 @@ func concurrentFill(t *testing.T, sentinel []bool) {
 	sh.SetWorkers(8)
 	var hits int64
 	for round := 0; round < 4; round++ {
-		hits += b.Fill(sh, 1000, sentinel)
+		hits += mustFill(t, b, sh, 1000, sentinel)
 		if got := int64(sh.NumSets()) + hits; got != int64(1000*(round+1)) {
 			t.Fatalf("round %d: %d kept + %d hits, want %d", round, sh.NumSets(), hits, 1000*(round+1))
 		}

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"subsim/internal/bounds"
 	"subsim/internal/coverage"
 	"subsim/internal/obs"
 	"subsim/internal/rng"
@@ -43,15 +44,6 @@ type Options struct {
 	// selection. The baselines default to the classic greedy; HIST
 	// always enables it.
 	Revised bool
-	// Estimator selects the coverage backend: the exact engine (the zero
-	// value; one shard per worker, bit-identical across worker counts) or
-	// the HyperLogLog sketch backend (coverage.EstimatorHLL), which trades
-	// the backend's certified relative error for θ-independent memory.
-	Estimator coverage.EstimatorKind
-	// SketchPrecision is the HLL register-index width p (2^p registers
-	// per node); 0 defaults to coverage.HLLDefaultPrecision. Ignored by
-	// the exact backend.
-	SketchPrecision int
 	// Bound selects the sample-complexity analysis that caps θ:
 	// BoundIMM (the zero value) keeps the worst-case IMM/OPIM-C
 	// constants and historic behavior; BoundTight lets algorithms stop
@@ -105,17 +97,28 @@ func ParseBound(s string) (BoundKind, error) {
 	}
 }
 
+// Normalize validates o for a graph of n nodes and fills in the
+// defaults. The range checks are written so that NaN fails them too.
 func (o *Options) Normalize(n int) error {
+	if n < 2 {
+		return fmt.Errorf("im: n=%d nodes, need at least 2", n)
+	}
 	if o.K < 1 || o.K > n {
 		return fmt.Errorf("im: k=%d outside [1,%d]", o.K, n)
 	}
-	if o.Eps <= 0 || o.Eps >= 1 {
+	if !(o.Eps > 0 && o.Eps < 1) {
 		return fmt.Errorf("im: eps=%v outside (0,1)", o.Eps)
+	}
+	// Below the float64 resolution of the 1-1/e-ε target, ε leaves the
+	// target at 1-1/e, as ε = 0 would, while every sample budget, ∝ 1/ε²,
+	// exceeds 10³² sets: far more than a collection holds.
+	if bounds.GreedyFactor(o.Eps) >= bounds.GreedyFactor(0) {
+		return fmt.Errorf("im: eps=%v below the float64 resolution of the 1-1/e-eps target", o.Eps)
 	}
 	if o.Delta == 0 {
 		o.Delta = 1 / float64(n)
 	}
-	if o.Delta <= 0 || o.Delta >= 1 {
+	if !(o.Delta > 0 && o.Delta < 1) {
 		return fmt.Errorf("im: delta=%v outside (0,1)", o.Delta)
 	}
 	if o.Workers <= 0 {
@@ -198,9 +201,8 @@ type Batcher struct {
 	// batcher is uninstrumented.
 	secGenerate *obs.PhaseSection
 
-	// hitCnt holds one sentinel-hit count per worker lane of
-	// FillSharded, kept on the batcher so steady-state fills allocate
-	// nothing.
+	// hitCnt holds one sentinel-hit count per worker lane of Fill, kept
+	// on the batcher so steady-state fills allocate nothing.
 	hitCnt []int64
 }
 
@@ -407,62 +409,56 @@ func (b *Batcher) ResetStats() {
 	}
 }
 
-// Fill generates count RR sets and absorbs them into est. When sentinel
-// is non-nil, sets that terminated on a sentinel (i.e. contain one) are
-// NOT absorbed; instead the number of such hits is returned, matching
-// Algorithm 8 line 5 where covered-by-S_b sets are excluded from greedy.
+// MaxSets is the most RR sets one estimator can hold: its postings
+// store set ids as int32.
+const MaxSets = math.MaxInt32
+
+// setCount converts a sample size computed in floats to a set count,
+// failing when it is not a finite number of at most MaxSets sets.
+func setCount(name string, t float64) (int64, error) {
+	if !(t <= MaxSets) {
+		return 0, fmt.Errorf("im: %s=%v RR sets, more than one collection holds (%d)", name, t, MaxSets)
+	}
+	return int64(math.Ceil(t)), nil
+}
+
+// Fill generates count RR sets directly into est's shard-local arenas.
+// When sentinel is non-nil, sets that terminated on a sentinel (i.e.
+// contain one) are NOT absorbed; instead the number of such hits is
+// returned, matching Algorithm 8 line 5 where covered-by-S_b sets are
+// excluded from greedy. Fill draws nothing and returns an error when est
+// would grow past MaxSets sets.
 //
-// The exact engine takes FillSharded, generating straight into its shard
-// arenas; any other estimator consumes the per-worker arenas through
-// AbsorbArena in ascending worker order, which replays the sets in
-// global-index order — so every backend sees the same sets with the same
-// ids regardless of the worker count.
-func (b *Batcher) Fill(est coverage.Estimator, count int, sentinel []bool) (hits int64) {
-	if sh, ok := est.(*coverage.Sharded); ok {
-		return b.FillSharded(sh, count, sentinel)
-	}
-	return b.absorbInto(est, count, sentinel)
-}
-
-// absorbInto is the generic estimator fill path: generate into the
-// per-worker arenas, then hand each arena to AbsorbArena in ascending
-// worker order (global-index order).
-func (b *Batcher) absorbInto(est coverage.Estimator, count int, sentinel []bool) (hits int64) {
-	if count <= 0 {
-		return 0
-	}
-	hGen := b.secGenerate.Enter()
-	used := b.fillArenas(count, sentinel)
-	hGen.Exit()
-	for w := 0; w < used; w++ {
-		a := b.arenas[w]
-		hits += est.AbsorbArena(a.Data(), a.Ends(), sentinel)
-	}
-	return hits
-}
-
-// FillSharded generates count RR sets directly into sh's shard-local
-// arenas. Worker lane w owns shard w and generates exactly the global
-// indices idx with coverage.ShardOf(idx, shards) == w, so placement is
-// the documented pure function of (index, shard count) and no set is
-// ever copied: the arena IS the shard's store segment, and
+// Worker lane w owns shard w and generates exactly the global indices
+// idx with coverage.ShardOf(idx, shards) == w, so placement is the
+// documented pure function of (index, shard count) and no set is ever
+// copied: the arena IS the shard's store segment, and
 // sentinel-terminated sets are truncated in place (Arena.DropLast).
 //
 // A shard count different from the batcher's worker count falls back to
-// the generic absorb path (still correct, routed by collection index).
-// Results are identical either way: every coverage query is a sum over
-// shards, so the partition cannot change it.
+// the per-worker arenas, handed to AbsorbArena in ascending worker order
+// (global-index order). Results are identical either way: every coverage
+// query is a sum over shards, so the partition cannot change it.
 //
 //subsim:parallel
-func (b *Batcher) FillSharded(sh *coverage.Sharded, count int, sentinel []bool) (hits int64) {
+func (b *Batcher) Fill(est *coverage.Sharded, count int, sentinel []bool) (hits int64, err error) {
 	if count <= 0 {
-		return 0
+		return 0, nil
 	}
-	shards := sh.NumShards()
-	if shards != len(b.gens) {
-		return b.absorbInto(sh, count, sentinel)
+	if have := est.NumSets(); count > MaxSets-have {
+		return 0, fmt.Errorf("im: %d more RR sets would grow a collection of %d past %d", count, have, MaxSets)
 	}
 	hGen := b.secGenerate.Enter()
+	shards := est.NumShards()
+	if shards != len(b.gens) {
+		used := b.fillArenas(count, sentinel)
+		hGen.Exit()
+		for w := 0; w < used; w++ {
+			a := b.arenas[w]
+			hits += est.AbsorbArena(a.Data(), a.Ends(), sentinel)
+		}
+		return hits, nil
+	}
 	first := b.next
 	b.next += int64(count)
 	if count < 4*shards || shards == 1 {
@@ -470,26 +466,37 @@ func (b *Batcher) FillSharded(sh *coverage.Sharded, count int, sentinel []bool) 
 		// set content depends only on (seed, index), so the lane choice
 		// is invisible.
 		for s := 0; s < shards; s++ {
-			hits += b.fillShard(sh.ShardArena(s), 0, s, shards, first, count, sentinel)
+			hits += b.fillShard(est.ShardArena(s), 0, s, shards, first, count, sentinel)
 		}
 		hGen.Exit()
-		return hits
+		return hits, nil
 	}
 	var wg sync.WaitGroup
 	wg.Add(shards - 1)
 	for w := 1; w < shards; w++ {
 		go func(w int) {
 			defer wg.Done()
-			b.hitCnt[w] = b.fillShard(sh.ShardArena(w), w, w, shards, first, count, sentinel)
+			b.hitCnt[w] = b.fillShard(est.ShardArena(w), w, w, shards, first, count, sentinel)
 		}(w)
 	}
-	b.hitCnt[0] = b.fillShard(sh.ShardArena(0), 0, 0, shards, first, count, sentinel)
+	b.hitCnt[0] = b.fillShard(est.ShardArena(0), 0, 0, shards, first, count, sentinel)
 	wg.Wait()
 	for w := 0; w < shards; w++ {
 		hits += b.hitCnt[w]
 	}
 	hGen.Exit()
-	return hits
+	return hits, nil
+}
+
+// FillPair fills two collections by count sets each, idx1 first — the
+// way OPIM-C and HIST's IM-Sentinel phase grow their selection and
+// verification collections — and returns the sentinel hits of each.
+func (b *Batcher) FillPair(idx1, idx2 *coverage.Sharded, count int, sentinel []bool) (hits1, hits2 int64, err error) {
+	if hits1, err = b.Fill(idx1, count, sentinel); err != nil {
+		return 0, 0, err
+	}
+	hits2, err = b.Fill(idx2, count, sentinel)
+	return hits1, hits2, err
 }
 
 // fillShard generates every global index idx in [first, first+count)
@@ -524,18 +531,12 @@ func arenaLastHit(a *rrset.Arena, sentinel []bool) bool {
 	return len(set) > 0 && sentinel[set[len(set)-1]]
 }
 
-// NewEstimator constructs the coverage backend opt selects, wired to the
-// metric set (which may be nil): the exact engine for
-// coverage.EstimatorExact, with one shard per worker so Batcher.Fill
-// generates straight into the shard arenas (the shard count never
-// changes a result: every query is a sum over shards), or the HLL sketch
-// backend. Worker bounds are inherited from opt.Workers.
-func NewEstimator(n int, outDeg []int32, opt Options, m *obs.MetricSet) coverage.Estimator {
-	if opt.Estimator == coverage.EstimatorHLL {
-		h := coverage.NewHLLObs(n, outDeg, opt.SketchPrecision, m)
-		h.SetWorkers(opt.Workers)
-		return h
-	}
+// NewEstimator constructs the exact coverage engine for a run, wired to
+// the metric set (which may be nil), with one shard per worker so
+// Batcher.Fill generates straight into the shard arenas (the shard count
+// never changes a result: every query is a sum over shards). Worker
+// bounds are inherited from opt.Workers.
+func NewEstimator(n int, outDeg []int32, opt Options, m *obs.MetricSet) *coverage.Sharded {
 	s := coverage.NewShardedObs(n, outDeg, opt.Workers, m)
 	s.SetWorkers(opt.Workers)
 	return s

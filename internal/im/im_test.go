@@ -195,7 +195,7 @@ func TestFillIndexSentinelExclusion(t *testing.T) {
 	sentinel := make([]bool, 40)
 	sentinel[0] = true
 	idx := NewEstimator(40, nil, Options{Workers: 1}, nil)
-	hits := batch.Fill(idx, 200, sentinel)
+	hits := mustFill(t, batch, idx, 200, sentinel)
 	if hits+int64(idx.NumSets()) != 200 {
 		t.Fatalf("hits %d + indexed %d != 200", hits, idx.NumSets())
 	}

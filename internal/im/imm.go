@@ -56,10 +56,15 @@ func IMM(gen rrset.Generator, opt Options) (*Result, error) {
 		res.Rounds = i
 		rs := est1.Child(obs.Round(i))
 		x := float64(n) / math.Pow(2, float64(i))
-		thetaI := int64(math.Ceil(lambdaPrime / x))
+		thetaI, err := setCount("theta", lambdaPrime/x)
+		if err != nil {
+			return nil, err
+		}
 		if add := thetaI - int64(idx.NumSets()); add > 0 {
 			sp := rs.Child("sampling")
-			b.Fill(idx, int(add), nil)
+			if _, err := b.Fill(idx, int(add), nil); err != nil {
+				return nil, err
+			}
 			sp.SetInt("theta", add).End()
 		}
 		ss := rs.Child("selection")
@@ -93,7 +98,9 @@ func IMM(gen rrset.Generator, opt Options) (*Result, error) {
 	run.Theta(thetaWorst, thetaTight, theta)
 	if add := theta - int64(idx.NumSets()); add > 0 {
 		sp := ns.Child("sampling")
-		b.Fill(idx, int(add), nil)
+		if _, err := b.Fill(idx, int(add), nil); err != nil {
+			return nil, err
+		}
 		sp.SetInt("theta", add).End()
 	}
 	ss := ns.Child("selection")

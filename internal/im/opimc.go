@@ -48,8 +48,9 @@ func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
 	run.Theta(thetaWorst, thetaTight, thetaMax)
 	theta := theta0
 	sp := run.Span().Child("sampling")
-	b.Fill(idx1, int(theta), nil)
-	b.Fill(idx2, int(theta), nil)
+	if _, _, err := b.FillPair(idx1, idx2, int(theta), nil); err != nil {
+		return nil, err
+	}
 	sp.SetInt("theta", theta).End()
 
 	for i := 1; ; i++ {
@@ -90,8 +91,9 @@ func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
 			break
 		}
 		sp := rs.Child("sampling")
-		b.Fill(idx1, int(theta), nil)
-		b.Fill(idx2, int(theta), nil)
+		if _, _, err := b.FillPair(idx1, idx2, int(theta), nil); err != nil {
+			return nil, err
+		}
 		sp.SetInt("theta", theta).End()
 		rs.End()
 		theta *= 2

@@ -33,7 +33,7 @@ var selectShapes = []selectShape{
 // selectEstimator draws s.sets RR sets into a fresh exact estimator and
 // warms it with one selection, so the shard CSRs and the selection
 // scratch are built before timing starts.
-func selectEstimator(b *testing.B, s selectShape) (coverage.Estimator, coverage.GreedyOptions) {
+func selectEstimator(b *testing.B, s selectShape) (*coverage.Sharded, coverage.GreedyOptions) {
 	b.Helper()
 	g, err := graph.GenPreferentialAttachment(100000, 8, false, rng.New(7))
 	if err != nil {
@@ -62,7 +62,7 @@ func selectEstimator(b *testing.B, s selectShape) (coverage.Estimator, coverage.
 // sets are built once, however many times the benchmark is probed.
 func BenchmarkSelectSeeds(b *testing.B) {
 	for _, s := range selectShapes {
-		var est coverage.Estimator
+		var est *coverage.Sharded
 		var opt coverage.GreedyOptions
 		b.Run(s.name, func(b *testing.B) {
 			if est == nil {

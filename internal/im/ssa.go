@@ -44,14 +44,20 @@ func SSA(gen rrset.Generator, opt Options) (*Result, error) {
 	// Λ: initial sample size from the SSA paper (the ln C(n,k) term
 	// belongs only in the worst-case cap θ_max, not in the optimistic
 	// starting size).
-	lambda := int64(math.Ceil((2 + 2*eps3/3) * math.Log(3/opt.Delta) / (eps3 * eps3)))
+	lambda, err := setCount("lambda", (2+2*eps3/3)*math.Log(3/opt.Delta)/(eps3*eps3))
+	if err != nil {
+		return nil, err
+	}
 	if lambda < 1 {
 		lambda = 1
 	}
 	tMax := doublingRounds(lambda, thetaMax)
 	deltaIter := opt.Delta / (3 * float64(tMax))
 	// Υ: stopping-rule target count for the verification estimator.
-	upsilon := int64(math.Ceil(1 + (1+eps2)*(2+2*eps2/3)*math.Log(2/deltaIter)/(eps2*eps2)))
+	upsilon, err := setCount("upsilon", 1+(1+eps2)*(2+2*eps2/3)*math.Log(2/deltaIter)/(eps2*eps2))
+	if err != nil {
+		return nil, err
+	}
 
 	tr := opt.Tracer
 	run := StartRun("ssa", gen, opt)
@@ -70,7 +76,9 @@ func SSA(gen rrset.Generator, opt Options) (*Result, error) {
 		rs := run.Span().Child(obs.Round(t))
 		if add := theta - int64(idx.NumSets()); add > 0 {
 			sp := rs.Child("sampling")
-			b.Fill(idx, int(add), nil)
+			if _, err := b.Fill(idx, int(add), nil); err != nil {
+				return nil, err
+			}
 			sp.SetInt("theta", add).End()
 		}
 		ss := rs.Child("selection")

@@ -1,6 +1,7 @@
 package im
 
 import (
+	"fmt"
 	"math"
 
 	"subsim/internal/bounds"
@@ -65,6 +66,9 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	for i := 1; i <= maxI; i++ {
 		res.Rounds = i
 		want := baseCount << uint(i)
+		if want > MaxSets {
+			return nil, fmt.Errorf("im: KPT estimation needs %d RR sets, more than one collection holds (%d)", want, MaxSets)
+		}
 		if add := want - int64(idx.NumSets()); add > 0 {
 			b.Visit(int(add), nil, func(set []int32) bool {
 				var w int64
@@ -103,12 +107,14 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	if epsPrime > 1 {
 		epsPrime = 1
 	}
-	thetaPrime := int64(math.Ceil((2 + epsPrime) * l * float64(n) * logn / (epsPrime * epsPrime * kpt)))
-	if limit := int64(4 * float64(n)); thetaPrime > limit {
-		thetaPrime = limit
+	thetaPrime, err := setCount("theta'", min((2+epsPrime)*l*float64(n)*logn/(epsPrime*epsPrime*kpt), 4*float64(n)))
+	if err != nil {
+		return nil, err
 	}
 	fresh := NewEstimator(n, outDeg, opt, tr.Metrics())
-	b.Fill(fresh, int(thetaPrime), nil)
+	if _, err := b.Fill(fresh, int(thetaPrime), nil); err != nil {
+		return nil, err
+	}
 	covFresh := fresh.CoverageOf(selPrev.Seeds)
 	kptPrime := float64(covFresh) / float64(fresh.NumSets()) * float64(n) / (1 + epsPrime)
 	if kptPrime > kpt {
@@ -120,7 +126,10 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	ns := run.Span().Child("node-selection")
 	lambda := (8 + 2*opt.Eps) * float64(n) *
 		(l*logn + bounds.LogChoose(n, opt.K) + math.Ln2) / (opt.Eps * opt.Eps)
-	thetaWorst := int64(math.Ceil(lambda / kpt))
+	thetaWorst, err := setCount("theta", lambda/kpt)
+	if err != nil {
+		return nil, err
+	}
 	// KPT* lower-bounds OPT, so it also feeds the tightened one-shot
 	// budget; both analyses certify the final greedy set.
 	thetaTightC := bounds.ThetaTightOPT(n, opt.K, opt.Eps, opt.Delta, kpt)
@@ -134,7 +143,9 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	}
 	run.Theta(thetaWorst, thetaTightC, theta)
 	if add := theta - int64(idx.NumSets()); add > 0 {
-		b.Fill(idx, int(add), nil)
+		if _, err := b.Fill(idx, int(add), nil); err != nil {
+			return nil, err
+		}
 	}
 	sel := idx.SelectSeeds(coverage.GreedyOptions{K: opt.K, Revised: opt.Revised})
 	ns.SetInt("theta", int64(idx.NumSets())).End()

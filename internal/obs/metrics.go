@@ -253,10 +253,6 @@ type MetricSet struct {
 	Approx Gauge
 	Round  IntGauge
 
-	// SketchBytes is the resident size of the sketch coverage backend's
-	// register file (bytes); stays 0 on exact-CSR runs, so its presence
-	// in a report identifies the estimator that produced it.
-	SketchBytes IntGauge
 	// ThetaWorst and ThetaTight are the worst-case (IMM/OPIM-C) and
 	// tightened (Sadeh–Cohen–Kaplan style) RR sample budgets of the
 	// current run, published by Run.Theta through SetTheta. ThetaSaved

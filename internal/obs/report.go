@@ -114,14 +114,6 @@ func (t *Tracer) Report() *Report {
 			"round":       float64(round),
 		}
 	}
-	// Estimator/bound instruments appear only when a run set them, so
-	// exact-backend worst-case runs keep their historic report shape.
-	if sb := m.SketchBytes.Load(); sb != 0 {
-		if r.Gauges == nil {
-			r.Gauges = map[string]float64{}
-		}
-		r.Gauges["sketch_bytes"] = float64(sb)
-	}
 	if tw, tt := m.ThetaWorst.Load(), m.ThetaTight.Load(); tw != 0 || tt != 0 {
 		if r.Gauges == nil {
 			r.Gauges = map[string]float64{}

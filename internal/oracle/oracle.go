@@ -57,7 +57,9 @@ func New(gen rrset.Generator, theta int64, seed uint64, workers int) (*Oracle, e
 	}
 	o.idx.SetWorkers(workers)
 	b := im.NewBatcher(gen, seed, workers)
-	b.Fill(o.idx, int(theta), nil)
+	if _, err := b.Fill(o.idx, int(theta), nil); err != nil {
+		return nil, err
+	}
 	o.stats = b.Stats()
 	return o, nil
 }
@@ -67,18 +69,21 @@ func New(gen rrset.Generator, theta int64, seed uint64, workers int) (*Oracle, e
 // eps with probability 1-delta (per query), following the Monte-Carlo
 // bound of Dagum et al.: θ ≥ 3n·ln(2/δ)/(ε²·iMin).
 func NewWithPrecision(gen rrset.Generator, eps, delta, iMin float64, seed uint64, workers int) (*Oracle, error) {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		return nil, fmt.Errorf("oracle: eps %v outside (0,1)", eps)
 	}
-	if delta <= 0 || delta >= 1 {
+	if !(delta > 0 && delta < 1) {
 		return nil, fmt.Errorf("oracle: delta %v outside (0,1)", delta)
 	}
 	n := float64(gen.Graph().N())
 	if iMin < 1 {
 		iMin = 1
 	}
-	theta := int64(math.Ceil(3 * n * math.Log(2/delta) / (eps * eps * iMin)))
-	return New(gen, theta, seed, workers)
+	theta := math.Ceil(3 * n * math.Log(2/delta) / (eps * eps * iMin))
+	if !(theta <= im.MaxSets) {
+		return nil, fmt.Errorf("oracle: theta=%v RR sets, more than one collection holds (%d)", theta, im.MaxSets)
+	}
+	return New(gen, int64(theta), seed, workers)
 }
 
 // Theta returns the number of RR sets backing the oracle.

@@ -54,6 +54,15 @@ func TestOracleValidation(t *testing.T) {
 	if _, err := NewWithPrecision(rrset.NewVanilla(g), 0.5, 0, 10, 1, 1); err == nil {
 		t.Error("delta=0 accepted")
 	}
+	if _, err := NewWithPrecision(rrset.NewVanilla(g), math.NaN(), 0.1, 10, 1, 1); err == nil {
+		t.Error("eps=NaN accepted")
+	}
+	if _, err := NewWithPrecision(rrset.NewVanilla(g), 1e-300, 0.1, 10, 1, 1); err == nil {
+		t.Error("theta past an int64 accepted")
+	}
+	if _, err := New(rrset.NewVanilla(g), 1<<40, 1, 1); err == nil {
+		t.Error("theta past what a collection holds accepted")
+	}
 }
 
 func TestOraclePrecisionSizing(t *testing.T) {

@@ -46,27 +46,24 @@ type selectionCase struct {
 }
 
 // selectionCases drive the Λᵘ prefix bound through every shape it has:
-// OPIM-C with a large k on the exact engine at one and two workers
-// (n is above the parallel initial-gain threshold, so W=2 takes the
-// partitioned first round and a two-shard collection), the out-degree tie-break, HIST's second
-// phase (Revised + Exclude + Base + TopL = k), and the HLL backend's
-// float-valued bound. The HIST runs pick 5 of their 50 seeds as
-// sentinels, so the second phase selects the other 45.
+// OPIM-C with a large k on the exact engine at one and two workers (W=2
+// selects over a two-shard collection), the out-degree tie-break, and
+// HIST's second phase (Revised + Exclude + Base + TopL = k). The HIST
+// runs pick 5 of their 50 seeds as sentinels, so the second phase
+// selects the other 45.
 func selectionCases() []selectionCase {
-	opimc := func(est subsim.EstimatorKind, workers int, revised bool) subsim.Options {
-		return subsim.Options{K: 600, Eps: 0.2, Seed: 5, Workers: workers, Estimator: est, Revised: revised}
+	opimc := func(workers int, revised bool) subsim.Options {
+		return subsim.Options{K: 600, Eps: 0.2, Seed: 5, Workers: workers, Revised: revised}
 	}
-	hist := func(est subsim.EstimatorKind, workers int) subsim.Options {
-		return subsim.Options{K: 50, Eps: 0.2, Seed: 9, Workers: workers, Estimator: est}
+	hist := func(workers int) subsim.Options {
+		return subsim.Options{K: 50, Eps: 0.2, Seed: 9, Workers: workers}
 	}
 	return []selectionCase{
-		{"opimc-exact-w1", subsim.AlgSUBSIM, opimc(subsim.EstimatorExact, 1, false)},
-		{"opimc-exact-w2", subsim.AlgSUBSIM, opimc(subsim.EstimatorExact, 2, false)},
-		{"opimc-exact-revised-w2", subsim.AlgSUBSIM, opimc(subsim.EstimatorExact, 2, true)},
-		{"hist-exact-w1", subsim.AlgHISTSubsim, hist(subsim.EstimatorExact, 1)},
-		{"hist-exact-w2", subsim.AlgHISTSubsim, hist(subsim.EstimatorExact, 2)},
-		{"opimc-hll-w2", subsim.AlgSUBSIM, opimc(subsim.EstimatorHLL, 2, false)},
-		{"hist-hll-w1", subsim.AlgHISTSubsim, hist(subsim.EstimatorHLL, 1)},
+		{"opimc-exact-w1", subsim.AlgSUBSIM, opimc(1, false)},
+		{"opimc-exact-w2", subsim.AlgSUBSIM, opimc(2, false)},
+		{"opimc-exact-revised-w2", subsim.AlgSUBSIM, opimc(2, true)},
+		{"hist-exact-w1", subsim.AlgHISTSubsim, hist(1)},
+		{"hist-exact-w2", subsim.AlgHISTSubsim, hist(2)},
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"os"
 
 	"subsim/internal/core"
-	"subsim/internal/coverage"
 	"subsim/internal/diffusion"
 	"subsim/internal/graph"
 	"subsim/internal/heuristics"
@@ -84,26 +83,6 @@ type Options = im.Options
 // Result.Report carries the observability run report when a Tracer was
 // attached.
 type Result = im.Result
-
-// EstimatorKind selects the coverage backend via Options.Estimator: the
-// exact engine (the zero value) or the HyperLogLog sketch backend, which
-// trades a certified relative error for θ-independent memory. See
-// coverage.Estimator for the contract.
-type EstimatorKind = coverage.EstimatorKind
-
-// Coverage estimator backends.
-const (
-	// EstimatorExact is the exact engine (default): one shard per
-	// worker, each generating straight into its own RR arena with its own
-	// CSR inverted index, every CELF round fanned out and tree-reduced.
-	// Results are byte-identical for any worker count.
-	EstimatorExact = coverage.EstimatorExact
-	// EstimatorHLL is the register-array HyperLogLog sketch backend.
-	EstimatorHLL = coverage.EstimatorHLL
-)
-
-// ParseEstimator maps a flag value ("exact" | "hll") to its kind.
-func ParseEstimator(s string) (EstimatorKind, error) { return coverage.ParseEstimator(s) }
 
 // BoundKind selects the sample-complexity analysis capping θ via
 // Options.Bound: the worst-case IMM/OPIM-C constants (the zero value)
