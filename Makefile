@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race serve-smoke flight-smoke bench-smoke cover bench bench-kernel bench-json bench-scale benchcmp benchcheck benchobs examples experiments quick clean
+.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race flight-smoke bench-smoke cover bench bench-kernel examples experiments quick clean
 
-all: build vet lint test test-alloc race serve-smoke flight-smoke bench-smoke escape-gate
+all: build vet lint test test-alloc race flight-smoke bench-smoke escape-gate
 
 build:
 	$(GO) build ./...
@@ -60,12 +60,12 @@ test:
 	$(GO) test ./... 2>&1 | tee bin/test_output.txt
 
 # Allocation-regression gate: the generate→index pipeline must stay
-# allocation-free per RR set in steady state (see BENCH_rrset.json),
-# including across repeated Fill→SelectSeeds rounds (the shard arenas,
-# CSR double buffers and selection scratch are reused, not reallocated),
-# the timeline's per-RR-set Record must not allocate, the always-on
-# flight recorder must journal and sample without allocating, and a nil
-# tracer's spans and a nil-sink obs.Run must allocate nothing.
+# allocation-free per RR set in steady state, including across repeated
+# Fill→SelectSeeds rounds (the shard arenas, CSR double buffers and
+# selection scratch are reused, not reallocated), the timeline's
+# per-RR-set Record must not allocate, the always-on flight recorder
+# must journal and sample without allocating, and a nil tracer's spans
+# and a nil-sink obs.Run must allocate nothing.
 test-alloc:
 	$(GO) test ./internal/im -run 'AllocFree|AmortizedAllocs|RoundsAllocs' -v
 	$(GO) test ./internal/coverage -run 'ScratchReuse' -v
@@ -73,17 +73,6 @@ test-alloc:
 
 race:
 	$(GO) test -race ./...
-
-# End-to-end smoke gate for the live telemetry plane: boots
-# `imrun -serve` on a generated graph, asserts every endpoint, checks
-# rr_sets_total monotonicity and a live /progress phase mid-run, then
-# gates obsdiff on a self-compare (exit 0) and the committed regressed
-# fixture (exit 1). See cmd/servesmoke.
-serve-smoke:
-	$(GO) build -o bin/graphgen ./cmd/graphgen
-	$(GO) build -o bin/imrun ./cmd/imrun
-	$(GO) build -o bin/obsdiff ./cmd/obsdiff
-	$(GO) run ./cmd/servesmoke
 
 # Post-mortem smoke gate for the flight recorder: force the two crash
 # paths out of the real imrun binary (-flight-selftest panic re-panics
@@ -129,58 +118,6 @@ bench:
 bench-kernel:
 	@mkdir -p bin
 	$(GO) test ./internal/rrset -run '^$$' -bench SubsimKernel -benchmem 2>&1 | tee bin/bench_kernel.txt
-
-# RR-pipeline benchmark suite (generate, index, select, end-to-end). The
-# trailing underscore keeps the 100k-node BenchmarkSelectSeeds/* shapes
-# out of the recorded suite; run those with -bench 'BenchmarkSelectSeeds/'.
-BENCH_RR = BenchmarkFillIndex|BenchmarkGenerateSingle|BenchmarkSelectSeeds_|BenchmarkOPIMC_E2E
-
-# Record the RR-pipeline benchmarks into BENCH_rrset.json under LABEL
-# (default "current"); committed baselines are "pre-arena" / "arena-csr".
-LABEL ?= current
-bench-json:
-	@mkdir -p bin
-	$(GO) test ./internal/im -run '^$$' -bench '$(BENCH_RR)' -benchmem 2>&1 | tee bin/bench_rrset.txt
-	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -label $(LABEL) bin/bench_rrset.txt
-
-# Compare two recorded baselines (override OLD/NEW to pick other labels,
-# e.g. `make bench-json LABEL=current && make benchcmp NEW=current`).
-OLD ?= pre-arena
-NEW ?= arena-csr
-benchcmp:
-	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -compare $(OLD),$(NEW)
-
-# Performance-regression gate: record the current numbers (make bench-json)
-# then fail if any RR-pipeline benchmark is >15% slower than the committed
-# arena-csr baseline.
-benchcheck:
-	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -check arena-csr,current
-
-# Worker-scaling suite for the parallel coverage pipeline: the
-# phase-split benchmarks (first CELF round, full selection with the
-# per-round fan-out) at workers 1/4/8 plus the end-to-end RR-pipeline
-# shapes, recorded under the "parallel-cover" label. The regression gate
-# pins only the serial (_W1) variants against the arena-csr baseline —
-# those are machine-independent, while the W4/W8-vs-W1 ratios depend on
-# the recording host's core count (on a single core they measure pure
-# partitioning overhead and stay informational).
-BENCH_SCALE_IM = BenchmarkShardedSelectSeeds_|$(BENCH_RR)
-BENCH_SCALE_COV = BenchmarkSelectGains_
-bench-scale:
-	@mkdir -p bin
-	$(GO) test ./internal/im -run '^$$' -bench '$(BENCH_SCALE_IM)' -benchmem 2>&1 | tee bin/bench_scale.txt
-	$(GO) test ./internal/coverage -run '^$$' -bench '$(BENCH_SCALE_COV)' -benchmem 2>&1 | tee -a bin/bench_scale.txt
-	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -label parallel-cover bin/bench_scale.txt
-	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -check arena-csr,parallel-cover -filter '_W1$$'
-
-# Observability overhead: bare vs nil-wrapped vs metrics-on vs
-# worker-timed vs live-scraped RR generation, recorded into
-# BENCH_rrset.json under the "obs-live" label (committed baseline:
-# "obs-live").
-benchobs:
-	@mkdir -p bin
-	$(GO) test ./internal/rrset -run '^$$' -bench InstrumentedGenerate -benchmem -count 3 2>&1 | tee bin/bench_obs.txt
-	$(GO) run ./cmd/benchjson -file BENCH_rrset.json -label obs-live bin/bench_obs.txt
 
 examples:
 	$(GO) run ./examples/quickstart

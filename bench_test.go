@@ -28,7 +28,7 @@ type benchKey struct {
 	model  string
 }
 
-func benchGraph(b *testing.B, n, deg int, model string) *subsim.Graph {
+func benchGraph(b testing.TB, n, deg int, model string) *subsim.Graph {
 	b.Helper()
 	key := benchKey{n, deg, model}
 	if g, ok := benchGraphs.Load(key); ok {

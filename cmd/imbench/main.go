@@ -22,7 +22,6 @@
 //	-log     emit structured run events on stderr: "text" or "json"
 //	-serve   serve the live telemetry plane on this address (e.g. :6060):
 //	         /metrics, /healthz, /readyz, /progress, /report, /debug/*
-//	-pprof   deprecated alias for -serve
 //
 // Example:
 //
@@ -57,16 +56,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "dump Prometheus-style metrics to stderr")
 	logFmt := flag.String("log", "", "structured run events on stderr: text or json")
 	serveAddr := flag.String("serve", "", "serve the live telemetry plane on this address")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -serve")
 	flightOn := flag.Bool("flight", true, "enable the flight recorder (journal, history, crash bundles)")
 	flightDir := flag.String("flight-dir", ".", "directory for diagnostic *.bundle directories")
 	stallWindow := flag.Duration("stall-window", 0, "stall-watchdog window (0 = watchdog off)")
 	flag.Parse()
-
-	if *serveAddr == "" && *pprofAddr != "" {
-		fmt.Fprintln(os.Stderr, "imbench: -pprof is deprecated, use -serve")
-		*serveAddr = *pprofAddr
-	}
 
 	cfg := bench.DefaultConfig()
 	if *quick {
@@ -84,9 +77,8 @@ func main() {
 	}
 	cfg.Bound = bnd
 	// Oversubscribed workers measure goroutine-partitioning overhead, not
-	// parallel speedup — the trap that poisoned the early W>1 rows of
-	// BENCH_rrset.json (see their "caveat" fields). Shout about it so the
-	// numbers can't masquerade as speedups.
+	// parallel speedup. Shout about it so the numbers can't masquerade as
+	// speedups.
 	if p := runtime.GOMAXPROCS(0); *workers > p {
 		fmt.Fprintf(os.Stderr,
 			"imbench: WARNING: -workers=%d exceeds GOMAXPROCS=%d — timings will measure\n"+

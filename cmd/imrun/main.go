@@ -31,7 +31,6 @@
 //	         /metrics, /healthz, /readyz, /progress, /report, /timeline,
 //	         /trace (Perfetto-loadable trace-event export), /events,
 //	         /debug/bundle, /debug/*
-//	-pprof   deprecated alias for -serve
 //	-flight  always-on flight recorder: black-box event journal,
 //	         runtime-metrics history, and diagnostic bundles on panic,
 //	         SIGQUIT/SIGUSR1, stall, or GET /debug/bundle (default on;
@@ -103,7 +102,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit Result + run report as one JSON object on stdout")
 	logFmt := flag.String("log", "", "structured run events on stderr: text or json")
 	serveAddr := flag.String("serve", "", "serve the live telemetry plane on this address")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -serve")
 	flightOn := flag.Bool("flight", true, "enable the flight recorder (journal, history, crash bundles)")
 	flightDir := flag.String("flight-dir", ".", "directory for diagnostic *.bundle directories")
 	stallWindow := flag.Duration("stall-window", 0, "stall-watchdog window (0 = watchdog off)")
@@ -128,10 +126,6 @@ func main() {
 	if !ok {
 		fmt.Fprintf(os.Stderr, "imrun: unknown -alg %q\n", *algName)
 		os.Exit(2)
-	}
-	if *serveAddr == "" && *pprofAddr != "" {
-		fmt.Fprintln(os.Stderr, "imrun: -pprof is deprecated, use -serve")
-		*serveAddr = *pprofAddr
 	}
 	if *repeat < 1 {
 		*repeat = 1

@@ -279,18 +279,6 @@ func (x *Sharded) NumSets() int {
 	return total
 }
 
-// MemoryBytes reports the approximate heap footprint of the shard
-// arenas plus their CSR indexes.
-func (x *Sharded) MemoryBytes() int64 {
-	var b int64
-	for s := range x.shards {
-		sh := &x.shards[s]
-		b += sh.arena.MemoryBytes()
-		b += int64(cap(sh.postings))*4 + int64(cap(sh.heads))*8
-	}
-	return b
-}
-
 // Add absorbs one RR set, routed by ShardOf over the current
 // collection index.
 func (x *Sharded) Add(set rrset.RRSet) {

@@ -43,10 +43,6 @@ const (
 	// writes that are disjoint for reasons the index analysis cannot
 	// prove (e.g. observability-only buffers with external coordination).
 	ClassCapture = "capture"
-	// ClassLockCopy suppresses lockcopy findings for intentional copies
-	// of lock-carrying values (e.g. exporting a snapshot of a ring that
-	// is provably quiescent).
-	ClassLockCopy = "lockcopy"
 )
 
 // KnownClasses returns the suppression classes and the analyzers that
@@ -69,7 +65,6 @@ var knownClasses = map[string]string{
 	ClassAlloc:    "hotpath-alloc",
 	ClassAtomic:   "atomicmix",
 	ClassCapture:  "gocapture",
-	ClassLockCopy: "lockcopy",
 }
 
 // directive is one parsed //lint: or //subsim: comment.

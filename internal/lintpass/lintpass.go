@@ -1,6 +1,6 @@
 // Package lintpass is the repository's project-invariant static-analysis
 // driver: a small, stdlib-only analyzer framework (go/ast + go/types, no
-// golang.org/x/tools dependency) plus the nine project-specific analyzers
+// golang.org/x/tools dependency) plus the eight project-specific analyzers
 // that machine-enforce the conventions the test suite certifies but
 // nothing previously checked at the source level:
 //
@@ -24,10 +24,11 @@
 //     must write captured slices only at parameter-derived indices, never
 //     write captured maps, and never call WaitGroup.Add from inside the
 //     goroutine (the disjoint-write decomposition contract).
-//   - lockcopy: no by-value copies of types carrying sync.Mutex,
-//     sync/atomic state, or timeline.Ring seqlocks.
 //   - directives: every //lint: and //subsim: directive must be known,
 //     well-formed, and actually used — stale suppressions are errors.
+//
+// By-value copies of locks and typed atomics are left to go vet's
+// copylocks check (make vet).
 //
 // Suppressions are line-scoped: `//lint:allow <class> [reason]` on the
 // offending line, the line above it, or a continuation line of the same
@@ -124,7 +125,6 @@ func All() []*Analyzer {
 		ErrCheck,
 		AtomicMix,
 		GoCapture,
-		LockCopy,
 		Directives,
 	}
 }

@@ -93,9 +93,9 @@ func (s *Span) Attrs() []string {
 
 // durationRacy is the seeded regression: a plain read of endNS copies
 // the atomic by value, skipping the acquire Load the live telemetry
-// readers rely on. lockcopy independently flags the same copy.
+// readers rely on. go vet's copylocks check flags the same copy.
 func (s *Span) durationRacy() int64 {
-	end := s.endNS // want `plain read of atomic-typed field "endNS"` want `assignment copies Int64 by value`
+	end := s.endNS // want `plain read of atomic-typed field "endNS"`
 	return end.Load() - s.startNS
 }
 
@@ -122,10 +122,10 @@ func (h *hist) total() int64 {
 }
 
 // totalRacy ranges by value, copying each atomic element outside its
-// API (lockcopy flags the per-iteration copy too).
+// API (go vet's copylocks check flags the per-iteration copy too).
 func (h *hist) totalRacy() int64 {
 	var t int64
-	for _, b := range h.buckets { // want `ranging over atomic field "buckets" by value` want `range copies Int64 by value`
+	for _, b := range h.buckets { // want `ranging over atomic field "buckets" by value`
 		t += b.Load()
 	}
 	return t

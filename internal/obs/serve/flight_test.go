@@ -122,12 +122,22 @@ func TestBundleEndpoint(t *testing.T) {
 	if len(onDisk.Files) != len(doc.Files) {
 		t.Errorf("response lists %d files, disk has %d", len(doc.Files), len(onDisk.Files))
 	}
+	listed := map[string]bool{}
 	for _, f := range onDisk.Files {
 		if f.Error != "" {
 			t.Errorf("artifact %s failed: %s", f.Name, f.Error)
 		}
-		if _, err := os.Stat(filepath.Join(doc.Path, f.Name)); err != nil {
+		listed[f.Name] = true
+		if fi, err := os.Stat(filepath.Join(doc.Path, f.Name)); err != nil {
 			t.Errorf("artifact %s missing on disk: %v", f.Name, err)
+		} else if fi.Size() != f.Bytes {
+			t.Errorf("artifact %s: manifest says %d bytes, disk has %d", f.Name, f.Bytes, fi.Size())
+		}
+	}
+	for _, name := range []string{"report.json", "spans.json", "trace.json", "metrics.prom",
+		"journal.json", "history.json", "goroutines.txt", "heap.pprof"} {
+		if !listed[name] {
+			t.Errorf("manifest does not list %s", name)
 		}
 	}
 }

@@ -21,8 +21,9 @@ import (
 // OPIM-C run with 8 generation workers races against goroutines hammering
 // /metrics, /progress(?spans=1) and /report the whole time. Under -race
 // this proves the scrape path never trips over the run's span and metric
-// writes, and the assertions prove the scraped counters are monotone and
-// parse as the documents they claim to be.
+// writes, and the assertions prove the scraped counters are monotone, the
+// published sample budgets are ordered, /progress tracks the live run,
+// and every body parses as the document it claims to be.
 func TestConcurrentScrapeDuringRun(t *testing.T) {
 	g, err := graph.GenPreferentialAttachment(3000, 4, false, rng.New(7))
 	if err != nil {
@@ -41,12 +42,36 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	var mu sync.Mutex
 	var scrapes int
 	var lastSets int64
+	var sawBudgets, sawLive bool
 	fail := func(format string, args ...any) {
 		mu.Lock()
 		defer mu.Unlock()
 		t.Errorf(format, args...)
 	}
 
+	// fetch GETs path once and runs check on a 200 body.
+	fetch := func(path string, check func(body []byte)) bool {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			fail("%s: %v", path, err)
+			return false
+		}
+		body, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil {
+			fail("%s read: %v", path, err)
+			return false
+		}
+		if resp.StatusCode != http.StatusOK {
+			fail("%s status %d", path, resp.StatusCode)
+			return false
+		}
+		check(body)
+		mu.Lock()
+		scrapes++
+		mu.Unlock()
+		return true
+	}
 	scrape := func(path string, check func(body []byte)) {
 		defer wg.Done()
 		for {
@@ -55,57 +80,66 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := http.Get(srv.URL + path)
-			if err != nil {
-				fail("%s: %v", path, err)
+			if !fetch(path, check) {
 				return
 			}
-			body, err := io.ReadAll(resp.Body)
-			_ = resp.Body.Close()
-			if err != nil {
-				fail("%s read: %v", path, err)
-				return
+		}
+	}
+
+	// series pulls one unlabelled series value out of an exposition.
+	series := func(body []byte, name string) (int64, bool) {
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+				if err != nil {
+					fail("parse %s %q: %v", name, v, err)
+				}
+				return n, err == nil
 			}
-			if resp.StatusCode != http.StatusOK {
-				fail("%s status %d", path, resp.StatusCode)
-				return
+		}
+		fail("scrape missing %s", name)
+		return 0, false
+	}
+
+	checkMetrics := func(body []byte) {
+		// rr_sets_total must be present and monotone across scrapes.
+		if sets, ok := series(body, "subsim_rr_sets_total"); ok {
+			mu.Lock()
+			if sets < lastSets {
+				t.Errorf("rr_sets_total went backwards: %d -> %d", lastSets, sets)
 			}
-			if check != nil {
-				check(body)
+			lastSets = sets
+			mu.Unlock()
+		}
+		// Once the run publishes its sample budgets, the tightened one
+		// is ordered: 0 < theta_tight <= theta_worst.
+		worst, ok1 := series(body, "subsim_theta_worst")
+		tight, ok2 := series(body, "subsim_theta_tight")
+		if ok1 && ok2 && worst > 0 {
+			if tight < 1 || tight > worst {
+				fail("budgets not ordered: theta_tight %d, theta_worst %d", tight, worst)
 			}
 			mu.Lock()
-			scrapes++
+			sawBudgets = true
+			mu.Unlock()
+		}
+	}
+	checkProgress := func(body []byte) {
+		var prog Progress
+		if err := json.Unmarshal(body, &prog); err != nil {
+			fail("progress unmarshal: %v", err)
+			return
+		}
+		if prog.Phase != "" && prog.RunsStarted > 0 && prog.RRSets > 0 {
+			mu.Lock()
+			sawLive = true
 			mu.Unlock()
 		}
 	}
 
 	wg.Add(3)
-	go scrape("/metrics", func(body []byte) {
-		// rr_sets_total must be present and monotone across scrapes.
-		for _, line := range strings.Split(string(body), "\n") {
-			if v, ok := strings.CutPrefix(line, "subsim_rr_sets_total "); ok {
-				sets, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-				if err != nil {
-					fail("parse rr_sets_total %q: %v", v, err)
-					return
-				}
-				mu.Lock()
-				if sets < lastSets {
-					t.Errorf("rr_sets_total went backwards: %d -> %d", lastSets, sets)
-				}
-				lastSets = sets
-				mu.Unlock()
-				return
-			}
-		}
-		fail("scrape missing subsim_rr_sets_total")
-	})
-	go scrape("/progress?spans=1", func(body []byte) {
-		var prog Progress
-		if err := json.Unmarshal(body, &prog); err != nil {
-			fail("progress unmarshal: %v", err)
-		}
-	})
+	go scrape("/metrics", checkMetrics)
+	go scrape("/progress?spans=1", checkProgress)
 	go scrape("/report", func(body []byte) {
 		var rep obs.Report
 		if err := json.Unmarshal(body, &rep); err != nil {
@@ -113,8 +147,13 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 		}
 	})
 
-	res, err := im.OPIMC(rrset.NewSubsim(g), im.Options{
-		K: 20, Eps: 0.3, Seed: 42, Workers: 8, Tracer: tr,
+	// One /progress scrape also runs from inside generation, so at least
+	// one lands mid-run however the host schedules the scrapers.
+	gen := &scrapeMidRun{Generator: rrset.NewSubsim(g), once: new(sync.Once),
+		scrape: func() { fetch("/progress", checkProgress) }}
+	p.RunStarted()
+	res, err := im.OPIMC(gen, im.Options{
+		K: 20, Eps: 0.3, Seed: 42, Workers: 8, Bound: im.BoundTight, Tracer: tr,
 	})
 	close(stop)
 	wg.Wait()
@@ -127,6 +166,15 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	if scrapes == 0 {
 		t.Error("no scrape completed during the run")
 	}
+	// The budgets stay published after the run, so this scrape makes the
+	// ordering check hold even if no concurrent one saw them.
+	fetch("/metrics", checkMetrics)
+	if !sawBudgets {
+		t.Error("no /metrics scrape showed subsim_theta_worst > 0")
+	}
+	if !sawLive {
+		t.Error("no mid-run /progress scrape showed a phase, a started run and RR sets")
+	}
 	// After the run the live view agrees with the final report.
 	final := tr.Metrics().Sets.Load()
 	if final < lastSets {
@@ -135,4 +183,24 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	if prog := p.Snapshot(false); prog.RRSets != final {
 		t.Errorf("snapshot sets %d != metric %d", prog.RRSets, final)
 	}
+}
+
+// scrapeMidRun calls scrape once, from inside the run: at a worker's
+// second RR set, when its first is already counted in rr_sets.
+type scrapeMidRun struct {
+	rrset.Generator
+	calls  int
+	once   *sync.Once
+	scrape func()
+}
+
+func (s *scrapeMidRun) Clone() rrset.Generator {
+	return &scrapeMidRun{Generator: s.Generator.Clone(), once: s.once, scrape: s.scrape}
+}
+
+func (s *scrapeMidRun) GenerateInto(a *rrset.Arena, r *rng.Source, root int32, sentinel []bool) []int32 {
+	if s.calls++; s.calls == 2 {
+		s.once.Do(s.scrape)
+	}
+	return s.Generator.GenerateInto(a, r, root, sentinel)
 }

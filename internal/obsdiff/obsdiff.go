@@ -2,8 +2,8 @@
 // obsdiff CLI: it loads two schema-versioned run reports (the JSON
 // documents produced by obs.Tracer.Report / imrun -report / the serve
 // plane's /report endpoint, or a flight-recorder bundle directory's
-// report.json) and flags regressions, so observability artifacts gate
-// performance the same way BENCH_rrset.json gates microbenchmarks.
+// report.json) and flags regressions, so observability artifacts can
+// gate a run's performance.
 //
 // Three metric families are compared:
 //

@@ -94,13 +94,6 @@ func (a *Arena) DropLast() {
 	a.ends = a.ends[:n]
 }
 
-// MemoryBytes reports the approximate heap footprint of the arena's two
-// flat buffers; shard-local arenas are the exact engine's store
-// segments (coverage.Sharded), so this is its set storage.
-func (a *Arena) MemoryBytes() int64 {
-	return int64(cap(a.data))*4 + int64(cap(a.ends))*8
-}
-
 // start returns the offset new nodes will be appended at.
 func (a *Arena) start() int { return len(a.data) }
 

@@ -69,23 +69,6 @@ func TestArenaDropLast(t *testing.T) {
 	empty.DropLast()
 }
 
-func TestArenaMemoryBytes(t *testing.T) {
-	var a Arena
-	if a.MemoryBytes() != 0 {
-		t.Fatalf("empty arena MemoryBytes = %d", a.MemoryBytes())
-	}
-	a.Append([]int32{1, 2, 3})
-	want := int64(cap(a.Data()))*4 + int64(cap(a.Ends()))*8
-	if got := a.MemoryBytes(); got != want || got < 3*4+8 {
-		t.Fatalf("MemoryBytes = %d, want %d (>= %d)", got, want, 3*4+8)
-	}
-	// Capacity, not length: DropLast must not shrink the footprint.
-	a.DropLast()
-	if got := a.MemoryBytes(); got != want {
-		t.Fatalf("MemoryBytes after DropLast = %d, want %d", got, want)
-	}
-}
-
 // TestArenaAppendDropSteadyStateAllocFree pins the direct shard fill
 // path's allocation behaviour: once grown, an append/drop churn cycle
 // costs nothing.

@@ -217,7 +217,6 @@ func TestStatsSub(t *testing.T) {
 // writer side under continuous lock-free reader pressure.
 //
 // Run with: go test ./internal/rrset -bench InstrumentedGenerate -benchmem
-// (recorded into BENCH_rrset.json by `make benchobs`).
 func BenchmarkInstrumentedGenerate(b *testing.B) {
 	g := testGraph(b)
 	run := func(b *testing.B, gen Generator) {
