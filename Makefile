@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race flight-smoke bench-smoke cover bench bench-kernel examples experiments quick clean
+.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race bench-smoke cover bench bench-kernel examples experiments quick clean
 
-all: build vet lint test test-alloc race flight-smoke bench-smoke escape-gate
+all: build vet lint test test-alloc race bench-smoke escape-gate
 
 build:
 	$(GO) build ./...
@@ -63,40 +63,15 @@ test:
 # allocation-free per RR set in steady state, including across repeated
 # Fill→SelectSeeds rounds (the shard arenas, CSR double buffers and
 # selection scratch are reused, not reallocated), the timeline's
-# per-RR-set Record must not allocate, the always-on flight recorder
-# must journal and sample without allocating, and a nil tracer's spans
-# and a nil-sink obs.Run must allocate nothing.
+# per-RR-set Record must not allocate, and a nil tracer's spans and a
+# nil-sink obs.Run must allocate nothing.
 test-alloc:
 	$(GO) test ./internal/im -run 'AllocFree|AmortizedAllocs|RoundsAllocs' -v
 	$(GO) test ./internal/coverage -run 'ScratchReuse' -v
-	$(GO) test ./internal/obs ./internal/obs/timeline ./internal/obs/flight -run 'AllocFree|AllocationFree' -v
+	$(GO) test ./internal/obs ./internal/obs/timeline -run 'AllocFree|AllocationFree' -v
 
 race:
 	$(GO) test -race ./...
-
-# Post-mortem smoke gate for the flight recorder: force the two crash
-# paths out of the real imrun binary (-flight-selftest panic re-panics
-# through CapturePanic and must exit 2; -flight-selftest stall wedges an
-# open span until the watchdog writes a bundle and exits 0), then prove
-# cmd/obsbundle summarizes each bundle and that an obsdiff self-diff of
-# the bundle exits 0 — the crash-dump pipeline stays consumable end to end.
-flight-smoke:
-	$(GO) build -o bin/imrun ./cmd/imrun
-	$(GO) build -o bin/obsbundle ./cmd/obsbundle
-	$(GO) build -o bin/obsdiff ./cmd/obsdiff
-	rm -rf bin/flightsmoke && mkdir -p bin/flightsmoke/panic bin/flightsmoke/stall
-	bin/imrun -flight-selftest panic -flight-dir bin/flightsmoke/panic \
-		>/dev/null 2>bin/flightsmoke/panic.log; status=$$?; \
-		test $$status -eq 2 || { echo "flight-smoke: panic selftest exit $$status, want 2"; \
-		cat bin/flightsmoke/panic.log; exit 1; }
-	bin/imrun -flight-selftest stall -flight-dir bin/flightsmoke/stall \
-		>/dev/null 2>bin/flightsmoke/stall.log || \
-		{ cat bin/flightsmoke/stall.log; exit 1; }
-	for d in bin/flightsmoke/panic/*.bundle bin/flightsmoke/stall/*.bundle; do \
-		bin/obsbundle $$d >/dev/null || exit 1; \
-		bin/obsdiff $$d $$d >/dev/null || exit 1; \
-	done
-	@echo "flight-smoke: ok"
 
 # The certified-run benchmark (perfbench/, see BENCHMARK.json) is its own
 # Go module, so the root `go test ./...` skips it. Vet and test it here

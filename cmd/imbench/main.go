@@ -23,6 +23,9 @@
 //	-serve   serve the live telemetry plane on this address (e.g. :6060):
 //	         /metrics, /healthz, /readyz, /progress, /report, /debug/*
 //
+// Only -trace, -metrics and -serve read a tracer, so only they build
+// one; without them every timing cell is measured untraced.
+//
 // Example:
 //
 //	imbench -exp fig1,fig4 -scale 0.5 -reps 3
@@ -56,9 +59,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "dump Prometheus-style metrics to stderr")
 	logFmt := flag.String("log", "", "structured run events on stderr: text or json")
 	serveAddr := flag.String("serve", "", "serve the live telemetry plane on this address")
-	flightOn := flag.Bool("flight", true, "enable the flight recorder (journal, history, crash bundles)")
-	flightDir := flag.String("flight-dir", ".", "directory for diagnostic *.bundle directories")
-	stallWindow := flag.Duration("stall-window", 0, "stall-watchdog window (0 = watchdog off)")
 	flag.Parse()
 
 	cfg := bench.DefaultConfig()
@@ -116,7 +116,7 @@ func main() {
 		cfg.Logger = obs.NewLoggerWriter(os.Stderr, *logFmt)
 	}
 	var tr *obs.Tracer
-	if *tracePath != "" || *metrics || *serveAddr != "" || *flightOn {
+	if *tracePath != "" || *metrics || *serveAddr != "" {
 		tr = obs.NewTracer()
 		tr.EnableTimeline()
 		tr.SetMeta("tool", "imbench")
@@ -131,26 +131,6 @@ func main() {
 		tr.SetMeta("seed", *seed)
 		tr.SetMeta("bound", bnd.String())
 		cfg.Tracer = tr
-	}
-	// Flight recorder: a benchmark sweep that hangs or crashes after
-	// minutes of warm-up leaves a post-mortem bundle instead of nothing.
-	if *flightOn {
-		fl := tr.EnableFlight(obs.FlightConfig{
-			Dir:         *flightDir,
-			Tool:        "imbench",
-			StallWindow: *stallWindow,
-			OnBundle: func(path, reason string, err error) {
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "imbench: flight bundle (%s): %v\n", reason, err)
-					return
-				}
-				fmt.Fprintf(os.Stderr, "imbench: flight bundle (%s) written to %s\n", reason, path)
-			},
-		})
-		defer fl.Close()
-		defer fl.CapturePanic()
-		stopSignals := fl.InstallSignalHandlers()
-		defer stopSignals()
 	}
 	var plane *serve.Plane
 	if *serveAddr != "" {

@@ -29,18 +29,10 @@
 //	-log     emit structured run events on stderr: "text" or "json"
 //	-serve   serve the live telemetry plane on this address (e.g. :6060):
 //	         /metrics, /healthz, /readyz, /progress, /report, /timeline,
-//	         /trace (Perfetto-loadable trace-event export), /events,
-//	         /debug/bundle, /debug/*
-//	-flight  always-on flight recorder: black-box event journal,
-//	         runtime-metrics history, and diagnostic bundles on panic,
-//	         SIGQUIT/SIGUSR1, stall, or GET /debug/bundle (default on;
-//	         -flight=false turns the black box off)
-//	-flight-dir    directory for *.bundle diagnostic bundles (default .)
-//	-stall-window  arm the stall watchdog: a bundle is written when an
-//	         active phase makes no progress for this long (0 = off)
-//	-flight-selftest  force a failure to prove the recorder end to end:
-//	         "panic" (crash with a panic bundle, nonzero exit) or "stall"
-//	         (hold a phase idle until the watchdog writes a bundle)
+//	         /trace (Perfetto-loadable trace-event export), /debug/*
+//
+// Only -trace, -metrics, -json and -serve read a tracer, so only they
+// build one; without them the run is untraced.
 package main
 
 import (
@@ -49,10 +41,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"subsim"
-	"subsim/internal/obs"
 	"subsim/internal/obs/serve"
 	"subsim/internal/seedio"
 )
@@ -102,23 +92,9 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit Result + run report as one JSON object on stdout")
 	logFmt := flag.String("log", "", "structured run events on stderr: text or json")
 	serveAddr := flag.String("serve", "", "serve the live telemetry plane on this address")
-	flightOn := flag.Bool("flight", true, "enable the flight recorder (journal, history, crash bundles)")
-	flightDir := flag.String("flight-dir", ".", "directory for diagnostic *.bundle directories")
-	stallWindow := flag.Duration("stall-window", 0, "stall-watchdog window (0 = watchdog off)")
-	flightSelftest := flag.String("flight-selftest", "", "force a recorder exercise: panic or stall")
 	flag.Parse()
 
-	switch *flightSelftest {
-	case "", "panic", "stall":
-	default:
-		fmt.Fprintf(os.Stderr, "imrun: unknown -flight-selftest %q (want panic or stall)\n", *flightSelftest)
-		os.Exit(2)
-	}
-	if *flightSelftest != "" && !*flightOn {
-		fmt.Fprintln(os.Stderr, "imrun: -flight-selftest needs the flight recorder (-flight)")
-		os.Exit(2)
-	}
-	if *graphPath == "" && *flightSelftest == "" {
+	if *graphPath == "" {
 		fmt.Fprintln(os.Stderr, "imrun: -graph is required (generate one with graphgen)")
 		os.Exit(2)
 	}
@@ -142,12 +118,10 @@ func main() {
 		opt.Logger = subsim.NewLogger(os.Stderr, *logFmt)
 	}
 
-	// Any observability consumer turns the tracer on — including the
-	// flight recorder, which is on by default: the black box records
-	// whether or not anything is watching. A nil tracer costs nothing
-	// otherwise (-flight=false with no other consumer).
+	// Only an output that reads the tracer turns it on; a nil tracer
+	// costs nothing, so a run without one is timed untraced.
 	var tr *subsim.Tracer
-	if *tracePath != "" || *metrics || *jsonOut || *serveAddr != "" || *flightOn {
+	if *tracePath != "" || *metrics || *jsonOut || *serveAddr != "" {
 		tr = subsim.NewTracer()
 		// The execution timeline powers /trace + /timeline on the plane and
 		// the timeline summary in the run report; recording costs a few
@@ -160,45 +134,6 @@ func main() {
 		tr.SetMeta("seed", *seed)
 		tr.SetMeta("bound", bnd.String())
 		opt.Tracer = tr
-	}
-
-	// Flight recorder: journal + metrics history always, watchdog when a
-	// stall window is armed, bundles on panic / signal / stall / HTTP.
-	var fl *obs.Flight
-	if *flightOn {
-		window := *stallWindow
-		if *flightSelftest == "stall" && window <= 0 {
-			window = 250 * time.Millisecond
-		}
-		stallBundle := make(chan string, 1)
-		fl = tr.EnableFlight(obs.FlightConfig{
-			Dir:         *flightDir,
-			Tool:        "imrun",
-			StallWindow: window,
-			OnBundle: func(path, reason string, err error) {
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "imrun: flight bundle (%s): %v\n", reason, err)
-					return
-				}
-				fmt.Fprintf(os.Stderr, "imrun: flight bundle (%s) written to %s\n", reason, path)
-				if reason == "stall" {
-					select {
-					case stallBundle <- path:
-					default:
-					}
-				}
-			},
-		})
-		defer fl.Close()
-		// LIFO: on a panic CapturePanic writes the bundle first, then
-		// Close stops the background goroutines while the value unwinds.
-		defer fl.CapturePanic()
-		stopSignals := fl.InstallSignalHandlers()
-		defer stopSignals()
-
-		if *flightSelftest != "" {
-			flightSelftestRun(tr, fl, *flightSelftest, window, stallBundle)
-		}
 	}
 
 	// The telemetry plane serves /metrics, /healthz, /readyz, /progress,
@@ -312,36 +247,6 @@ func main() {
 			fmt.Printf("wrote %s\n", *out)
 		}
 	}
-}
-
-// flightSelftestRun forces a recorder-visible failure so operators (and
-// make flight-smoke) can prove the black box end to end without waiting
-// for a real incident. "panic" crashes through the deferred CapturePanic
-// (panic bundle on disk, nonzero exit); "stall" holds a span open with
-// no progress until the watchdog fires and writes a stall bundle, then
-// exits 0. Never returns.
-func flightSelftestRun(tr *subsim.Tracer, fl *obs.Flight, mode string, window time.Duration, stallBundle <-chan string) {
-	sp := tr.Span("flight-selftest")
-	switch mode {
-	case "panic":
-		panic("flight selftest: forced panic")
-	case "stall":
-		// The open span marks the phase active; emitting nothing further
-		// starves the watchdog's progress signal.
-		select {
-		case path := <-stallBundle:
-			sp.End()
-			fmt.Printf("flight selftest: stall bundle %s\n", path)
-			fl.Close()
-			os.Exit(0)
-		case <-time.After(20*window + 10*time.Second):
-			sp.End()
-			fmt.Fprintln(os.Stderr, "imrun: flight selftest: watchdog never fired")
-			fl.Close()
-			os.Exit(1)
-		}
-	}
-	panic("unreachable")
 }
 
 func printHuman(g *subsim.Graph, alg subsim.Algorithm, res *subsim.Result, k int, eps float64, spread *float64, mc int) {

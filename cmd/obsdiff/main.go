@@ -5,8 +5,7 @@
 //
 //	obsdiff [flags] base new
 //
-// Each argument is a run report (imrun -report, GET /report) or a
-// flight-recorder bundle directory, which means its report.json.
+// Each argument is a run report (imrun -trace, GET /report).
 //
 //	-tolerance 0.15   relative slack: a cost metric may grow by up to
 //	                  this fraction before it counts as a regression

@@ -1,6 +1,8 @@
 package im
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -113,26 +115,58 @@ func TestAlgorithmsEmitReports(t *testing.T) {
 	}
 }
 
-// TestTracerDoesNotChangeResults: attaching a tracer must not perturb
-// the algorithm (same seeds in, same seeds out).
+// TestTracerDoesNotChangeResults: attaching a tracer with its execution
+// timeline must not perturb the algorithm at any worker count: the same
+// seeds, RR accounting and rounds, and bit-identical estimates and
+// certified bounds, with the vanilla and the SUBSIM generator.
 func TestTracerDoesNotChangeResults(t *testing.T) {
 	g := testGraph(t, 300)
-	base := Options{K: 8, Eps: 0.3, Seed: 11, Workers: 2}
-	plain, err := OPIMC(rrset.NewVanilla(g), base)
-	if err != nil {
-		t.Fatal(err)
+	gens := []struct {
+		name string
+		mk   func() rrset.Generator
+	}{
+		{"vanilla", func() rrset.Generator { return rrset.NewVanilla(g) }},
+		{"subsim", func() rrset.Generator { return rrset.NewSubsim(g) }},
 	}
-	traced := base
-	traced.Tracer = obs.NewTracer()
-	obsRes, err := OPIMC(rrset.NewVanilla(g), traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Seeds, obsRes.Seeds) {
-		t.Errorf("tracer changed the seed set: %v vs %v", plain.Seeds, obsRes.Seeds)
-	}
-	if plain.RRStats != obsRes.RRStats {
-		t.Errorf("tracer changed the RR accounting: %+v vs %+v", plain.RRStats, obsRes.RRStats)
+	for _, gen := range gens {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", gen.name, workers), func(t *testing.T) {
+				base := Options{K: 8, Eps: 0.3, Seed: 11, Workers: workers}
+				plain, err := OPIMC(gen.mk(), base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				traced := base
+				traced.Tracer = obs.NewTracer()
+				traced.Tracer.EnableTimeline()
+				obsRes, err := OPIMC(gen.mk(), traced)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(plain.Seeds, obsRes.Seeds) {
+					t.Errorf("tracer changed the seed set: %v vs %v", plain.Seeds, obsRes.Seeds)
+				}
+				if plain.RRStats != obsRes.RRStats {
+					t.Errorf("tracer changed the RR accounting: %+v vs %+v", plain.RRStats, obsRes.RRStats)
+				}
+				if plain.Rounds != obsRes.Rounds {
+					t.Errorf("tracer changed the rounds: %d vs %d", plain.Rounds, obsRes.Rounds)
+				}
+				for _, f := range []struct {
+					name          string
+					plain, traced float64
+				}{
+					{"Influence", plain.Influence, obsRes.Influence},
+					{"LowerBound", plain.LowerBound, obsRes.LowerBound},
+					{"UpperBound", plain.UpperBound, obsRes.UpperBound},
+					{"Approx", plain.Approx, obsRes.Approx},
+				} {
+					if math.Float64bits(f.plain) != math.Float64bits(f.traced) {
+						t.Errorf("tracer changed %s: %v vs %v", f.name, f.plain, f.traced)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -8,128 +8,62 @@ import (
 )
 
 // AtomicMix enforces the copy-on-write / seqlock field discipline the
-// obs and timeline layers are built on: once a struct field is accessed
-// through sync/atomic anywhere in the package, every other access to
-// that field must stay atomic. One plain read of a seqlock sequence
-// word, or one plain store next to an atomic.Pointer publish, compiles
-// fine and usually survives `-race` (the torture tests only catch the
+// obs and timeline layers are built on: a field shared across
+// goroutines is declared with a sync/atomic type, and its methods are
+// its only access. One plain read of a seqlock sequence word, or one
+// plain store next to an atomic.Pointer publish, compiles fine and
+// usually survives `-race` (the torture tests only catch the
 // interleaving probabilistically) but silently voids the
 // memory-ordering contract documented in DESIGN.md.
 //
-// Two field families are tracked:
+// Two rules:
 //
-//   - function-style atomics: a field whose address is passed to a
-//     sync/atomic function (atomic.LoadInt64(&s.f), atomic.AddUint32,
-//     …). Every other appearance of that field must also be an
-//     &s.f-into-sync/atomic argument — a plain read, a plain write, or
-//     an address escape to non-atomic code is an error.
-//   - type-style atomics: a field declared with a sync/atomic type
-//     (atomic.Int64, atomic.Uint64, atomic.Pointer[T], …). The methods
-//     are the only legal access; assigning over the field (s.seq =
+//   - no sync/atomic functions: every call to one (atomic.LoadInt64,
+//     atomic.AddUint64(&s.f, 1), …) is an error. A field whose address
+//     feeds such a call is a plain field everywhere else, so nothing
+//     stops the next plain access to it; declared with an atomic type,
+//     the compiler does.
+//   - typed atomics stay behind their methods: for a field declared
+//     with a sync/atomic type (atomic.Int64, atomic.Uint64,
+//     atomic.Pointer[T], …), assigning over the field (s.seq =
 //     atomic.Uint64{} resets the generation counter out from under
-//     readers) or copying its value out are errors.
+//     readers) or copying its value out is an error.
 //
-// Constructors are exempt: before the value is published there are no
-// concurrent readers, so New*/new* functions (and package init) may
-// initialise tracked fields plainly. Deliberate single-goroutine phases
-// the analyzer cannot see are waived with //lint:allow atomic <reason>.
+// Constructors are exempt from the second rule: before the value is
+// published there are no concurrent readers, so New*/new* functions
+// (and package init) may initialise typed fields plainly. Deliberate
+// single-goroutine phases the analyzer cannot see are waived with
+// //lint:allow atomic <reason>.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
-	Doc:  "flag plain reads/writes of struct fields that are accessed through sync/atomic elsewhere in the package",
+	Doc:  "ban sync/atomic functions and flag plain reads/writes of sync/atomic-typed struct fields",
 	Run:  runAtomicMix,
 }
 
 func runAtomicMix(pass *Pass) {
 	pass.Directives.markChecked(ClassAtomic)
 
-	// Pass 1 — find the tracked fields: fields whose address feeds a
-	// sync/atomic call anywhere in the package (function-style), plus
-	// the set of those argument expressions so pass 2 can whitelist
-	// them.
-	funcStyle := map[*types.Var]bool{}
-	atomicArgs := map[ast.Expr]bool{} // the &x.f nodes inside sync/atomic calls
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isSyncAtomicCall(pass, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op.String() != "&" {
-					continue
-				}
-				sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if v := selectedField(pass, sel); v != nil {
-					funcStyle[v] = true
-					atomicArgs[sel] = true
-				}
-			}
-			return true
-		})
-	}
-
-	// Pass 2 — walk every access and classify it. Parent links are
-	// needed to tell a method-call receiver from a value copy and an
-	// assignment target from a read.
+	// Parent links are needed to tell a method-call receiver from a
+	// value copy and an assignment target from a read.
 	for _, f := range pass.Files {
 		parents := parentMap(f)
 		ctor := constructorRanges(f)
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			v := selectedField(pass, sel)
-			if v == nil {
-				return true
-			}
-			if inRanges(ctor, sel.Pos()) {
-				return true // pre-publication initialisation
-			}
-			switch {
-			case funcStyle[v]:
-				checkFuncStyleAccess(pass, sel, v, parents, atomicArgs)
-			case isSyncAtomicType(v.Type()):
-				checkTypeStyleAccess(pass, sel, v, parents)
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if name, ok := syncAtomicFunc(pass, n); ok {
+					pass.Report(n.Pos(), ClassAtomic,
+						"call to sync/atomic function %s; declare the field with a sync/atomic type and use its methods", name)
+				}
+			case *ast.SelectorExpr:
+				v := selectedField(pass, n)
+				if v != nil && isSyncAtomicType(v.Type()) && !inRanges(ctor, n.Pos()) {
+					checkTypeStyleAccess(pass, n, v, parents)
+				}
 			}
 			return true
 		})
 	}
-}
-
-// checkFuncStyleAccess flags any appearance of a function-style atomic
-// field that is not an &field argument to a sync/atomic call.
-func checkFuncStyleAccess(pass *Pass, sel *ast.SelectorExpr, v *types.Var, parents map[ast.Node]ast.Node, atomicArgs map[ast.Expr]bool) {
-	if atomicArgs[sel] {
-		return
-	}
-	name := v.Name()
-	switch p := parents[sel].(type) {
-	case *ast.UnaryExpr:
-		if p.Op.String() == "&" {
-			pass.Report(sel.Pos(), ClassAtomic,
-				"address of atomic field %q escapes to non-atomic code; field is accessed through sync/atomic elsewhere in this package", name)
-			return
-		}
-	case *ast.AssignStmt:
-		for _, lhs := range p.Lhs {
-			if ast.Unparen(lhs) == sel {
-				pass.Report(sel.Pos(), ClassAtomic,
-					"plain write of atomic field %q; field is accessed through sync/atomic elsewhere in this package (use atomic store)", name)
-				return
-			}
-		}
-	case *ast.IncDecStmt:
-		pass.Report(sel.Pos(), ClassAtomic,
-			"plain %s of atomic field %q; field is accessed through sync/atomic elsewhere in this package (use atomic add)", p.Tok, name)
-		return
-	}
-	pass.Report(sel.Pos(), ClassAtomic,
-		"plain read of atomic field %q; field is accessed through sync/atomic elsewhere in this package (use atomic load)", name)
 }
 
 // checkTypeStyleAccess flags assigning over or copying out a field of a
@@ -189,19 +123,19 @@ func selectedField(pass *Pass, sel *ast.SelectorExpr) *types.Var {
 	return nil
 }
 
-// isSyncAtomicCall reports whether call invokes a function from
-// sync/atomic (atomic.LoadInt64, atomic.StorePointer, …).
-func isSyncAtomicCall(pass *Pass, call *ast.CallExpr) bool {
+// syncAtomicFunc reports whether call invokes a package-level function
+// of sync/atomic (atomic.LoadInt64, atomic.StorePointer, …) and returns
+// its name. Methods of the sync/atomic types are not functions here.
+func syncAtomicFunc(pass *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return false
+		return "", false
 	}
-	obj := pass.Info.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil {
-		return false
+	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
+		return "", false
 	}
-	_, isFunc := obj.(*types.Func)
-	return isFunc && obj.Pkg().Path() == "sync/atomic"
+	return fn.Name(), true
 }
 
 // isSyncAtomicType reports whether t (or the element behind one level of
@@ -221,8 +155,8 @@ func isSyncAtomicType(t types.Type) bool {
 
 // constructorRanges returns the source extents of the file's
 // constructor-like functions: New*/new* and package init, where plain
-// initialisation of tracked fields is legal because the value is not
-// yet published.
+// initialisation of atomic-typed fields is legal because the value is
+// not yet published.
 func constructorRanges(f *ast.File) [][2]int {
 	var out [][2]int
 	for _, decl := range f.Decls {

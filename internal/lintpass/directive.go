@@ -36,7 +36,7 @@ const (
 	// allocations inside //subsim:hotpath functions.
 	ClassAlloc = "alloc"
 	// ClassAtomic suppresses atomicmix findings for accepted plain
-	// accesses to atomically-accessed fields (single-goroutine setup or
+	// accesses to atomic-typed fields (single-goroutine setup or
 	// teardown phases that the type system cannot see).
 	ClassAtomic = "atomic"
 	// ClassCapture suppresses gocapture findings for goroutine-body

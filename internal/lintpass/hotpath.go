@@ -66,14 +66,13 @@ func checkHotPathFunc(pass *Pass, fn *ast.FuncDecl) {
 }
 
 // checkHotPathTimeline enforces the recording discipline inside
-// //subsim:hotpath functions for both per-worker instruments: every
-// Record/Now call on a *timeline.Ring and every Emit call on a
-// *flight.Recorder must be dominated by a nil check on the exact
-// receiver expression (`if x.ring != nil { ... x.ring.Now() ... }`).
-// A nil ring or recorder makes those methods safe no-ops, but a hot
-// loop must skip the calls entirely — the disabled path pays zero, not
-// one method call per set — and the guard is also what lets the enabled
-// branch keep its timestamps in registers. Receivers that are
+// //subsim:hotpath functions for the per-worker timeline: every
+// Record/Now call on a *timeline.Ring must be dominated by a nil check
+// on the exact receiver expression (`if x.ring != nil { ...
+// x.ring.Now() ... }`). A nil ring makes those methods safe no-ops, but
+// a hot loop must skip the calls entirely — the disabled path pays
+// zero, not one method call per set — and the guard is also what lets
+// the enabled branch keep its timestamps in registers. Receivers that are
 // themselves guarded locals (assigned inside the guard) are fine: the
 // check keys on the receiver text, so hoisting `r := ig.ring` under the
 // guard passes.
@@ -106,19 +105,10 @@ func checkHotPathTimeline(pass *Pass, fn *ast.FuncDecl) {
 				if !ok {
 					return true
 				}
-				switch {
-				case (sel.Sel.Name == "Record" || sel.Sel.Name == "Now") && isTimelineRing(pass, sel.X):
-					if !guarded[exprKey(sel.X)] {
-						pass.Report(e.Pos(), ClassAlloc,
-							"timeline %s.%s in hot-path function %s outside an `if %s != nil` guard; the disabled path must skip recording entirely",
-							exprKey(sel.X), sel.Sel.Name, fn.Name.Name, exprKey(sel.X))
-					}
-				case sel.Sel.Name == "Emit" && isFlightRecorder(pass, sel.X):
-					if !guarded[exprKey(sel.X)] {
-						pass.Report(e.Pos(), ClassAlloc,
-							"flight %s.Emit in hot-path function %s outside an `if %s != nil` guard; the disabled path must skip journaling entirely",
-							exprKey(sel.X), fn.Name.Name, exprKey(sel.X))
-					}
+				if (sel.Sel.Name == "Record" || sel.Sel.Name == "Now") && isTimelineRing(pass, sel.X) && !guarded[exprKey(sel.X)] {
+					pass.Report(e.Pos(), ClassAlloc,
+						"timeline %s.%s in hot-path function %s outside an `if %s != nil` guard; the disabled path must skip recording entirely",
+						exprKey(sel.X), sel.Sel.Name, fn.Name.Name, exprKey(sel.X))
 				}
 				return true
 			}
@@ -129,8 +119,7 @@ func checkHotPathTimeline(pass *Pass, fn *ast.FuncDecl) {
 }
 
 // nonNilGuardExpr recognises `X != nil` (possibly `X != nil && ...`)
-// where X has type *timeline.Ring or *flight.Recorder, returning X's
-// text key.
+// where X has type *timeline.Ring, returning X's text key.
 func nonNilGuardExpr(pass *Pass, cond ast.Expr) (string, bool) {
 	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok {
@@ -149,7 +138,7 @@ func nonNilGuardExpr(pass *Pass, cond ast.Expr) (string, bool) {
 		}
 		x = y
 	}
-	if !isTimelineRing(pass, x) && !isFlightRecorder(pass, x) {
+	if !isTimelineRing(pass, x) {
 		return "", false
 	}
 	return exprKey(x), true
@@ -178,12 +167,6 @@ func propagateGuardedLocals(body *ast.BlockStmt, guarded map[string]bool) {
 // isTimelineRing reports whether e's type is *timeline.Ring.
 func isTimelineRing(pass *Pass, e ast.Expr) bool {
 	return isPointerToNamed(pass, e, "Ring", "internal/obs/timeline")
-}
-
-// isFlightRecorder reports whether e's type is *flight.Recorder (the
-// black-box journal's per-stream writer).
-func isFlightRecorder(pass *Pass, e ast.Expr) bool {
-	return isPointerToNamed(pass, e, "Recorder", "internal/obs/flight")
 }
 
 // isPointerToNamed reports whether e's type is *pkg.Name for a package

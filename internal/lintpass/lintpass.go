@@ -17,8 +17,8 @@
 //   - floateq: no ==/!= on floating-point values in the concentration
 //     bound and sampling arithmetic.
 //   - errcheck: no silently dropped errors in non-test code.
-//   - atomicmix: a struct field accessed through sync/atomic anywhere in
-//     its package must never be plainly read or written outside its
+//   - atomicmix: no sync/atomic functions; a struct field of a
+//     sync/atomic type is never plainly read or written outside its
 //     constructor (the seqlock and COW-span memory-ordering contracts).
 //   - gocapture: goroutines spawned inside //subsim:parallel functions
 //     must write captured slices only at parameter-derived indices, never

@@ -25,17 +25,6 @@ var trackedObsTypes = map[string]string{
 	"Histogram": "internal/obs",
 	"Timeline":  "internal/obs/timeline",
 	"Ring":      "internal/obs/timeline",
-	// The flight recorder extends the contract to the black box: a nil
-	// *Recorder/*Journal/*History/*Watchdog is the disabled instrument
-	// (journal off, no sampler, no watchdog), and a nil *Flight is a
-	// tracer without EnableFlight — all of their exported methods must
-	// no-op on nil so call sites never need their own guards.
-	"Recorder": "internal/obs/flight",
-	"Journal":  "internal/obs/flight",
-	"History":  "internal/obs/flight",
-	"Watchdog": "internal/obs/flight",
-	"Sampler":  "internal/obs/flight",
-	"Flight":   "internal/obs",
 }
 
 // NilTracer proves the nil-safety contract: for every exported function

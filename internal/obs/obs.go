@@ -17,8 +17,8 @@
 //     bounds) cheap enough to stay on in the RR-generation hot path.
 //   - Run: the per-run recorder (see run.go). Each run event — start,
 //     θ budget, round, bound crossing, phase end, run end — is one call
-//     that writes the span attributes, MetricSet gauges, slog record and
-//     flight-journal event it projects to.
+//     that writes the span attributes, MetricSet gauges and slog record
+//     it projects to.
 //   - Report: a schema-versioned JSON run report (see report.go) and a
 //     Prometheus-style text dump (see prom.go). The live HTTP telemetry
 //     plane over all of the above lives in the obs/serve subpackage.
@@ -63,7 +63,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"subsim/internal/obs/flight"
 	"subsim/internal/obs/timeline"
 )
 
@@ -98,23 +97,6 @@ type Tracer struct {
 	roots   []*Span
 	meta    map[string]any
 	metrics *MetricSet
-
-	// flight is the attached flight recorder (see EnableFlight); the
-	// coordinator-stream journal recorder is mirrored in flightRec so the
-	// span hooks — including Span.End, which never takes the tracer
-	// mutex — and StartRun reach it with one atomic load.
-	flight    *Flight
-	flightRec atomic.Pointer[flight.Recorder]
-}
-
-// flightRecorder returns the journal recorder for span and run events
-// (nil when no flight recorder is attached, making every hook a no-op
-// via the flight package's nil contract).
-func (t *Tracer) flightRecorder() *flight.Recorder {
-	if t == nil {
-		return nil
-	}
-	return t.flightRec.Load()
 }
 
 // NewTracer returns an enabled tracer with a fresh MetricSet.
@@ -227,7 +209,6 @@ func (t *Tracer) Span(name string) *Span {
 	t.mu.Lock()
 	t.roots = append(t.roots, s)
 	t.mu.Unlock()
-	t.flightRecorder().Emit(flight.KindSpanOpen, name, s.startNS, 0, 0, 0, 0)
 	return s
 }
 
@@ -252,7 +233,6 @@ func (s *Span) Child(name string) *Span {
 		next[len(*old)] = c
 	}
 	s.children.Store(&next)
-	s.tracer.flightRecorder().Emit(flight.KindSpanOpen, name, c.startNS, 0, 0, 0, 0)
 	return c
 }
 
@@ -263,11 +243,7 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	if s.endNS.CompareAndSwap(0, s.tracer.now()) {
-		// First close only: the journal sees each span transition once.
-		// A is the span's start offset, so close events carry duration.
-		s.tracer.flightRecorder().Emit(flight.KindSpanClose, s.name, s.startNS, 0, 0, 0, 0)
-	}
+	s.endNS.CompareAndSwap(0, s.tracer.now())
 }
 
 // EndNS returns the span's end offset in nanoseconds since the trace

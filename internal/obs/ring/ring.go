@@ -1,12 +1,11 @@
-// Package ring is the single-writer seqlock ring behind the
-// observability stores: the execution timeline's per-worker rings
-// (internal/obs/timeline), and the flight recorder's journal streams and
-// runtime-metrics history (internal/obs/flight). Each store encodes one
-// record as a fixed number of uint64 payload words and decodes them on
-// export; this package owns the concurrency contract that lets exports
-// read while writers write, the grow-on-demand per-writer Vector the
-// stores hand their rings out of, the power-of-two capacity rule, and
-// the default wall clock. It imports no other subsim package.
+// Package ring is the single-writer seqlock ring behind the execution
+// timeline's per-worker rings (internal/obs/timeline), its one store.
+// The timeline encodes one record as a fixed number of uint64 payload
+// words and decodes them on export; this package owns the concurrency
+// contract that lets exports read while writers write, the
+// grow-on-demand per-writer Vector the timeline hands its rings out of
+// (and MetricSet its per-worker counters), the power-of-two capacity
+// rule, and the default wall clock. It imports no other subsim package.
 //
 // # Memory-ordering contract (single writer, seqlock export)
 //

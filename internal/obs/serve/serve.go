@@ -1,8 +1,8 @@
 // Package serve is the live telemetry plane over the obs layer: one
-// http.Handler bundle exposing Prometheus metrics, health/readiness,
-// live run progress (JSON and SSE), the full run report, and the
-// net/http/pprof + expvar debug surface — everything a long-running IM
-// service or a multi-minute CLI run wants to expose on one port.
+// http.Handler exposing Prometheus metrics, health/readiness, live run
+// progress (JSON and SSE), the full run report, the execution timeline,
+// and the net/http/pprof + expvar debug surface on one port. It is how
+// a multi-minute CLI run is inspected while it runs.
 //
 // Endpoints (all GET):
 //
@@ -18,11 +18,8 @@
 //	           Tracer.EnableTimeline was called
 //	/trace     the execution timeline as Chrome trace-event JSON —
 //	           load it in Perfetto or chrome://tracing
-//	/events    the flight recorder's black-box journal tail (JSON; ?n=
-//	           caps the event count), once Tracer.EnableFlight was called
-//	/debug/bundle  write a diagnostic bundle to disk and return its
-//	           manifest (see internal/obs/flight)
-//	/debug/*   net/http/pprof and expvar (when Options.Debug)
+//	/debug/*   net/http/pprof and Go's standard expvar variables (when
+//	           Options.Debug)
 //
 // Construct a Plane with New, mount Handler on any mux or call Start to
 // listen. The plane only *reads* the tracer — all reads go through the
@@ -98,8 +95,6 @@ func NewWithOptions(tr *obs.Tracer, o Options) *Plane {
 	p.mux.HandleFunc("GET /report", p.handleReport)
 	p.mux.HandleFunc("GET /timeline", p.handleTimeline)
 	p.mux.HandleFunc("GET /trace", p.handleTrace)
-	p.mux.HandleFunc("GET /events", p.handleEvents)
-	p.mux.HandleFunc("GET /debug/bundle", p.handleBundle)
 	p.mux.HandleFunc("GET /{$}", p.handleIndex)
 	if o.Debug {
 		p.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -108,28 +103,8 @@ func NewWithOptions(tr *obs.Tracer, o Options) *Plane {
 		p.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		p.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		p.mux.Handle("GET /debug/vars", expvar.Handler())
-		publishExpvarReport(tr)
 	}
 	return p
-}
-
-// activeTracer backs the process-wide "subsim_run_report" expvar: expvar
-// registration is global and panics on duplicates, so the plane
-// registers one Func that always reads the most recently served tracer.
-var (
-	activeTracer  atomic.Pointer[obs.Tracer]
-	expvarPublish sync.Once
-)
-
-func publishExpvarReport(tr *obs.Tracer) {
-	if tr != nil {
-		activeTracer.Store(tr)
-	}
-	expvarPublish.Do(func() {
-		expvar.Publish("subsim_run_report", expvar.Func(func() any {
-			return activeTracer.Load().Report()
-		}))
-	})
 }
 
 // SetGraphLoaded flips the readiness signal: /readyz returns 200 once
@@ -197,8 +172,6 @@ func (p *Plane) handleIndex(w http.ResponseWriter, _ *http.Request) {
 		"  /report    full run report (JSON)\n"+
 		"  /timeline  per-worker execution-timeline summary (JSON)\n"+
 		"  /trace     Chrome trace-event export (load in Perfetto)\n"+
-		"  /events    flight-recorder journal tail (JSON, add ?n= to cap)\n"+
-		"  /debug/bundle  write a diagnostic bundle, return its manifest\n"+
 		"  /debug/    pprof and expvar\n")
 }
 

@@ -46,9 +46,25 @@ func (p *Plane) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// flattenSpans walks the span forest depth-first into the flat
-// phase-track shape the trace exporter takes; the shared implementation
-// lives in obs (the flight-recorder bundle writer uses it too).
+// flattenSpans walks a span forest depth-first into the flat
+// phase-track shape the Chrome trace exporter takes. Nested spans become
+// overlapping slices on the single phase track, which trace viewers
+// render stacked.
 func flattenSpans(roots []*obs.SpanSnapshot) []timeline.Span {
-	return obs.FlattenSpans(roots)
+	var out []timeline.Span
+	var walk func(s *obs.SpanSnapshot)
+	walk = func(s *obs.SpanSnapshot) {
+		out = append(out, timeline.Span{
+			Name:    s.Name,
+			StartNS: s.StartNS,
+			EndNS:   s.StartNS + s.DurationNS,
+		})
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	for _, s := range roots {
+		walk(s)
+	}
+	return out
 }

@@ -152,3 +152,29 @@ func TestTraceDuringLiveRun(t *testing.T) {
 	}
 	<-done
 }
+
+func TestFlattenSpans(t *testing.T) {
+	roots := []*obs.SpanSnapshot{
+		{Name: "run", StartNS: 0, DurationNS: 100, Children: []*obs.SpanSnapshot{
+			{Name: "sampling", StartNS: 10, DurationNS: 40},
+			{Name: "selection", StartNS: 50, DurationNS: 30},
+		}},
+		{Name: "tail", StartNS: 200, DurationNS: 5},
+	}
+	flat := flattenSpans(roots)
+	if len(flat) != 4 {
+		t.Fatalf("flattened %d spans, want 4", len(flat))
+	}
+	if flat[0].Name != "run" || flat[0].EndNS != 100 {
+		t.Errorf("root span = %+v", flat[0])
+	}
+	if flat[1].Name != "sampling" || flat[1].StartNS != 10 || flat[1].EndNS != 50 {
+		t.Errorf("child span = %+v", flat[1])
+	}
+	if flat[3].Name != "tail" || flat[3].StartNS != 200 || flat[3].EndNS != 205 {
+		t.Errorf("second root = %+v", flat[3])
+	}
+	if flattenSpans(nil) != nil {
+		t.Error("empty forest must flatten to nil")
+	}
+}

@@ -1,9 +1,8 @@
 // Package obsdiff is the run-report regression comparator behind the
 // obsdiff CLI: it loads two schema-versioned run reports (the JSON
-// documents produced by obs.Tracer.Report / imrun -report / the serve
-// plane's /report endpoint, or a flight-recorder bundle directory's
-// report.json) and flags regressions, so observability artifacts can
-// gate a run's performance.
+// documents produced by obs.Tracer.Report / imrun -trace / the serve
+// plane's /report endpoint) and flags regressions, so observability
+// artifacts can gate a run's performance.
 //
 // Three metric families are compared:
 //
@@ -27,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -48,7 +46,7 @@ func Run(args []string, out io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(out, "usage: obsdiff [flags] <base.json|bundle-dir> <new.json|bundle-dir>")
+		fmt.Fprintln(out, "usage: obsdiff [flags] <base.json> <new.json>")
 		return 2
 	}
 	base, err := LoadReport(fs.Arg(0))
@@ -78,12 +76,8 @@ func Run(args []string, out io.Writer) int {
 	return 0
 }
 
-// LoadReport reads and schema-checks one run report. A directory path
-// is a flight-recorder bundle and means its report.json.
+// LoadReport reads and schema-checks one run report.
 func LoadReport(path string) (*obs.Report, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		path = filepath.Join(path, "report.json")
-	}
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

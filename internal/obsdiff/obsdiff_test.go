@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -89,20 +88,6 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "REGRESSED") {
 		t.Errorf("missing REGRESSED marker in:\n%s", buf.String())
-	}
-
-	// A bundle directory stands for its report.json.
-	bundle := t.TempDir()
-	raw, err := os.ReadFile("testdata/regressed.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(bundle, "report.json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if code := Run([]string{"testdata/base.json", bundle}, &buf); code != 1 {
-		t.Fatalf("bundle-dir compare exit = %d, want 1\n%s", code, buf.String())
 	}
 
 	buf.Reset()
