@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vet-strict escape-gate escape-baseline fuzz-smoke test test-alloc race bench-smoke cover bench bench-kernel examples experiments quick clean
+.PHONY: all build vet lint escape-gate escape-baseline fuzz-smoke test test-alloc race bench-smoke cover bench bench-kernel examples experiments quick clean
 
 all: build vet lint test test-alloc race bench-smoke escape-gate
 
@@ -24,12 +24,6 @@ lint:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; \
 	fi
-
-# Same analyzers driven through the go vet toolchain (unitchecker-style
-# protocol), proving the vettool mode stays wired up.
-vet-strict:
-	$(GO) build -o bin/subsimlint ./cmd/subsimlint
-	$(GO) vet -vettool=bin/subsimlint ./...
 
 # Compiler-telemetry gate: compile with -m=1 and check_bce debugging
 # (forced rebuild, so the build cache cannot swallow diagnostics) and
@@ -62,13 +56,12 @@ test:
 # Allocation-regression gate: the generate→index pipeline must stay
 # allocation-free per RR set in steady state, including across repeated
 # Fill→SelectSeeds rounds (the shard arenas, CSR double buffers and
-# selection scratch are reused, not reallocated), the timeline's
-# per-RR-set Record must not allocate, and a nil tracer's spans and a
-# nil-sink obs.Run must allocate nothing.
+# selection scratch are reused, not reallocated), and a nil tracer's
+# spans and a nil-sink obs.Run must allocate nothing.
 test-alloc:
 	$(GO) test ./internal/im -run 'AllocFree|AmortizedAllocs|RoundsAllocs' -v
 	$(GO) test ./internal/coverage -run 'ScratchReuse' -v
-	$(GO) test ./internal/obs ./internal/obs/timeline -run 'AllocFree|AllocationFree' -v
+	$(GO) test ./internal/obs -run 'AllocFree|AllocationFree' -v
 
 race:
 	$(GO) test -race ./...

@@ -22,6 +22,7 @@
 //	-log     emit structured run events on stderr: "text" or "json"
 //	-serve   serve the live telemetry plane on this address (e.g. :6060):
 //	         /metrics, /healthz, /readyz, /progress, /report, /debug/*
+//	         (/debug/pprof/trace is a runtime trace for go tool trace)
 //
 // Only -trace, -metrics and -serve read a tracer, so only they build
 // one; without them every timing cell is measured untraced.
@@ -118,7 +119,6 @@ func main() {
 	var tr *obs.Tracer
 	if *tracePath != "" || *metrics || *serveAddr != "" {
 		tr = obs.NewTracer()
-		tr.EnableTimeline()
 		tr.SetMeta("tool", "imbench")
 		if p := runtime.GOMAXPROCS(0); *workers > p {
 			tr.SetMeta("caveat", fmt.Sprintf(

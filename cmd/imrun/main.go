@@ -28,8 +28,8 @@
 //	-json    emit the full Result plus run report as one JSON object
 //	-log     emit structured run events on stderr: "text" or "json"
 //	-serve   serve the live telemetry plane on this address (e.g. :6060):
-//	         /metrics, /healthz, /readyz, /progress, /report, /timeline,
-//	         /trace (Perfetto-loadable trace-event export), /debug/*
+//	         /metrics, /healthz, /readyz, /progress, /report, /debug/*
+//	         (/debug/pprof/trace is a runtime trace for go tool trace)
 //
 // Only -trace, -metrics, -json and -serve read a tracer, so only they
 // build one; without them the run is untraced.
@@ -123,10 +123,6 @@ func main() {
 	var tr *subsim.Tracer
 	if *tracePath != "" || *metrics || *jsonOut || *serveAddr != "" {
 		tr = subsim.NewTracer()
-		// The execution timeline powers /trace + /timeline on the plane and
-		// the timeline summary in the run report; recording costs a few
-		// atomics per RR set, so it simply rides along whenever tracing is on.
-		tr.EnableTimeline()
 		tr.SetMeta("algorithm", alg.String())
 		tr.SetMeta("graph", *graphPath)
 		tr.SetMeta("k", *k)
@@ -148,7 +144,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer func() { _ = plane.Close() }()
-		fmt.Fprintf(os.Stderr, "imrun: serving telemetry on %s (/metrics /healthz /readyz /progress /report /timeline /trace /debug)\n", addr)
+		fmt.Fprintf(os.Stderr, "imrun: serving telemetry on %s (/metrics /healthz /readyz /progress /report /debug)\n", addr)
 	}
 
 	g, err := subsim.LoadGraph(*graphPath)

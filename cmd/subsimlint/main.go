@@ -16,15 +16,6 @@
 //	subsimlint -compiler ./...                  # gate against lint_baseline.json
 //	subsimlint -compiler -baseline-write ./...  # refresh the baseline deliberately
 //
-// The tool is also a `go vet -vettool` compatible unit checker:
-//
-//	go build -o bin/subsimlint ./cmd/subsimlint
-//	go vet -vettool=bin/subsimlint ./...
-//
-// In vettool mode the go command hands the tool one pre-planned package
-// at a time (a *.cfg JSON file with source files and export data); see
-// vet.go for the protocol subset implemented.
-//
 // Exit codes: 0 clean, 1 diagnostics found, 2 usage or load failure.
 package main
 
@@ -34,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"subsim/internal/lintpass"
 )
@@ -43,8 +33,6 @@ func main() {
 	var (
 		jsonOut       = flag.Bool("json", false, "emit diagnostics as a JSON array")
 		list          = flag.Bool("list", false, "list analyzers and suppression classes, then exit")
-		vFlag         = flag.String("V", "", "print version information (vettool handshake)")
-		flagsOut      = flag.Bool("flags", false, "print supported flags as JSON (vettool handshake)")
 		compiler      = flag.Bool("compiler", false, "run the compiler-telemetry gate instead of the AST analyzers")
 		baselinePath  = flag.String("baseline", "lint_baseline.json", "compiler-telemetry baseline file (with -compiler)")
 		baselineWrite = flag.Bool("baseline-write", false, "write the baseline from the current build instead of gating (with -compiler)")
@@ -57,12 +45,6 @@ func main() {
 	flag.Parse()
 
 	switch {
-	case *vFlag != "":
-		printVersion()
-		return
-	case *flagsOut:
-		fmt.Println("[]") // no analyzer flags are exposed to go vet
-		return
 	case *list:
 		printAnalyzers()
 		return
@@ -70,13 +52,8 @@ func main() {
 		os.Exit(compilerGate(flag.Args(), *baselinePath, *baselineWrite, !*noRebuild))
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0]))
-	}
-
 	loader := lintpass.NewLoader()
-	pkgs, err := loader.Load(args...)
+	pkgs, err := loader.Load(flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "subsimlint:", err)
 		os.Exit(2)

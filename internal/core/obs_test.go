@@ -11,8 +11,9 @@ import (
 
 // TestHISTReport checks the acceptance shape of a traced HIST run: both
 // phase spans with per-round children, the sentinel hit-rate attribute,
-// metric totals agreeing with the result's RR accounting, and sentinel
-// hits surfaced both as a stat and a counter.
+// the batcher's per-batch RR counters agreeing with the result's RR
+// accounting across both phases, sentinel hits surfaced both as a stat
+// and a counter, and per-worker set counts and busy time.
 func TestHISTReport(t *testing.T) {
 	g := highInfluenceGraph(t, 1500)
 	tr := obs.NewTracer()
@@ -51,23 +52,35 @@ func TestHISTReport(t *testing.T) {
 	if rate, ok := p2.Attrs["sentinel_hit_rate"].(float64); !ok || rate < 0 || rate > 1 {
 		t.Errorf("residual-phase sentinel_hit_rate = %v (%v)", p2.Attrs["sentinel_hit_rate"], ok)
 	}
-	if got := rep.Counters["rr_sets_total"]; got != res.RRStats.Sets {
-		t.Errorf("rr_sets_total=%d, RRStats.Sets=%d", got, res.RRStats.Sets)
-	}
 	if res.RRStats.SentinelHits <= 0 {
 		t.Error("HIST residual phase recorded no sentinel hits in RRStats")
 	}
-	if got := rep.Counters["sentinel_hits_total"]; got != res.RRStats.SentinelHits {
-		t.Errorf("sentinel_hits_total=%d, RRStats.SentinelHits=%d", got, res.RRStats.SentinelHits)
+	st := res.RRStats
+	for _, c := range []struct {
+		counter string
+		want    int64
+	}{
+		{"rr_sets_total", st.Sets},
+		{"rr_nodes_total", st.Nodes},
+		{"rr_edges_examined_total", st.EdgesExamined},
+		{"sentinel_hits_total", st.SentinelHits},
+	} {
+		if got := rep.Counters[c.counter]; got != c.want {
+			t.Errorf("%s=%d, RRStats says %d", c.counter, got, c.want)
+		}
 	}
-	if h := rep.Histograms["rr_size"]; h.Count != res.RRStats.Sets {
-		t.Errorf("rr_size histogram count=%d, want %d", h.Count, res.RRStats.Sets)
+	if len(rep.WorkerSets) != 2 || len(rep.WorkerBusy) != 2 {
+		t.Fatalf("per-worker totals: sets %v, busy ns %v, want 2 workers each", rep.WorkerSets, rep.WorkerBusy)
 	}
-	if h := rep.Histograms["geom_skip_len"]; h.Count == 0 {
-		t.Error("geom_skip_len histogram empty on a SUBSIM run")
+	var sum int64
+	for w, sets := range rep.WorkerSets {
+		sum += sets
+		if sets > 0 && rep.WorkerBusy[w] <= 0 {
+			t.Errorf("worker %d drew %d sets with busy ns %d", w, sets, rep.WorkerBusy[w])
+		}
 	}
-	if len(rep.WorkerSets) == 0 {
-		t.Error("no per-worker set counts")
+	if sum != st.Sets {
+		t.Errorf("worker set counts %v sum to %d, RRStats.Sets=%d", rep.WorkerSets, sum, st.Sets)
 	}
 }
 

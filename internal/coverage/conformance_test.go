@@ -156,40 +156,3 @@ func TestEstimatorConformanceWorkerIndependence(t *testing.T) {
 		})
 	}
 }
-
-// TestEstimatorConformanceAbsorbArena checks the batch ingestion path on
-// every engine shape: sentinel-terminated sets are skipped and counted, and
-// the surviving collection answers like one built from per-set Adds.
-func TestEstimatorConformanceAbsorbArena(t *testing.T) {
-	const n = 10
-	sentinel := make([]bool, n)
-	sentinel[9] = true
-	data := []int32{0, 1, 2, 9, 3, 4, 5, 9, 6}
-	ends := []int64{2, 4, 5, 6, 8, 9}
-	kept := [][]int32{{0, 1}, {3}, {4}, {6}}
-
-	for _, tc := range conformanceCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			e := tc.make(n, nil)
-			if hits := e.AbsorbArena(data, ends, sentinel); hits != 2 {
-				t.Fatalf("hits = %d, want 2", hits)
-			}
-			if e.NumSets() != len(kept) {
-				t.Fatalf("NumSets = %d, want %d", e.NumSets(), len(kept))
-			}
-			ref := tc.make(n, nil)
-			for _, s := range kept {
-				ref.Add(rrset.RRSet(s))
-			}
-			for v := int32(0); v < n; v++ {
-				if got, want := e.Degree(v), ref.Degree(v); got != want {
-					t.Fatalf("Degree(%d) = %d, want %d (per-set reference)", v, got, want)
-				}
-			}
-			e2 := tc.make(n, nil)
-			if hits := e2.AbsorbArena(data, ends, nil); hits != 0 || e2.NumSets() != len(ends) {
-				t.Fatalf("nil sentinel: hits=%d sets=%d, want 0/%d", hits, e2.NumSets(), len(ends))
-			}
-		})
-	}
-}

@@ -39,16 +39,13 @@
 //     that, the queue top's stale marginal is recomputed as per-shard
 //     partials (each lane walks only its shards' posting lists against
 //     its shards' covered stamps — disjoint state), and the winning
-//     seed's covered-bit update fans out the same way, each recorded as
-//     timeline.PhaseReduce so the rounds are visible as parallel in the
-//     timeline digest.
+//     seed's covered-bit update fans out the same way.
 package coverage
 
 import (
 	"time"
 
 	"subsim/internal/obs"
-	"subsim/internal/obs/timeline"
 	"subsim/internal/rrset"
 )
 
@@ -61,9 +58,9 @@ var parallelReduceMinPostings = 1 << 11
 
 // ShardOf is the pure shard-assignment function: the RR set with global
 // index idx lives in shard idx mod shards. Both ingestion paths route
-// through it — Batcher.Fill by generation index, the generic
-// AbsorbArena by collection index — so placement never depends on
-// scheduling, only on (index, shard count).
+// through it — Batcher.Fill by generation index, Add by collection
+// index — so placement never depends on scheduling, only on (index,
+// shard count).
 func ShardOf(idx int64, shards int) int {
 	return int(idx % int64(shards))
 }
@@ -118,8 +115,6 @@ type Sharded struct {
 	buildParHist *obs.Histogram
 	entriesCtr   *obs.Counter
 
-	tl *timeline.Timeline
-
 	secBuild  *obs.PhaseSection
 	secGains  *obs.PhaseSection
 	secSelect *obs.PhaseSection
@@ -151,14 +146,12 @@ func NewSharded(n int, outDeg []int32, shards int) *Sharded {
 	return x
 }
 
-// NewShardedObs is NewSharded wired to m's index-build instruments and,
-// when m carries one, its execution timeline; a nil m yields a plain,
-// uninstrumented estimator.
+// NewShardedObs is NewSharded wired to m's index-build instruments; a
+// nil m yields a plain, uninstrumented estimator.
 func NewShardedObs(n int, outDeg []int32, shards int, m *obs.MetricSet) *Sharded {
 	x := NewSharded(n, outDeg, shards)
 	if m != nil {
 		x.SetBuildMetrics(&m.IndexBuild, &m.IndexBuildSerial, &m.IndexBuildParallel, &m.IndexEntries)
-		x.SetTimeline(m.Timeline)
 	}
 	return x
 }
@@ -196,49 +189,17 @@ func (x *Sharded) SetBuildMetrics(total, serial, parallel *obs.Histogram, entrie
 	x.refreshSections()
 }
 
-// SetTimeline attaches a per-worker execution timeline (nil keeps every
-// record site a zero-cost no-op). Must not be called while a query is
-// in flight.
-func (x *Sharded) SetTimeline(tl *timeline.Timeline) {
-	x.tl = tl
-	x.refreshSections()
-}
-
 // refreshSections rebinds the cached pprof/trace sections to the
 // current worker count; sections materialise only once instrumentation
 // is attached.
 func (x *Sharded) refreshSections() {
-	if x.buildHist == nil && x.tl == nil {
+	if x.buildHist == nil {
 		return
 	}
 	x.secBuild = obs.Section("index-build", x.workers)
 	x.secGains = obs.Section("select-gains", 1)
 	x.secSelect = obs.Section("select", 1)
 	x.secReduce = obs.Section("reduce", x.workers)
-}
-
-// ring returns worker w's timeline ring (nil when no timeline is
-// attached).
-func (x *Sharded) ring(w int) *timeline.Ring { return x.tl.Worker(w) }
-
-// runTimed is runParallel with per-worker timeline records: when a
-// timeline is attached, worker w's execution of fn lands as one interval
-// on ring w. The wrapper closure exists only on the instrumented path,
-// so the uninstrumented pipeline stays allocation-identical. The
-// single-writer discipline holds because runParallel joins before
-// returning: the goroutine acting as worker w is ring w's only writer
-// for the duration of the pass.
-func (x *Sharded) runTimed(phase timeline.Phase, workers int, fn func(w int)) {
-	if x.tl == nil {
-		runParallel(workers, fn)
-		return
-	}
-	runParallel(workers, func(w int) {
-		r := x.tl.Worker(w)
-		t0 := r.Now()
-		fn(w)
-		r.Record(phase, t0, r.Now())
-	})
 }
 
 // growPartial sizes the per-lane partial-aggregate scratch.
@@ -286,29 +247,6 @@ func (x *Sharded) Add(set rrset.RRSet) {
 	x.shards[s].arena.Append(set)
 }
 
-// AbsorbArena absorbs a flat arena buffer, skipping sentinel-terminated
-// sets and routing each kept set to ShardOf(collection index, S). It is
-// the generic ingestion path; Batcher.Fill bypasses it by generating
-// into the shard arenas directly whenever the shard count equals its
-// worker count.
-func (x *Sharded) AbsorbArena(data []int32, ends []int64, sentinel []bool) int64 {
-	idx := int64(x.NumSets())
-	shards := len(x.shards)
-	var hits int64
-	start := int64(0)
-	for _, end := range ends {
-		if sentinel != nil && end > start && sentinel[data[end-1]] {
-			hits++
-			start = end
-			continue
-		}
-		x.shards[ShardOf(idx, shards)].arena.Append(data[start:end])
-		idx++
-		start = end
-	}
-	return hits
-}
-
 // ensureIndexed brings every shard's CSR (and covered stamps) up to
 // date with its arena. Dirty shards rebuild independently — a
 // shard-local delta counting sort — so there is no merge step; with SetWorkers(w>1) and a large enough total delta
@@ -338,18 +276,15 @@ func (x *Sharded) ensureIndexed() {
 	}
 	parallel := lanes > 1 && delta >= int64(parallelBuildMinDelta)
 	if parallel {
-		x.runTimed(timeline.PhaseIndexBuild, lanes, func(l int) {
+		runParallel(lanes, func(l int) {
 			for s := l; s < len(x.shards); s += lanes {
 				x.shards[s].build(x.n)
 			}
 		})
 	} else {
-		r := x.ring(0)
-		t0 := r.Now()
 		for s := range x.shards {
 			x.shards[s].build(x.n)
 		}
-		r.Record(timeline.PhaseIndexBuild, t0, r.Now())
 	}
 
 	x.entriesCtr.Add(delta)
@@ -565,7 +500,7 @@ func (x *Sharded) marginal(v int32) int64 {
 	if lanes > 1 && x.postingMass(v) >= int64(parallelReduceMinPostings) {
 		sec := x.secReduce.Enter()
 		x.growPartial(lanes)
-		x.runTimed(timeline.PhaseReduce, lanes, func(l int) {
+		runParallel(lanes, func(l int) {
 			var g int64
 			for s := l; s < shards; s += lanes {
 				g += x.shards[s].marginal(v)
@@ -596,7 +531,7 @@ func (x *Sharded) commitSeed(v int32) int64 {
 	if lanes > 1 && x.postingMass(v) >= int64(parallelReduceMinPostings) {
 		sec := x.secReduce.Enter()
 		x.growPartial(lanes)
-		x.runTimed(timeline.PhaseReduce, lanes, func(l int) {
+		runParallel(lanes, func(l int) {
 			var d int64
 			for s := l; s < shards; s += lanes {
 				d += x.shards[s].cover(v)
@@ -711,10 +646,7 @@ func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 	q.reset(x.n)
 
 	secG := x.secGains.Enter()
-	rG := x.ring(0)
-	tG := rG.Now()
 	x.fillQueue(order, opt.Exclude)
-	rG.Record(timeline.PhaseGains, tG, rG.Now())
 	secG.Exit()
 
 	res := GreedyResult{
@@ -727,8 +659,6 @@ func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 	res.tightenUpper(opt.Base + q.topSum(topL))
 
 	secS := x.secSelect.Enter()
-	rSel := x.ring(0)
-	tSel := rSel.Now()
 	var cum int64
 	nextBoundAt := 1
 	for round := int32(1); int(round) <= k && q.size > 0; round++ {
@@ -768,7 +698,6 @@ func (x *Sharded) SelectSeeds(opt GreedyOptions) GreedyResult {
 			nextBoundAt *= 2
 		}
 	}
-	rSel.Record(timeline.PhaseSelect, tSel, rSel.Now())
 	secS.Exit()
 	return res
 }

@@ -1,12 +1,9 @@
 package coverage
 
 import (
-	"sync/atomic"
 	"testing"
 
-	"subsim/internal/obs/timeline"
 	"subsim/internal/rng"
-	"subsim/internal/rrset"
 )
 
 // forceParallelSharded drops every size threshold the sharded engine
@@ -127,43 +124,6 @@ func TestShardedMatchesIndex(t *testing.T) {
 // lanes than shards, so the lane count clamps to the shard count.
 func TestShardedIncrementalDeltas(t *testing.T) { incrementalDeltas(t, 3, 4) }
 
-// TestShardedAbsorbArenaSentinel drives the generic ingestion path: the
-// flat buffer's sentinel-terminated sets are skipped and counted, and
-// the kept sets land exactly where per-set Adds would have put them.
-func TestShardedAbsorbArenaSentinel(t *testing.T) {
-	sentinel := make([]bool, 10)
-	sentinel[9] = true
-	data := []int32{0, 1, 2, 9, 3, 4, 5, 9, 6}
-	ends := []int64{2, 4, 5, 6, 8, 9}
-	// Sets: {0,1} keep, {2,9} hit, {3} keep, {4} keep, {5,9} hit, {6} keep.
-	x := NewSharded(10, nil, 3)
-	if hits := x.AbsorbArena(data, ends, sentinel); hits != 2 {
-		t.Fatalf("hits = %d, want 2", hits)
-	}
-	want := shardedFromSets(10, 3, nil, [][]int32{{0, 1}, {3}, {4}, {6}})
-	if x.NumSets() != 4 {
-		t.Fatalf("NumSets = %d, want 4", x.NumSets())
-	}
-	for s := 0; s < 3; s++ {
-		if got, wantLen := x.ShardArena(s).Len(), want.ShardArena(s).Len(); got != wantLen {
-			t.Fatalf("shard %d holds %d sets, want %d", s, got, wantLen)
-		}
-	}
-	for v := int32(0); v < 10; v++ {
-		if got, wantDeg := x.Degree(v), want.Degree(v); got != wantDeg {
-			t.Fatalf("Degree(%d) = %d, want %d", v, got, wantDeg)
-		}
-	}
-	// nil sentinel keeps everything.
-	y := NewSharded(10, nil, 2)
-	if hits := y.AbsorbArena(data, ends, nil); hits != 0 {
-		t.Fatalf("nil sentinel hits = %d", hits)
-	}
-	if y.NumSets() != 6 {
-		t.Fatalf("nil sentinel NumSets = %d, want 6", y.NumSets())
-	}
-}
-
 // TestShardedRunWraparound pins the stamp wraparound on a multi-shard
 // engine, where every shard's counter wraps independently.
 func TestShardedRunWraparound(t *testing.T) { runWraparound(t, 2) }
@@ -201,38 +161,4 @@ func TestShardedRevisedRequiresOutDeg(t *testing.T) {
 		}
 	}()
 	x.SelectSeeds(GreedyOptions{K: 1, Revised: true})
-}
-
-// TestShardedReduceVisibleInTimeline pins the observability contract of
-// the fanned-out CELF rounds: with the reduce threshold forced, a
-// select over a timeline-attached sharded engine must emit PhaseReduce
-// records from >1 worker — the spans that make rounds beyond the first
-// visible as parallel in the /timeline digest and the Perfetto trace.
-// (At laptop-scale posting masses the threshold honestly keeps the
-// reduce inline, so visibility is pinned here, scale-independently.)
-func TestShardedReduceVisibleInTimeline(t *testing.T) {
-	forceParallelSharded(t)
-	r := rng.New(71)
-	sets := randomSets(r, 80, 600, 10)
-	x := NewSharded(80, nil, 4)
-	var now atomic.Int64
-	tl := timeline.New(1024, func() int64 { return now.Add(1000) })
-	x.SetTimeline(tl)
-	for _, s := range sets {
-		x.Add(rrset.RRSet(s))
-	}
-	x.SetWorkers(4)
-	if res := x.SelectSeeds(GreedyOptions{K: 8}); len(res.Seeds) != 8 {
-		t.Fatalf("selected %d seeds, want 8", len(res.Seeds))
-	}
-	sum := timeline.Summarize(tl.Snapshot())
-	for _, p := range sum.Phases {
-		if p.Phase == timeline.PhaseReduce.String() {
-			if p.Records == 0 || p.Workers < 2 {
-				t.Fatalf("reduce phase records=%d workers=%d, want parallel records", p.Records, p.Workers)
-			}
-			return
-		}
-	}
-	t.Fatalf("no %q phase in timeline digest: %+v", timeline.PhaseReduce.String(), sum.Phases)
 }

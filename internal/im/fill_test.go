@@ -15,8 +15,8 @@ import (
 // Batcher.Fill into an engine with one shard per worker (the direct
 // shard-arena path) must yield the same set count, identical merged
 // generator stats, and byte-identical seeds and certified Λᵘ as the
-// workers=1, single-shard reference. A mismatched shard count (the
-// generic absorb fallback) must change nothing either.
+// workers=1, single-shard reference. An engine whose shard count differs
+// from the worker count is refused before anything is drawn.
 func TestShardedPipelineEquivalence(t *testing.T) {
 	const (
 		count = 1500
@@ -66,12 +66,15 @@ func TestShardedPipelineEquivalence(t *testing.T) {
 				sh.SetWorkers(workers)
 				check(t, b, sh, workers)
 			}
-			// Mismatched shard count: generic AbsorbArena fallback, still
-			// identical (any partition sums to the same coverage).
+			// Mismatched shard count: an error, and nothing drawn.
 			b := NewBatcher(c.gen(), seed, 2)
 			sh := coverage.NewSharded(n, nil, 5)
-			sh.SetWorkers(2)
-			check(t, b, sh, 2)
+			if _, err := b.Fill(sh, count, nil); err == nil {
+				t.Fatal("Fill into 5 shards from 2 workers returned no error")
+			}
+			if sh.NumSets() != 0 || b.Stats().Sets != 0 {
+				t.Fatalf("refused Fill drew sets: %d kept, %d generated", sh.NumSets(), b.Stats().Sets)
+			}
 		})
 	}
 }

@@ -182,6 +182,13 @@ type Result struct {
 // the traversal itself — no per-set heap allocation. Workers own
 // contiguous global-index ranges in ascending worker order, so visiting
 // the arenas worker by worker replays the sets in global-index order.
+//
+// A batcher built by NewInstrumentedBatcher is the one place RR
+// generation is observed. A lane is one worker's share of one Fill or
+// Visit; at its end the lane hands the metric set the deltas of its
+// generator's own Stats counters and its busy time, one call per lane
+// per batch (obs.MetricSet.AddBatch). The generators themselves carry no
+// observability code.
 type Batcher struct {
 	gens   []rrset.Generator
 	srcs   []*rng.Source  // one reusable Source per worker, reseeded per set
@@ -196,6 +203,9 @@ type Batcher struct {
 	// a BFS layer fans out over.
 	coldNodes int
 
+	// m receives one report per worker lane per batch; nil when the
+	// batcher is uninstrumented, and then no lane reads a clock.
+	m *obs.MetricSet
 	// secGenerate tags the generation section of Fill with pprof labels
 	// and a runtime/trace region; nil (the disabled instrument) when the
 	// batcher is uninstrumented.
@@ -246,20 +256,47 @@ func NewBatcher(gen rrset.Generator, seed uint64, workers int) *Batcher {
 	return b
 }
 
-// NewInstrumentedBatcher is NewBatcher with every worker generator
-// wrapped by rrset.Instrument against m, including a per-worker
-// sets-generated counter. A nil m yields a plain, unwrapped batcher —
+// NewInstrumentedBatcher is NewBatcher reporting to m: every worker lane
+// of every batch adds its sets, nodes, edge examinations, sentinel hits
+// and busy time to m once, and Fill's generation section carries pprof
+// labels and a runtime/trace region. A nil m yields a plain batcher —
 // the zero-overhead disabled path.
 func NewInstrumentedBatcher(gen rrset.Generator, seed uint64, workers int, m *obs.MetricSet) *Batcher {
 	b := NewBatcher(gen, seed, workers)
 	if m == nil {
 		return b
 	}
+	b.m = m
 	b.secGenerate = obs.Section("generate", len(b.gens))
-	for w := range b.gens {
-		b.gens[w] = rrset.InstrumentWorker(b.gens[w], m, w)
-	}
 	return b
+}
+
+// lane is worker w's generator counters and the clock at the start of
+// its lane of one batch.
+type lane struct {
+	before rrset.Stats
+	start  time.Time
+}
+
+// startLane opens worker w's lane of a batch. An uninstrumented batcher
+// reads neither the counters nor the clock.
+func (b *Batcher) startLane(w int) lane {
+	if b.m == nil {
+		return lane{}
+	}
+	return lane{before: b.gens[w].Stats(), start: time.Now()} //lint:allow timing (feeds the per-worker busy counters only)
+}
+
+// endLane reports worker w's lane l to the metric set: the deltas of the
+// generator's counters since startLane, and the lane's busy time.
+func (b *Batcher) endLane(w int, l lane) {
+	if b.m == nil {
+		return
+	}
+	busy := time.Since(l.start).Nanoseconds() //lint:allow timing (feeds the per-worker busy counters only)
+	d := b.gens[w].Stats()
+	d.Sub(l.before)
+	b.m.AddBatch(w, d.Sets, d.Nodes, d.EdgesExamined, d.SentinelHits, busy)
 }
 
 // setSeed derives the RNG seed of the set with global index idx from the
@@ -284,6 +321,7 @@ func (b *Batcher) fillArenas(count int, sentinel []bool) (used int) {
 	b.next += int64(count)
 	workers := len(b.gens)
 	if count < 4*workers || workers == 1 {
+		l := b.startLane(0)
 		a := b.arenas[0]
 		a.Reset()
 		b.reserve(a, 0, count)
@@ -291,6 +329,7 @@ func (b *Batcher) fillArenas(count int, sentinel []bool) (used int) {
 			b.srcs[0].Seed(setSeed(b.seed, first+int64(i)))
 			rrset.GenerateRandomInto(b.gens[0], a, b.srcs[0], sentinel)
 		}
+		b.endLane(0, l)
 		return 1
 	}
 	per := count / workers
@@ -305,6 +344,7 @@ func (b *Batcher) fillArenas(count int, sentinel []bool) (used int) {
 		wg.Add(1)
 		go func(w, cnt int, start int64) {
 			defer wg.Done()
+			l := b.startLane(w)
 			a := b.arenas[w]
 			a.Reset()
 			b.reserve(a, w, cnt)
@@ -312,6 +352,7 @@ func (b *Batcher) fillArenas(count int, sentinel []bool) (used int) {
 				b.srcs[w].Seed(setSeed(b.seed, start+int64(i)))
 				rrset.GenerateRandomInto(b.gens[w], a, b.srcs[w], sentinel)
 			}
+			b.endLane(w, l)
 		}(w, cnt, first+offset)
 		offset += int64(cnt)
 	}
@@ -433,41 +474,34 @@ func setCount(name string, t float64) (int64, error) {
 // idx with coverage.ShardOf(idx, shards) == w, so placement is the
 // documented pure function of (index, shard count) and no set is ever
 // copied: the arena IS the shard's store segment, and
-// sentinel-terminated sets are truncated in place (Arena.DropLast).
-//
-// A shard count different from the batcher's worker count falls back to
-// the per-worker arenas, handed to AbsorbArena in ascending worker order
-// (global-index order). Results are identical either way: every coverage
-// query is a sum over shards, so the partition cannot change it.
+// sentinel-terminated sets are truncated in place (Arena.DropLast). est
+// must have one shard per batcher worker (NewEstimator builds it so);
+// Fill returns an error otherwise.
 //
 //subsim:parallel
 func (b *Batcher) Fill(est *coverage.Sharded, count int, sentinel []bool) (hits int64, err error) {
 	if count <= 0 {
 		return 0, nil
 	}
+	shards := est.NumShards()
+	if shards != len(b.gens) {
+		return 0, fmt.Errorf("im: estimator has %d shards, batcher has %d workers; build it with one shard per worker", shards, len(b.gens))
+	}
 	if have := est.NumSets(); count > MaxSets-have {
 		return 0, fmt.Errorf("im: %d more RR sets would grow a collection of %d past %d", count, have, MaxSets)
 	}
 	hGen := b.secGenerate.Enter()
-	shards := est.NumShards()
-	if shards != len(b.gens) {
-		used := b.fillArenas(count, sentinel)
-		hGen.Exit()
-		for w := 0; w < used; w++ {
-			a := b.arenas[w]
-			hits += est.AbsorbArena(a.Data(), a.Ends(), sentinel)
-		}
-		return hits, nil
-	}
 	first := b.next
 	b.next += int64(count)
 	if count < 4*shards || shards == 1 {
-		// Small batch: worker 0's generator serves every shard in turn;
-		// set content depends only on (seed, index), so the lane choice
-		// is invisible.
+		// Small batch: worker 0's generator serves every shard in turn,
+		// as one lane; set content depends only on (seed, index), so the
+		// lane choice is invisible.
+		l := b.startLane(0)
 		for s := 0; s < shards; s++ {
 			hits += b.fillShard(est.ShardArena(s), 0, s, shards, first, count, sentinel)
 		}
+		b.endLane(0, l)
 		hGen.Exit()
 		return hits, nil
 	}
@@ -476,10 +510,14 @@ func (b *Batcher) Fill(est *coverage.Sharded, count int, sentinel []bool) (hits 
 	for w := 1; w < shards; w++ {
 		go func(w int) {
 			defer wg.Done()
+			l := b.startLane(w)
 			b.hitCnt[w] = b.fillShard(est.ShardArena(w), w, w, shards, first, count, sentinel)
+			b.endLane(w, l)
 		}(w)
 	}
+	l := b.startLane(0)
 	b.hitCnt[0] = b.fillShard(est.ShardArena(0), 0, 0, shards, first, count, sentinel)
+	b.endLane(0, l)
 	wg.Wait()
 	for w := 0; w < shards; w++ {
 		hits += b.hitCnt[w]

@@ -71,7 +71,9 @@ func TestBatcherStatsBaselineDelta(t *testing.T) {
 
 // TestAlgorithmsEmitReports: with a tracer attached, every algorithm
 // returns a schema-versioned report whose span tree contains the
-// documented phase names, and the RR metric totals match Result.RRStats.
+// documented phase names, the RR counters the batcher reports per lane
+// and per batch match Result.RRStats, the per-worker set counts sum to
+// its Sets, and every worker that drew sets reports busy time.
 func TestAlgorithmsEmitReports(t *testing.T) {
 	g := testGraph(t, 300)
 	cases := []struct {
@@ -102,23 +104,48 @@ func TestAlgorithmsEmitReports(t *testing.T) {
 				t.Errorf("%s: span %q missing from report", c.name, name)
 			}
 		}
-		if got := res.Report.Counters["rr_sets_total"]; got != res.RRStats.Sets {
-			t.Errorf("%s: metric rr_sets_total=%d, RRStats.Sets=%d", c.name, got, res.RRStats.Sets)
-		}
-		if got := res.Report.Counters["rr_edges_examined_total"]; got != res.RRStats.EdgesExamined {
-			t.Errorf("%s: metric edges=%d, RRStats.EdgesExamined=%d", c.name, got, res.RRStats.EdgesExamined)
-		}
-		if h := res.Report.Histograms["rr_size"]; h.Count != res.RRStats.Sets || h.Sum != res.RRStats.Nodes {
-			t.Errorf("%s: rr_size histogram count=%d sum=%d vs stats %d/%d",
-				c.name, h.Count, h.Sum, res.RRStats.Sets, res.RRStats.Nodes)
-		}
+		checkRRReport(t, c.name, res.Report, res.RRStats)
 	}
 }
 
-// TestTracerDoesNotChangeResults: attaching a tracer with its execution
-// timeline must not perturb the algorithm at any worker count: the same
-// seeds, RR accounting and rounds, and bit-identical estimates and
-// certified bounds, with the vanilla and the SUBSIM generator.
+// checkRRReport asserts that a traced run's report counts exactly the RR
+// generation in st: the four RR counters equal its fields, the
+// per-worker set counts sum to its Sets, and every worker that drew sets
+// has positive busy time.
+func checkRRReport(t *testing.T, name string, rep *obs.Report, st rrset.Stats) {
+	t.Helper()
+	for _, c := range []struct {
+		counter string
+		want    int64
+	}{
+		{"rr_sets_total", st.Sets},
+		{"rr_nodes_total", st.Nodes},
+		{"rr_edges_examined_total", st.EdgesExamined},
+		{"sentinel_hits_total", st.SentinelHits},
+	} {
+		if got := rep.Counters[c.counter]; got != c.want {
+			t.Errorf("%s: %s=%d, RRStats says %d", name, c.counter, got, c.want)
+		}
+	}
+	if len(rep.WorkerBusy) != len(rep.WorkerSets) {
+		t.Fatalf("%s: %d worker busy totals for %d worker set counts", name, len(rep.WorkerBusy), len(rep.WorkerSets))
+	}
+	var sum int64
+	for w, sets := range rep.WorkerSets {
+		sum += sets
+		if sets > 0 && rep.WorkerBusy[w] <= 0 {
+			t.Errorf("%s: worker %d drew %d sets with busy ns %d", name, w, sets, rep.WorkerBusy[w])
+		}
+	}
+	if sum != st.Sets {
+		t.Errorf("%s: worker set counts %v sum to %d, RRStats.Sets=%d", name, rep.WorkerSets, sum, st.Sets)
+	}
+}
+
+// TestTracerDoesNotChangeResults: attaching a tracer must not perturb
+// the algorithm at any worker count: the same seeds, RR accounting and
+// rounds, and bit-identical estimates and certified bounds, with the
+// vanilla and the SUBSIM generator.
 func TestTracerDoesNotChangeResults(t *testing.T) {
 	g := testGraph(t, 300)
 	gens := []struct {
@@ -138,7 +165,6 @@ func TestTracerDoesNotChangeResults(t *testing.T) {
 				}
 				traced := base
 				traced.Tracer = obs.NewTracer()
-				traced.Tracer.EnableTimeline()
 				obsRes, err := OPIMC(gen.mk(), traced)
 				if err != nil {
 					t.Fatal(err)

@@ -7,14 +7,13 @@ import (
 	"strings"
 )
 
-// AtomicMix enforces the copy-on-write / seqlock field discipline the
-// obs and timeline layers are built on: a field shared across
-// goroutines is declared with a sync/atomic type, and its methods are
-// its only access. One plain read of a seqlock sequence word, or one
-// plain store next to an atomic.Pointer publish, compiles fine and
-// usually survives `-race` (the torture tests only catch the
-// interleaving probabilistically) but silently voids the
-// memory-ordering contract documented in DESIGN.md.
+// AtomicMix enforces the copy-on-write field discipline the obs layer
+// is built on: a field shared across goroutines is declared with a
+// sync/atomic type, and its methods are its only access. One plain read
+// of an atomic counter, or one plain store next to an atomic.Pointer
+// publish, compiles fine and usually survives `-race` (the torture
+// tests only catch the interleaving probabilistically) but silently
+// voids the memory-ordering contract documented in DESIGN.md.
 //
 // Two rules:
 //

@@ -2,7 +2,6 @@ package lintpass
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -62,136 +61,7 @@ func checkHotPathFunc(pass *Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
-	checkHotPathTimeline(pass, fn)
 }
-
-// checkHotPathTimeline enforces the recording discipline inside
-// //subsim:hotpath functions for the per-worker timeline: every
-// Record/Now call on a *timeline.Ring must be dominated by a nil check
-// on the exact receiver expression (`if x.ring != nil { ...
-// x.ring.Now() ... }`). A nil ring makes those methods safe no-ops, but
-// a hot loop must skip the calls entirely — the disabled path pays
-// zero, not one method call per set — and the guard is also what lets
-// the enabled branch keep its timestamps in registers. Receivers that are
-// themselves guarded locals (assigned inside the guard) are fine: the
-// check keys on the receiver text, so hoisting `r := ig.ring` under the
-// guard passes.
-func checkHotPathTimeline(pass *Pass, fn *ast.FuncDecl) {
-	var walk func(n ast.Node, guarded map[string]bool)
-	walk = func(n ast.Node, guarded map[string]bool) {
-		ast.Inspect(n, func(node ast.Node) bool {
-			switch e := node.(type) {
-			case *ast.IfStmt:
-				if recv, ok := nonNilGuardExpr(pass, e.Cond); ok {
-					if e.Init != nil {
-						walk(e.Init, guarded)
-					}
-					inner := map[string]bool{recv: true}
-					for k := range guarded {
-						inner[k] = true
-					}
-					// Locals assigned from a guarded expression inside the
-					// branch inherit its guard.
-					propagateGuardedLocals(e.Body, inner)
-					walk(e.Body, inner)
-					if e.Else != nil {
-						walk(e.Else, guarded)
-					}
-					return false
-				}
-				return true
-			case *ast.CallExpr:
-				sel, ok := e.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if (sel.Sel.Name == "Record" || sel.Sel.Name == "Now") && isTimelineRing(pass, sel.X) && !guarded[exprKey(sel.X)] {
-					pass.Report(e.Pos(), ClassAlloc,
-						"timeline %s.%s in hot-path function %s outside an `if %s != nil` guard; the disabled path must skip recording entirely",
-						exprKey(sel.X), sel.Sel.Name, fn.Name.Name, exprKey(sel.X))
-				}
-				return true
-			}
-			return true
-		})
-	}
-	walk(fn.Body, map[string]bool{})
-}
-
-// nonNilGuardExpr recognises `X != nil` (possibly `X != nil && ...`)
-// where X has type *timeline.Ring, returning X's text key.
-func nonNilGuardExpr(pass *Pass, cond ast.Expr) (string, bool) {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok {
-		return "", false
-	}
-	if be.Op == token.LAND {
-		return nonNilGuardExpr(pass, be.X)
-	}
-	if be.Op != token.NEQ {
-		return "", false
-	}
-	x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
-	if tv, ok := pass.Info.Types[y]; !ok || !tv.IsNil() {
-		if tv, ok := pass.Info.Types[x]; !ok || !tv.IsNil() {
-			return "", false
-		}
-		x = y
-	}
-	if !isTimelineRing(pass, x) {
-		return "", false
-	}
-	return exprKey(x), true
-}
-
-// propagateGuardedLocals adds `name := <guarded expr>` locals declared
-// directly in the block to the guarded set.
-func propagateGuardedLocals(body *ast.BlockStmt, guarded map[string]bool) {
-	for _, s := range body.List {
-		as, ok := s.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			continue
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if guarded[exprKey(as.Rhs[i])] {
-				guarded[id.Name] = true
-			}
-		}
-	}
-}
-
-// isTimelineRing reports whether e's type is *timeline.Ring.
-func isTimelineRing(pass *Pass, e ast.Expr) bool {
-	return isPointerToNamed(pass, e, "Ring", "internal/obs/timeline")
-}
-
-// isPointerToNamed reports whether e's type is *pkg.Name for a package
-// whose import path ends in the given directory suffix.
-func isPointerToNamed(pass *Pass, e ast.Expr, name, pkgSuffix string) bool {
-	tv, ok := pass.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	ptr, ok := tv.Type.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil &&
-		pathHasSuffixDir(obj.Pkg().Path(), pkgSuffix)
-}
-
-// exprKey renders an expression as its source text, the domination key
-// for the timeline-guard check.
-func exprKey(e ast.Expr) string { return types.ExprString(e) }
 
 func checkHotPathCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, unsized map[*types.Var]bool) {
 	// append(s, ...) on an unsized local.

@@ -19,7 +19,7 @@
 //   - errcheck: no silently dropped errors in non-test code.
 //   - atomicmix: no sync/atomic functions; a struct field of a
 //     sync/atomic type is never plainly read or written outside its
-//     constructor (the seqlock and COW-span memory-ordering contracts).
+//     constructor (the COW-span memory-ordering contract).
 //   - gocapture: goroutines spawned inside //subsim:parallel functions
 //     must write captured slices only at parameter-derived indices, never
 //     write captured maps, and never call WaitGroup.Add from inside the

@@ -15,24 +15,20 @@ import (
 // pointer are permitted — the contract makes every method of these
 // types nil-safe, and this analyzer is exactly what enforces that
 // promise inside the obs package itself. The value is the package-path
-// suffix the type must live under (pathHasSuffixDir matching), so the
-// execution-timeline types are covered alongside the core obs ones.
+// suffix the type must live under (pathHasSuffixDir matching).
 var trackedObsTypes = map[string]string{
 	"Tracer":    "internal/obs",
 	"Span":      "internal/obs",
 	"MetricSet": "internal/obs",
 	"Counter":   "internal/obs",
 	"Histogram": "internal/obs",
-	"Timeline":  "internal/obs/timeline",
-	"Ring":      "internal/obs/timeline",
 }
 
 // NilTracer proves the nil-safety contract: for every exported function
 // or method with a receiver/parameter of type *obs.Tracer, *obs.Span,
-// *obs.MetricSet, *obs.Counter, *obs.Histogram, *timeline.Timeline or
-// *timeline.Ring, each field access (or explicit dereference) through
-// that pointer must be dominated by a nil check on every path from the
-// function entry.
+// *obs.MetricSet, *obs.Counter or *obs.Histogram, each field access (or
+// explicit dereference) through that pointer must be dominated by a nil
+// check on every path from the function entry.
 var NilTracer = &Analyzer{
 	Name: "niltracer",
 	Doc:  "exported functions taking obs tracer/metric pointers must be nil-safe before the first dereference",

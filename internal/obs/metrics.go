@@ -3,24 +3,15 @@ package obs
 import (
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 	"sync/atomic"
-
-	"subsim/internal/obs/ring"
-	"subsim/internal/obs/timeline"
 )
 
 // Counter is a monotonically increasing atomic counter. All methods are
 // nil-safe no-ops so disabled instrumentation threads through for free.
 type Counter struct {
 	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
 }
 
 // Add adds n.
@@ -91,9 +82,8 @@ func (g *IntGauge) Load() int64 {
 const NumBuckets = 40
 
 // Histogram is a fixed-bucket power-of-two histogram. Observe costs one
-// bits.Len plus three uncontended atomic adds, cheap enough for the RR
-// generation hot path. The zero value is ready to use; a nil *Histogram
-// is a no-op.
+// bits.Len plus three uncontended atomic adds. The zero value is ready
+// to use; a nil *Histogram is a no-op.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -161,15 +151,6 @@ func (h *Histogram) Bucket(i int) int64 {
 	return h.buckets[i].Load()
 }
 
-// Mean returns the average observed value, or 0 before any observation.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
 // BucketCount is one non-empty histogram bucket in a snapshot. Le is the
 // inclusive upper bound of the bucket; -1 encodes +Inf (the overflow
 // bucket).
@@ -208,16 +189,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // a run. Access the fields directly from instrumented code (after a
 // single nil check on the set), or via the nil-safe accessors.
 type MetricSet struct {
-	// RRSize observes the node count of every generated RR set
-	// (Figure 3b's average RR size is RRSize.Mean()).
-	RRSize Histogram
-	// EdgesPerSet observes the edge examinations of every generated RR
-	// set (the Lemma 4 cost measure, per set).
-	EdgesPerSet Histogram
-	// SkipLen observes individual geometric-skip lengths drawn by the
-	// SUBSIM samplers.
-	SkipLen Histogram
-	// Sets, Nodes and Edges are running totals across all workers.
+	// Sets, Nodes and Edges are running totals across all workers:
+	// Nodes/Sets is Figure 3b's average RR set size and Edges/Sets the
+	// Lemma 4 cost per set. im.Batcher adds to them once per worker lane
+	// per batch (AddBatch), so they advance per batch, not per set.
 	Sets  Counter
 	Nodes Counter
 	Edges Counter
@@ -237,13 +212,6 @@ type MetricSet struct {
 	// index builds; with Nodes it yields the indexing amplification.
 	IndexEntries Counter
 
-	// Timeline, when non-nil, records per-worker execution intervals
-	// alongside the cumulative counters (see internal/obs/timeline).
-	// Set before workers start — typically by Tracer.EnableTimeline —
-	// and never replaced mid-run; instrumented code reads it through the
-	// nil-safe TimelineRing accessor.
-	Timeline *timeline.Timeline
-
 	// Lower, Upper and Approx are the live certified bounds (Equations
 	// 1/2) as of the most recent round, published by Run.Round through
 	// SetBounds so the /progress endpoint can watch them tighten mid-run.
@@ -262,77 +230,61 @@ type MetricSet struct {
 	ThetaTight IntGauge
 	ThetaSaved Counter
 
-	workerSets ring.Vector[Counter]
-	workerBusy ring.Vector[Counter]
+	// mu guards the per-worker totals, indexed by worker: RR sets
+	// generated and nanoseconds spent generating them. They change once
+	// per worker lane per batch, so a lock costs nothing measurable.
+	mu         sync.Mutex
+	workerSets []int64
+	workerBusy []int64
 }
 
 // NewMetricSet returns an empty, enabled metric set.
 func NewMetricSet() *MetricSet { return &MetricSet{} }
 
-// WorkerSets returns the sets-generated counter of worker w, growing the
-// vector as needed. Returns nil (a no-op counter) on a nil set or a
-// negative index.
-func (m *MetricSet) WorkerSets(w int) *Counter {
+// AddBatch records worker w's lane of one batch of RR generation: sets
+// RR sets of nodes nodes in all, edges edge examinations, hits sets
+// truncated by a sentinel, and busyNS nanoseconds of generation. It is
+// the one entry point of the RR counters and the per-worker totals;
+// im.Batcher calls it once per lane per batch. Nil-safe.
+func (m *MetricSet) AddBatch(w int, sets, nodes, edges, hits, busyNS int64) {
 	if m == nil {
-		return nil
+		return
 	}
-	return m.workerSets.At(w, newCounter)
+	m.Sets.Add(sets)
+	m.Nodes.Add(nodes)
+	m.Edges.Add(edges)
+	m.SentinelHits.Add(hits)
+	m.mu.Lock()
+	for len(m.workerSets) <= w {
+		m.workerSets = append(m.workerSets, 0)
+		m.workerBusy = append(m.workerBusy, 0)
+	}
+	m.workerSets[w] += sets
+	m.workerBusy[w] += busyNS
+	m.mu.Unlock()
 }
 
-// WorkerSnapshot returns the per-worker sets-generated totals (nil when
-// no worker counter exists).
+// WorkerSnapshot returns the per-worker sets-generated totals (nil
+// before any batch was recorded).
 func (m *MetricSet) WorkerSnapshot() []int64 {
 	if m == nil {
 		return nil
 	}
-	return loadCounters(m.workerSets.Load())
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.workerSets)
 }
 
-// WorkerBusyNS returns the busy-nanoseconds counter of worker w, growing
-// the vector as needed. The rrset.Instrument wrapper adds each set's
-// generation duration to it, so busy_ns / wall-clock is the worker's
-// sampling utilization. Returns nil (a no-op counter) on a nil set or a
-// negative index.
-func (m *MetricSet) WorkerBusyNS(w int) *Counter {
-	if m == nil {
-		return nil
-	}
-	return m.workerBusy.At(w, newCounter)
-}
-
-// TimelineRing returns worker w's timeline ring, or nil — the disabled
-// ring, whose Record and Now are no-ops — when the set is nil or no
-// timeline is attached. This is the one accessor instrumented code
-// should use: it collapses the three-level nil check (set, timeline,
-// ring) into one call made once per worker at setup time.
-func (m *MetricSet) TimelineRing(w int) *timeline.Ring {
-	if m == nil {
-		return nil
-	}
-	return m.Timeline.Worker(w)
-}
-
-// WorkerBusySnapshot returns the per-worker busy-nanosecond totals
-// (nil when no worker ever recorded busy time).
+// WorkerBusySnapshot returns the per-worker generation nanoseconds (nil
+// before any batch was recorded); busy ns over wall-clock time is a
+// worker's sampling utilization.
 func (m *MetricSet) WorkerBusySnapshot() []int64 {
 	if m == nil {
 		return nil
 	}
-	return loadCounters(m.workerBusy.Load())
-}
-
-func newCounter(int) *Counter { return &Counter{} }
-
-// loadCounters reads a per-worker counter vector (nil when empty).
-func loadCounters(cs []*Counter) []int64 {
-	if len(cs) == 0 {
-		return nil
-	}
-	out := make([]int64, len(cs))
-	for i, c := range cs {
-		out[i] = c.Load()
-	}
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.workerBusy)
 }
 
 // SetBounds publishes the latest certified bounds and the round that

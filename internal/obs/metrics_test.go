@@ -85,26 +85,22 @@ func TestHistogramObserve(t *testing.T) {
 
 func TestNilMetrics(t *testing.T) {
 	var c *Counter
-	c.Inc()
 	c.Add(5)
 	if c.Load() != 0 {
 		t.Error("nil counter Load != 0")
 	}
 	var h *Histogram
 	h.Observe(3)
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Bucket(1) != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Bucket(1) != 0 {
 		t.Error("nil histogram accessors not zero")
 	}
 	if s := h.Snapshot(); s.Count != 0 || s.Buckets != nil {
 		t.Error("nil histogram snapshot not empty")
 	}
 	var m *MetricSet
-	if m.WorkerSets(3) != nil {
-		t.Error("nil metric set WorkerSets != nil")
-	}
-	m.WorkerSets(3).Inc() // must not panic
-	if m.WorkerSnapshot() != nil {
-		t.Error("nil metric set WorkerSnapshot != nil")
+	m.AddBatch(3, 1, 2, 3, 1, 5) // must not panic
+	if m.WorkerSnapshot() != nil || m.WorkerBusySnapshot() != nil {
+		t.Error("nil metric set worker snapshots != nil")
 	}
 	if err := m.WritePrometheus(nil); err != nil {
 		t.Errorf("nil metric set WritePrometheus: %v", err)
@@ -112,22 +108,20 @@ func TestNilMetrics(t *testing.T) {
 }
 
 // TestConcurrentInstruments hammers the shared instruments from many
-// goroutines; run under -race this validates the atomic design.
+// goroutines, workers reporting batches in descending order so the
+// per-worker vectors grow while others add to them; run under -race
+// this validates the atomic and mutex-guarded design.
 func TestConcurrentInstruments(t *testing.T) {
 	m := NewMetricSet()
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := workers - 1; w >= 0; w-- {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ctr := m.WorkerSets(w)
 			for i := 0; i < per; i++ {
-				m.Sets.Inc()
-				m.Nodes.Add(3)
-				m.RRSize.Observe(int64(i % 100))
-				m.EdgesPerSet.Observe(int64(i))
-				ctr.Inc()
+				m.AddBatch(w, 1, 3, 5, int64(i%2), 7)
+				m.IndexBuild.Observe(int64(i))
 			}
 		}(w)
 	}
@@ -138,23 +132,26 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got := m.Nodes.Load(); got != workers*per*3 {
 		t.Errorf("Nodes = %d, want %d", got, workers*per*3)
 	}
-	if got := m.RRSize.Count(); got != workers*per {
-		t.Errorf("RRSize.Count = %d, want %d", got, workers*per)
+	if got := m.Edges.Load(); got != workers*per*5 {
+		t.Errorf("Edges = %d, want %d", got, workers*per*5)
+	}
+	if got := m.SentinelHits.Load(); got != workers*per/2 {
+		t.Errorf("SentinelHits = %d, want %d", got, workers*per/2)
 	}
 	var cum int64
 	for i := 0; i < NumBuckets; i++ {
-		cum += m.EdgesPerSet.Bucket(i)
+		cum += m.IndexBuild.Bucket(i)
 	}
 	if cum != workers*per {
 		t.Errorf("bucket counts sum to %d, want %d", cum, workers*per)
 	}
-	ws := m.WorkerSnapshot()
-	if len(ws) != workers {
-		t.Fatalf("worker vector has %d entries, want %d", len(ws), workers)
+	ws, busy := m.WorkerSnapshot(), m.WorkerBusySnapshot()
+	if len(ws) != workers || len(busy) != workers {
+		t.Fatalf("worker vectors have %d/%d entries, want %d", len(ws), len(busy), workers)
 	}
-	for w, v := range ws {
-		if v != per {
-			t.Errorf("worker %d sets = %d, want %d", w, v, per)
+	for w := range ws {
+		if ws[w] != per || busy[w] != 7*per {
+			t.Errorf("worker %d sets=%d busy=%d, want %d/%d", w, ws[w], busy[w], per, 7*per)
 		}
 	}
 }

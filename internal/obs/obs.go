@@ -5,16 +5,17 @@
 // The paper's headline claims are cost claims — SUBSIM's edge-examination
 // count (Lemma 4) and HIST's average-RR-size reduction (Figure 3b) — so
 // the algorithms need visibility into where time and samples go: per
-// doubling round, per HIST phase, per worker, and per RR set. This
-// package provides four pieces:
+// doubling round, per HIST phase and per worker. This package provides
+// four pieces:
 //
 //   - Tracer / Span: nested, timestamped phase spans ("sampling",
 //     "selection", "bound-check", "sentinel-phase", "residual-phase",
 //     one span per doubling round) with attached key/value attributes.
 //   - MetricSet: atomic counters, gauges and fixed-bucket power-of-two
-//     histograms (RR set size, edge examinations per set, geometric-skip
-//     lengths, per-worker sets generated and busy time, live certified
-//     bounds) cheap enough to stay on in the RR-generation hot path.
+//     histograms (RR sets, nodes, edge examinations and sentinel hits,
+//     per-worker sets generated and busy time, index-build durations,
+//     live certified bounds). im.Batcher feeds the RR counters once per
+//     worker lane per batch, from the generators' own Stats.
 //   - Run: the per-run recorder (see run.go). Each run event — start,
 //     θ budget, round, bound crossing, phase end, run end — is one call
 //     that writes the span attributes, MetricSet gauges and slog record
@@ -30,9 +31,10 @@
 // nil tracer and a nil logger allocates nothing. A nil *Tracer
 // therefore threads through im.Options at zero cost: span creation
 // returns nil without allocating, attribute setters return immediately,
-// and the rrset.Instrument wrapper unwraps to the bare generator when
-// handed a nil MetricSet. Instrumented code never needs an "is tracing
-// enabled?" branch of its own.
+// and a batcher built over a nil MetricSet reads no clock and reports
+// nothing. Instrumented code never needs an "is tracing enabled?"
+// branch of its own, and the RR generators contain no observability
+// code at all.
 //
 // # Live reads and memory ordering
 //
@@ -53,8 +55,8 @@
 //   - the root-span list is guarded by the tracer mutex; LiveSpans copies
 //     it under the lock and then walks the tree lock-free.
 //
-// MetricSet instruments are fully concurrent (atomic) and shared by all
-// workers.
+// MetricSet instruments are concurrent (atomic, or mutex-guarded for
+// the per-worker totals) and shared by all workers.
 package obs
 
 import (
@@ -62,8 +64,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"subsim/internal/obs/timeline"
 )
 
 // Attr is one key/value attachment on a span.
@@ -164,39 +164,6 @@ func (t *Tracer) now() int64 {
 	fn := t.clock
 	t.mu.Unlock()
 	return fn()
-}
-
-// EnableTimeline attaches a per-worker execution timeline (see the
-// internal/obs/timeline package) of timeline.DefaultCapacity records per
-// worker to the tracer's metric set, using the tracer's *current* clock
-// so fake clocks installed via SetClock flow through to timeline records
-// — the property the golden trace tests rely on. Idempotent: a second
-// call returns the existing timeline. Returns nil on a nil tracer,
-// keeping the nil-tracer contract: a nil *timeline.Timeline (and the nil
-// *timeline.Ring it hands out) is a zero-cost no-op everywhere.
-func (t *Tracer) EnableTimeline() *timeline.Timeline {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.metrics.Timeline == nil {
-		// Capture the clock by value: the timeline's readers must never
-		// take the tracer mutex (Ring.Now runs on the per-set hot path).
-		t.metrics.Timeline = timeline.New(timeline.DefaultCapacity, t.clock)
-	}
-	return t.metrics.Timeline
-}
-
-// Timeline returns the attached execution timeline, or nil when
-// EnableTimeline was never called (or the tracer is nil).
-func (t *Tracer) Timeline() *timeline.Timeline {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.metrics.Timeline
 }
 
 // Span opens a new root-level span. End it with Span.End. Returns nil

@@ -3,14 +3,13 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
 // WritePrometheus dumps the metric set in the Prometheus text exposition
 // format (counters and cumulative histograms, `subsim_` prefixed). It is
-// what the CLIs print under -metrics and what an expvar/pprof endpoint
-// can serve for scraping.
+// the one Prometheus writer: what imrun prints under -metrics and what
+// the serve plane's /metrics endpoint serves.
 func (m *MetricSet) WritePrometheus(w io.Writer) error {
 	if m == nil {
 		return nil
@@ -53,9 +52,6 @@ func (m *MetricSet) WritePrometheus(w io.Writer) error {
 		name, help string
 		h          *Histogram
 	}{
-		{"subsim_rr_size", "RR set size (nodes).", &m.RRSize},
-		{"subsim_rr_edges_per_set", "Edge examinations per RR set.", &m.EdgesPerSet},
-		{"subsim_geom_skip_len", "Geometric skip lengths (SUBSIM).", &m.SkipLen},
 		{"subsim_index_build_ns", "CSR inverted-index build duration (ns).", &m.IndexBuild},
 		{"subsim_index_build_serial_ns", "CSR index builds taking the serial delta path (ns).", &m.IndexBuildSerial},
 		{"subsim_index_build_parallel_ns", "CSR index builds taking the shard-parallel path (ns).", &m.IndexBuildParallel},
@@ -124,60 +120,4 @@ func writePromHistogram(w io.Writer, name, help string, h *Histogram) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, h.Sum(), name, h.Count())
 	return err
-}
-
-// WritePrometheus renders the report's counter and histogram snapshots
-// in the same exposition format, for offline artifacts.
-func (r *Report) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.Counters))
-	for name := range r.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "# TYPE subsim_%s counter\nsubsim_%s %d\n",
-			name, name, r.Counters[name]); err != nil {
-			return err
-		}
-	}
-	hnames := make([]string, 0, len(r.Histograms))
-	for name := range r.Histograms {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
-		h := r.Histograms[name]
-		if _, err := fmt.Fprintf(w, "# TYPE subsim_%s histogram\n", name); err != nil {
-			return err
-		}
-		var cum int64
-		sawInf := false
-		for _, b := range h.Buckets {
-			cum += b.Count
-			le := "+Inf"
-			if b.Le >= 0 {
-				le = fmt.Sprintf("%d", b.Le)
-			} else {
-				sawInf = true
-				cum = h.Count // the +Inf bucket always equals the count
-			}
-			if _, err := fmt.Fprintf(w, "subsim_%s_bucket{le=\"%s\"} %d\n", name, le, cum); err != nil {
-				return err
-			}
-		}
-		if !sawInf {
-			// The exposition format requires a terminal +Inf bucket even
-			// when no observation overflowed.
-			if _, err := fmt.Fprintf(w, "subsim_%s_bucket{le=\"+Inf\"} %d\n", name, h.Count); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "subsim_%s_sum %d\nsubsim_%s_count %d\n", name, h.Sum, name, h.Count); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"time"
-
-	"subsim/internal/obs/timeline"
 )
 
 // Schema identifies the run-report JSON document type; Version is bumped
@@ -67,10 +65,6 @@ type Report struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	WorkerSets []int64                      `json:"worker_sets,omitempty"`
 	WorkerBusy []int64                      `json:"worker_busy_ns,omitempty"`
-	// Timeline is the per-phase utilization/imbalance digest of the
-	// execution timeline, present only when EnableTimeline was called
-	// (itself schema-versioned; see timeline.SummarySchema).
-	Timeline *timeline.Summary `json:"timeline,omitempty"`
 }
 
 // Report snapshots the tracer into a schema-versioned document. Open
@@ -122,19 +116,12 @@ func (t *Tracer) Report() *Report {
 		r.Gauges["theta_tight"] = float64(tt)
 	}
 	r.Histograms = map[string]HistogramSnapshot{
-		"rr_size":                 m.RRSize.Snapshot(),
-		"rr_edges_per_set":        m.EdgesPerSet.Snapshot(),
-		"geom_skip_len":           m.SkipLen.Snapshot(),
 		"index_build_ns":          m.IndexBuild.Snapshot(),
 		"index_build_serial_ns":   m.IndexBuildSerial.Snapshot(),
 		"index_build_parallel_ns": m.IndexBuildParallel.Snapshot(),
 	}
 	r.WorkerSets = m.WorkerSnapshot()
 	r.WorkerBusy = m.WorkerBusySnapshot()
-	if m.Timeline != nil {
-		sum := timeline.Summarize(m.Timeline.Snapshot())
-		r.Timeline = &sum
-	}
 	return r
 }
 

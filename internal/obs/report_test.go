@@ -33,19 +33,11 @@ func deterministicTracer() *Tracer {
 	run.SetInt("rounds", 1).End()
 
 	m := tr.Metrics()
-	m.Sets.Add(4)
-	m.Nodes.Add(10)
-	m.Edges.Add(17)
-	m.SentinelHits.Inc()
+	m.AddBatch(0, 3, 7, 12, 1, 300)
+	m.AddBatch(1, 1, 3, 5, 0, 100)
 	for _, v := range []int64{1, 2, 3, 4} {
-		m.RRSize.Observe(v)
+		m.IndexBuild.Observe(v)
 	}
-	for _, v := range []int64{3, 4, 5, 5} {
-		m.EdgesPerSet.Observe(v)
-	}
-	m.SkipLen.Observe(2)
-	m.WorkerSets(0).Add(3)
-	m.WorkerSets(1).Add(1)
 	return tr
 }
 
@@ -81,14 +73,18 @@ func TestReportSchemaFields(t *testing.T) {
 	if rep.Schema != Schema || rep.Version != SchemaVersion {
 		t.Errorf("schema = %q v%d, want %q v%d", rep.Schema, rep.Version, Schema, SchemaVersion)
 	}
-	if rep.Counters["rr_sets_total"] != 4 || rep.Counters["sentinel_hits_total"] != 1 {
+	c := rep.Counters
+	if c["rr_sets_total"] != 4 || c["rr_nodes_total"] != 10 || c["rr_edges_examined_total"] != 17 || c["sentinel_hits_total"] != 1 {
 		t.Errorf("counters wrong: %v", rep.Counters)
 	}
-	if h := rep.Histograms["rr_size"]; h.Count != 4 || h.Sum != 10 {
-		t.Errorf("rr_size histogram = %+v", h)
+	if h := rep.Histograms["index_build_ns"]; h.Count != 4 || h.Sum != 10 {
+		t.Errorf("index_build_ns histogram = %+v", h)
 	}
 	if len(rep.WorkerSets) != 2 || rep.WorkerSets[0] != 3 || rep.WorkerSets[1] != 1 {
 		t.Errorf("worker sets = %v, want [3 1]", rep.WorkerSets)
+	}
+	if len(rep.WorkerBusy) != 2 || rep.WorkerBusy[0] != 300 || rep.WorkerBusy[1] != 100 {
+		t.Errorf("worker busy ns = %v, want [300 100]", rep.WorkerBusy)
 	}
 	for _, name := range []string{"hist", "sentinel-phase", "residual-phase", "round-1", "sampling", "selection", "bound-check"} {
 		if rep.Span(name) == nil {
@@ -127,37 +123,25 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"subsim_rr_sets_total 4",
 		"subsim_sentinel_hits_total 1",
-		"subsim_rr_size_sum 10",
-		"subsim_rr_size_count 4",
-		`subsim_rr_size_bucket{le="+Inf"} 4`,
+		"subsim_index_build_ns_sum 10",
+		"subsim_index_build_ns_count 4",
+		`subsim_index_build_ns_bucket{le="+Inf"} 4`,
 		`subsim_worker_sets_total{worker="0"} 3`,
 		`subsim_worker_sets_total{worker="1"} 1`,
+		`subsim_worker_busy_ns_total{worker="0"} 300`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("live prometheus dump missing %q\n%s", want, out)
 		}
 	}
-	// Cumulative buckets: rr_size has 1,2,3,4 -> le=1:1, le=3:3, +Inf:4.
+	// Cumulative buckets: index_build_ns has 1,2,3,4 -> le=1:1, le=3:3,
+	// +Inf:4.
 	for _, want := range []string{
-		`subsim_rr_size_bucket{le="1"} 1`,
-		`subsim_rr_size_bucket{le="3"} 3`,
+		`subsim_index_build_ns_bucket{le="1"} 1`,
+		`subsim_index_build_ns_bucket{le="3"} 3`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cumulative bucket missing %q\n%s", want, out)
-		}
-	}
-	// The report renderer agrees with the live renderer on totals.
-	var offline bytes.Buffer
-	if err := tr.Report().WritePrometheus(&offline); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"subsim_rr_sets_total 4",
-		"subsim_rr_size_sum 10",
-		`subsim_rr_size_bucket{le="+Inf"} 4`,
-	} {
-		if !strings.Contains(offline.String(), want) {
-			t.Errorf("report prometheus dump missing %q\n%s", want, offline.String())
 		}
 	}
 }

@@ -149,7 +149,7 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 
 	// One /progress scrape also runs from inside generation, so at least
 	// one lands mid-run however the host schedules the scrapers.
-	gen := &scrapeMidRun{Generator: rrset.NewSubsim(g), once: new(sync.Once),
+	gen := &scrapeMidRun{Generator: rrset.NewSubsim(g), m: tr.Metrics(), once: new(sync.Once),
 		scrape: func() { fetch("/progress", checkProgress) }}
 	p.RunStarted()
 	res, err := im.OPIMC(gen, im.Options{
@@ -185,21 +185,21 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	}
 }
 
-// scrapeMidRun calls scrape once, from inside the run: at a worker's
-// second RR set, when its first is already counted in rr_sets.
+// scrapeMidRun calls scrape once, from inside the run: at the first RR
+// set drawn after a batch was published to m's rr_sets counter.
 type scrapeMidRun struct {
 	rrset.Generator
-	calls  int
+	m      *obs.MetricSet
 	once   *sync.Once
 	scrape func()
 }
 
 func (s *scrapeMidRun) Clone() rrset.Generator {
-	return &scrapeMidRun{Generator: s.Generator.Clone(), once: s.once, scrape: s.scrape}
+	return &scrapeMidRun{Generator: s.Generator.Clone(), m: s.m, once: s.once, scrape: s.scrape}
 }
 
 func (s *scrapeMidRun) GenerateInto(a *rrset.Arena, r *rng.Source, root int32, sentinel []bool) []int32 {
-	if s.calls++; s.calls == 2 {
+	if s.m.Sets.Load() > 0 {
 		s.once.Do(s.scrape)
 	}
 	return s.Generator.GenerateInto(a, r, root, sentinel)

@@ -1,8 +1,8 @@
 // Package serve is the live telemetry plane over the obs layer: one
 // http.Handler exposing Prometheus metrics, health/readiness, live run
-// progress (JSON and SSE), the full run report, the execution timeline,
-// and the net/http/pprof + expvar debug surface on one port. It is how
-// a multi-minute CLI run is inspected while it runs.
+// progress (JSON and SSE), the full run report, and the net/http/pprof +
+// expvar debug surface on one port. It is how a multi-minute CLI run is
+// inspected while it runs.
 //
 // Endpoints (all GET):
 //
@@ -14,18 +14,18 @@
 //	           bounds; add ?sse=1 (or Accept: text/event-stream) for a
 //	           server-sent-event stream, ?spans=1 to embed the span tree
 //	/report    the full schema-versioned run report, live
-//	/timeline  per-worker execution-timeline summary (JSON), once
-//	           Tracer.EnableTimeline was called
-//	/trace     the execution timeline as Chrome trace-event JSON —
-//	           load it in Perfetto or chrome://tracing
 //	/debug/*   net/http/pprof and Go's standard expvar variables (when
-//	           Options.Debug)
+//	           Options.Debug); /debug/pprof/trace is a runtime execution
+//	           trace for `go tool trace`, with the generate, index-build,
+//	           select-gains, select and reduce regions that obs.Section
+//	           opens
 //
 // Construct a Plane with New, mount Handler on any mux or call Start to
-// listen. The plane only *reads* the tracer — all reads go through the
-// lock-free live-snapshot paths of the obs package, so scraping a
-// mid-run process never blocks or perturbs the run (see the obs package
-// comment's memory-ordering contract).
+// listen. The plane only *reads* the tracer — through the live-snapshot
+// paths of the obs package, lock-free except for the per-worker totals,
+// whose mutex a scrape holds only while it copies them — so scraping a
+// mid-run process never perturbs the run (see the obs package comment's
+// memory-ordering contract).
 package serve
 
 import (
@@ -93,8 +93,6 @@ func NewWithOptions(tr *obs.Tracer, o Options) *Plane {
 	p.mux.HandleFunc("GET /readyz", p.handleReadyz)
 	p.mux.HandleFunc("GET /progress", p.handleProgress)
 	p.mux.HandleFunc("GET /report", p.handleReport)
-	p.mux.HandleFunc("GET /timeline", p.handleTimeline)
-	p.mux.HandleFunc("GET /trace", p.handleTrace)
 	p.mux.HandleFunc("GET /{$}", p.handleIndex)
 	if o.Debug {
 		p.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -170,9 +168,7 @@ func (p *Plane) handleIndex(w http.ResponseWriter, _ *http.Request) {
 		"  /readyz    readiness (graph loaded)\n"+
 		"  /progress  live run progress (add ?sse=1 to stream, ?spans=1 for the span tree)\n"+
 		"  /report    full run report (JSON)\n"+
-		"  /timeline  per-worker execution-timeline summary (JSON)\n"+
-		"  /trace     Chrome trace-event export (load in Perfetto)\n"+
-		"  /debug/    pprof and expvar\n")
+		"  /debug/    pprof (/debug/pprof/trace for go tool trace) and expvar\n")
 }
 
 func (p *Plane) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -35,17 +35,10 @@ func deterministicPlane() *Plane {
 
 	m := tr.Metrics()
 	for i := 0; i < 4; i++ {
-		m.RRSize.Observe(int64(1 << i))
-		m.EdgesPerSet.Observe(int64(3 << i))
+		m.IndexBuild.Observe(int64(1 << i))
 	}
-	m.Sets.Add(4)
-	m.Nodes.Add(15)
-	m.Edges.Add(45)
-	m.SentinelHits.Add(1)
-	m.WorkerSets(0).Add(3)
-	m.WorkerSets(1).Add(1)
-	m.WorkerBusyNS(0).Add(1_500_000_000)
-	m.WorkerBusyNS(1).Add(500_000_000)
+	m.AddBatch(0, 3, 11, 33, 1, 1_500_000_000)
+	m.AddBatch(1, 1, 4, 12, 0, 500_000_000)
 	m.SetBounds(1, 120.5, 200, 0.6025)
 
 	epoch := time.Unix(1000, 0)

@@ -4,13 +4,17 @@
 // plane's /report endpoint) and flags regressions, so observability
 // artifacts can gate a run's performance.
 //
-// Three metric families are compared:
+// Four metric families are compared:
 //
 //   - phase times: the span forest of each report is flattened with
 //     AggregateSpans (per-name totals), and each common name's total
 //     duration is compared;
 //   - counters: the report's counter map (rr_sets_total, ...), where
 //     growth beyond tolerance means the run did more work;
+//   - per-set costs derived from the counters: rr_nodes_per_set (nodes
+//     over sets, Figure 3b's average RR-set size) and rr_edges_per_set
+//     (edge examinations over sets, the Lemma 4 cost per set), which
+//     flag costlier RR sets even when a run drew fewer of them;
 //   - histograms: each common histogram's mean (sum/count) — a mean
 //     shift beyond tolerance flags a distributional regression even
 //     when totals moved less.
@@ -107,7 +111,8 @@ type Options struct {
 
 // Delta is one compared metric.
 type Delta struct {
-	// Kind is "span" (total ns), "counter", or "histogram" (mean).
+	// Kind is "span" (total ns), "counter", "per-set" (a counter over
+	// rr_sets_total), or "histogram" (mean).
 	Kind string `json:"kind"`
 	Name string `json:"name"`
 	// Base and New are the metric values in each report; -1 marks a
@@ -144,6 +149,7 @@ func Compare(base, next *obs.Report, opt Options) *Diff {
 	d := &Diff{Schema: DiffSchema, Version: DiffSchemaVersion, Tolerance: opt.Tolerance}
 	d.compareSpans(base, next, opt)
 	d.compareCounters(base, next, opt)
+	d.comparePerSet(base, next, opt)
 	d.compareHistograms(base, next, opt)
 	for _, dl := range d.Deltas {
 		if dl.Regressed {
@@ -202,6 +208,32 @@ func (d *Diff) compareCounters(base, next *obs.Report, opt Options) {
 			d.Deltas = append(d.Deltas, Delta{Kind: "counter", Name: name, Base: -1, New: float64(next.Counters[name]), Note: "new-only"})
 		}
 	}
+}
+
+// comparePerSet diffs the per-RR-set costs derived from the counters;
+// a report that drew no sets has none, and the row is skipped.
+func (d *Diff) comparePerSet(base, next *obs.Report, opt Options) {
+	for _, r := range []struct{ name, counter string }{
+		{"rr_nodes_per_set", "rr_nodes_total"},
+		{"rr_edges_per_set", "rr_edges_examined_total"},
+	} {
+		b, okB := perSet(base, r.counter)
+		n, okN := perSet(next, r.counter)
+		if okB && okN {
+			d.Deltas = append(d.Deltas, makeDelta("per-set", r.name, b, n, opt.Tolerance))
+		}
+	}
+}
+
+// perSet returns r's counter divided by its rr_sets_total, or false
+// when r drew no sets or lacks the counter.
+func perSet(r *obs.Report, counter string) (float64, bool) {
+	total, ok := r.Counters[counter]
+	sets := r.Counters["rr_sets_total"]
+	if !ok || sets <= 0 {
+		return 0, false
+	}
+	return float64(total) / float64(sets), true
 }
 
 func (d *Diff) compareHistograms(base, next *obs.Report, opt Options) {

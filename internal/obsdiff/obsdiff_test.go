@@ -44,6 +44,8 @@ func TestRegressedFixtureFails(t *testing.T) {
 		"span/selection":                  false, // +10% inside tolerance
 		"span/bound-check":                false, // +80% but below the 1ms floor
 		"counter/rr_edges_examined_total": true,
+		"per-set/rr_nodes_per_set":        false, // nodes and sets unchanged
+		"per-set/rr_edges_per_set":        true,  // +80% edges at equal sets
 		"histogram/rr_edges_per_set":      true,
 		"histogram/rr_size":               false,
 	}
@@ -61,8 +63,8 @@ func TestRegressedFixtureFails(t *testing.T) {
 			t.Errorf("%s: regressed=%v, want %v", key, v, regressed)
 		}
 	}
-	if d.Regressions != 4 {
-		t.Errorf("Regressions = %d, want 4", d.Regressions)
+	if d.Regressions != 5 {
+		t.Errorf("Regressions = %d, want 5", d.Regressions)
 	}
 
 	// The floor exemption must be annotated.
@@ -112,8 +114,8 @@ func TestRunJSONOutput(t *testing.T) {
 	if d.Schema != DiffSchema || d.Version != DiffSchemaVersion {
 		t.Errorf("schema = %q v%d, want %q v%d", d.Schema, d.Version, DiffSchema, DiffSchemaVersion)
 	}
-	if d.Regressions != 4 {
-		t.Errorf("Regressions = %d, want 4", d.Regressions)
+	if d.Regressions != 5 {
+		t.Errorf("Regressions = %d, want 5", d.Regressions)
 	}
 }
 

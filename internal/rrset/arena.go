@@ -62,8 +62,8 @@ func (a *Arena) Set(i int) []int32 {
 
 // Data returns the flat node-id buffer of all sets back to back; Ends
 // the per-set exclusive end offsets. Both are live read-only views for
-// CSR index builds and batch ingestion (Estimator.AbsorbArena); they are
-// invalidated by the next append or Reset.
+// the CSR index builds of coverage.Sharded; they are invalidated by the
+// next append or Reset.
 func (a *Arena) Data() []int32 { return a.data }
 
 // Ends returns the per-set exclusive end offsets (see Data).

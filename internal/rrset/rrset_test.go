@@ -347,3 +347,11 @@ func TestEpochWraparound(t *testing.T) {
 		t.Fatalf("wraparound corrupted traversal: %v %v", a, b)
 	}
 }
+
+func TestStatsSub(t *testing.T) {
+	s := Stats{Sets: 10, Nodes: 50, EdgesExamined: 70, SentinelHits: 4}
+	s.Sub(Stats{Sets: 3, Nodes: 20, EdgesExamined: 30, SentinelHits: 1})
+	if s != (Stats{Sets: 7, Nodes: 30, EdgesExamined: 40, SentinelHits: 3}) {
+		t.Fatalf("Sub result %+v", s)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"subsim/internal/graph"
-	"subsim/internal/obs"
 	"subsim/internal/rng"
 )
 
@@ -37,15 +36,7 @@ type Subsim struct {
 	// (bucket j spans 1-indexed positions [2^j, 2^{j+1})). Nil when the
 	// graph offers the equal-probability fast path.
 	buckets [][]bucketInfo
-	// skipHist, when non-nil, observes every geometric skip length drawn
-	// in the hot loop; wired by rrset.Instrument. The nil check is one
-	// predictable branch per skip, so the disabled path stays free.
-	skipHist *obs.Histogram
 }
-
-// setSkipHistogram attaches the geometric-skip-length histogram; called
-// by Instrument when metrics are enabled.
-func (s *Subsim) setSkipHistogram(h *obs.Histogram) { s.skipHist = h }
 
 // bucketInfo caches, per position bucket, the geometric-skip denominator
 // for the bucket head and the probability that the bucket yields at
@@ -111,15 +102,13 @@ func (s *Subsim) Stats() Stats { return s.stats }
 func (s *Subsim) ResetStats() { s.stats = Stats{} }
 
 // Clone returns an independent generator for another goroutine, sharing
-// the immutable precomputed bucket tables and the (concurrency-safe)
-// skip histogram; the frontier scratch is sized from the parent's
-// observed average RR-set size.
+// the immutable precomputed bucket tables; the frontier scratch is sized
+// from the parent's observed average RR-set size.
 func (s *Subsim) Clone() Generator {
 	return &Subsim{
-		t:        newTraversal(s.t.g),
-		f:        newFrontier(scratchHint(s.stats)),
-		buckets:  s.buckets,
-		skipHist: s.skipHist,
+		t:       newTraversal(s.t.g),
+		f:       newFrontier(scratchHint(s.stats)),
+		buckets: s.buckets,
 	}
 }
 
@@ -252,9 +241,6 @@ func (s *Subsim) drawLandings(r *rng.Source, landings []int64, heads []graph.InH
 		for {
 			landings = append(landings, h.Off+pos)
 			skip := r.GeometricFromLog(h.LogP)
-			if hist := s.skipHist; hist != nil {
-				hist.Observe(skip)
-			}
 			if skip >= h.Deg-pos {
 				break
 			}
@@ -307,9 +293,6 @@ func (s *Subsim) generateSorted(r *rng.Source, g *graph.Graph, sentinel []bool, 
 					}
 				}
 				skip := r.GeometricFromLog(bi.logHead)
-				if hist := s.skipHist; hist != nil {
-					hist.Observe(skip)
-				}
 				if skip >= int64(end)-pos {
 					break
 				}

@@ -108,12 +108,13 @@ func ParseBound(s string) (BoundKind, error) { return im.ParseBound(s) }
 type Tracer = obs.Tracer
 
 // RunReport is the schema-versioned machine-readable summary of one run:
-// the span tree, power-of-two histograms (RR size, edge examinations per
-// set, geometric skip lengths), counters and per-worker totals. Write it
-// with its WriteJSON / WritePrometheus methods.
+// the span tree, counters (RR sets, nodes, edge examinations, sentinel
+// hits), index-build duration histograms and per-worker totals. Write it
+// with its WriteJSON method; RRMetrics.WritePrometheus renders the live
+// metric set in the Prometheus text format.
 type RunReport = obs.Report
 
-// RRMetrics is the live metric set behind a tracer (atomic counters and
+// RRMetrics is the live metric set behind a tracer (counters, gauges and
 // histograms shared by all workers).
 type RRMetrics = obs.MetricSet
 
@@ -321,14 +322,6 @@ func SampleRRSets(gen RRGenerator, count int, seed uint64) []RRSet {
 
 // RRStats reports the cost counters a generator has accumulated.
 func RRStats(gen RRGenerator) rrset.Stats { return gen.Stats() }
-
-// InstrumentRRGenerator wraps gen so every generated set streams its
-// size and edge-examination count into m's histograms (plus the
-// geometric-skip histogram for SUBSIM generators). A nil m returns gen
-// unchanged. Obtain m from Tracer.Metrics.
-func InstrumentRRGenerator(gen RRGenerator, m *RRMetrics) RRGenerator {
-	return rrset.Instrument(gen, m, nil)
-}
 
 // NewBuilder returns a Builder for a graph with n nodes.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
