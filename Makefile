@@ -37,14 +37,12 @@ escape-baseline:
 	$(GO) run ./cmd/subsimlint -compiler -baseline lint_baseline.json -baseline-write ./...
 
 # 30s native-fuzzing smoke pass per target over the untrusted-input
-# parsers, the bucketed sampler invariants and Maximize on degenerate
-# inputs (seed corpora committed under testdata/fuzz/ or added in the
-# targets).
+# parsers and Maximize on degenerate inputs (seed corpora committed
+# under testdata/fuzz/ or added in the targets).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzBucketedSampler$$' -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz '^FuzzMaximize$$' -fuzztime $(FUZZTIME)
 
 # Text dumps from test/bench targets land under bin/ (gitignored as a

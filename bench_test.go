@@ -121,12 +121,8 @@ func benchRRGeneration(b *testing.B, model string, kind subsim.GeneratorKind) {
 	b.ReportMetric(float64(st.EdgesExamined)/float64(st.Sets), "edges/set")
 }
 
-func BenchmarkFig2_Exp_Vanilla(b *testing.B)  { benchRRGeneration(b, "exp", subsim.GenVanilla) }
-func BenchmarkFig2_Exp_Subsim(b *testing.B)   { benchRRGeneration(b, "exp", subsim.GenSubsim) }
-func BenchmarkFig2_Exp_Bucketed(b *testing.B) { benchRRGeneration(b, "exp", subsim.GenSubsimBucketed) }
-func BenchmarkFig2_Exp_BucketedJump(b *testing.B) {
-	benchRRGeneration(b, "exp", subsim.GenSubsimBucketedJump)
-}
+func BenchmarkFig2_Exp_Vanilla(b *testing.B)     { benchRRGeneration(b, "exp", subsim.GenVanilla) }
+func BenchmarkFig2_Exp_Subsim(b *testing.B)      { benchRRGeneration(b, "exp", subsim.GenSubsim) }
 func BenchmarkFig2_Weibull_Vanilla(b *testing.B) { benchRRGeneration(b, "weibull", subsim.GenVanilla) }
 func BenchmarkFig2_Weibull_Subsim(b *testing.B)  { benchRRGeneration(b, "weibull", subsim.GenSubsim) }
 
@@ -249,16 +245,12 @@ func BenchmarkAblation_SubsetGeneral(b *testing.B) {
 			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
 	}
-	bb := sampling.NewBucketed(probs)
-	bj := sampling.NewBucketedJump(probs)
 	kernels := []struct {
 		name string
 		f    func(r *rng.Source, y func(int) bool)
 	}{
 		{"naive", func(r *rng.Source, y func(int) bool) { sampling.Naive(r, probs, y) }},
 		{"sorted", func(r *rng.Source, y func(int) bool) { sampling.SortedSkip(r, sorted, y) }},
-		{"bucketed", bb.Sample},
-		{"bucketed-jump", bj.Sample},
 	}
 	for _, k := range kernels {
 		b.Run(k.name, func(b *testing.B) {

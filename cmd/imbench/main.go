@@ -13,7 +13,6 @@
 //	-eps     approximation parameter ε (default 0.1)
 //	-seed    RNG seed (default 2020)
 //	-workers RR-generation parallelism (default GOMAXPROCS)
-//	-bound   sample-complexity analysis: "imm" (worst-case) or "tight"
 //	-k       comma-separated k sweep for fig1/fig4/fig5
 //	-quick   tiny datasets and budgets (smoke test, seconds)
 //	-trace   write a schema-versioned JSON run report covering every
@@ -40,7 +39,6 @@ import (
 	"strconv"
 	"strings"
 
-	"subsim"
 	"subsim/internal/bench"
 	"subsim/internal/obs"
 	"subsim/internal/obs/serve"
@@ -54,7 +52,6 @@ func main() {
 	seed := flag.Uint64("seed", 2020, "random seed")
 	workers := flag.Int("workers", 0, "RR generation workers (0 = GOMAXPROCS)")
 	ks := flag.String("k", "", "comma-separated k sweep (overrides default)")
-	bound := flag.String("bound", "imm", "sample-complexity bound: imm or tight")
 	quick := flag.Bool("quick", false, "tiny smoke-test configuration")
 	tracePath := flag.String("trace", "", "write the JSON run report to this file")
 	metrics := flag.Bool("metrics", false, "dump Prometheus-style metrics to stderr")
@@ -71,12 +68,6 @@ func main() {
 	cfg.Eps = *eps
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	bnd, err := subsim.ParseBound(*bound)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "imbench: %v\n", err)
-		os.Exit(2)
-	}
-	cfg.Bound = bnd
 	// Oversubscribed workers measure goroutine-partitioning overhead, not
 	// parallel speedup. Shout about it so the numbers can't masquerade as
 	// speedups.
@@ -129,7 +120,6 @@ func main() {
 		tr.SetMeta("scale", *scale)
 		tr.SetMeta("eps", *eps)
 		tr.SetMeta("seed", *seed)
-		tr.SetMeta("bound", bnd.String())
 		cfg.Tracer = tr
 	}
 	var plane *serve.Plane

@@ -14,10 +14,6 @@
 //	-eps     approximation parameter ε
 //	-seed    RNG seed
 //	-workers RR-generation parallelism (0 = GOMAXPROCS)
-//	-bound   sample-complexity analysis capping θ: imm (worst-case
-//	         IMM/OPIM-C constants, default) or tight (stop at the smaller
-//	         Sadeh-Cohen-Kaplan-style tightened budget); both budgets are
-//	         reported either way
 //	-mc      forward simulations for the final spread estimate (0 = skip)
 //	-lt      run under the Linear Threshold model (imm/ssa/opimc only)
 //	-repeat  run the algorithm this many times (1 = once; higher values
@@ -82,7 +78,6 @@ func main() {
 	eps := flag.Float64("eps", 0.1, "approximation parameter epsilon")
 	seed := flag.Uint64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "RR generation workers (0 = GOMAXPROCS)")
-	bound := flag.String("bound", "imm", "sample-complexity bound: imm or tight")
 	mc := flag.Int("mc", 10000, "forward simulations for spread estimate (0 = skip)")
 	lt := flag.Bool("lt", false, "use the Linear Threshold model")
 	repeat := flag.Int("repeat", 1, "run the algorithm this many times")
@@ -107,13 +102,7 @@ func main() {
 		*repeat = 1
 	}
 
-	bnd, err := subsim.ParseBound(*bound)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "imrun: %v\n", err)
-		os.Exit(2)
-	}
-
-	opt := subsim.Options{K: *k, Eps: *eps, Seed: *seed, Workers: *workers, Bound: bnd}
+	opt := subsim.Options{K: *k, Eps: *eps, Seed: *seed, Workers: *workers}
 	if *logFmt != "" {
 		opt.Logger = subsim.NewLogger(os.Stderr, *logFmt)
 	}
@@ -128,7 +117,6 @@ func main() {
 		tr.SetMeta("k", *k)
 		tr.SetMeta("eps", *eps)
 		tr.SetMeta("seed", *seed)
-		tr.SetMeta("bound", bnd.String())
 		opt.Tracer = tr
 	}
 
@@ -272,11 +260,7 @@ func printHuman(g *subsim.Graph, alg subsim.Algorithm, res *subsim.Result, k int
 		fmt.Println()
 	}
 	if res.ThetaWorstCase > 0 {
-		fmt.Printf("theta budget: worst-case %d, tightened %d", res.ThetaWorstCase, res.ThetaTight)
-		if saved := res.ThetaWorstCase - res.ThetaTight; saved > 0 {
-			fmt.Printf(" (%.1f%% smaller)", 100*float64(saved)/float64(res.ThetaWorstCase))
-		}
-		fmt.Println()
+		fmt.Printf("theta budget: worst-case %d\n", res.ThetaWorstCase)
 	}
 	fmt.Printf("influence estimate: %.1f", res.Influence)
 	if res.UpperBound > 0 {

@@ -1,11 +1,10 @@
 // Skewed propagation probabilities (general IC): when edge weights are
 // learned from data they are rarely uniform — the paper models this with
 // Exponential and Weibull weights, normalised per node. This example
-// compares the three general-IC subset-sampling kernels (index-free
-// sorted, bucketed, bucketed+jump) against the vanilla per-edge coin
-// flip, reproducing the dynamics of the paper's Figure 2, and then runs
-// the full pipeline on the skewed graph — plus the Linear Threshold model
-// for good measure.
+// compares SUBSIM's index-free general-IC subset sampling against the
+// vanilla per-edge coin flip, reproducing the dynamics of the paper's
+// Figure 2, and then runs the full pipeline on the skewed graph — plus
+// the Linear Threshold model for good measure.
 package main
 
 import (
@@ -43,8 +42,6 @@ func main() {
 		}{
 			{"vanilla (Alg. 2)", subsim.GenVanilla},
 			{"SUBSIM index-free", subsim.GenSubsim},
-			{"SUBSIM bucketed", subsim.GenSubsimBucketed},
-			{"SUBSIM bucket+jump", subsim.GenSubsimBucketedJump},
 		}
 		var base float64
 		for i, k := range kernels {
@@ -62,10 +59,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// End-to-end on the skewed graph: OPIM-C chassis over the bucketed
+	// End-to-end on the skewed graph: OPIM-C chassis over the index-free
 	// general-IC generator.
 	res, err := subsim.MaximizeWith(
-		subsim.NewRRGenerator(g, subsim.GenSubsimBucketed),
+		subsim.NewRRGenerator(g, subsim.GenSubsim),
 		subsim.AlgSUBSIM,
 		subsim.Options{K: 50, Eps: 0.1, Seed: 19},
 	)

@@ -31,9 +31,6 @@ type Config struct {
 	Seed uint64
 	// Workers bounds RR-generation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Bound selects the sample-complexity analysis (worst-case IMM/OPIM-C
-	// constants, or the tightened variant).
-	Bound im.BoundKind
 	// Ks is the seed-set size sweep of Figures 1, 4 and 5.
 	Ks []int
 	// FixedK is the seed-set size of Figures 6 and 7 (paper: 200).
@@ -106,7 +103,7 @@ func (c *Config) datasets() []Dataset {
 
 func (c *Config) options(k int) im.Options {
 	return im.Options{K: k, Eps: c.Eps, Delta: c.Delta, Seed: c.Seed, Workers: c.Workers,
-		Bound: c.Bound, Tracer: c.Tracer, Logger: c.Logger}
+		Tracer: c.Tracer, Logger: c.Logger}
 }
 
 // highTarget caps the θ₄ₖ-style calibration target so it stays a feasible
@@ -218,12 +215,11 @@ func RunFig1(c Config, w io.Writer) (*Table, error) {
 
 // RunFig2 reproduces Figure 2: the cost of generating a fixed number of
 // random RR sets under skewed (Exponential and Weibull) edge weights,
-// for the vanilla generator and the SUBSIM kernels.
+// for the vanilla generator and index-free SUBSIM.
 func RunFig2(c Config, w io.Writer) (*Table, error) {
 	t := &Table{
-		Title: fmt.Sprintf("Figure 2: time (s) to generate %d RR sets under skewed weights", c.Fig2Sets),
-		Header: []string{"Dataset", "Distribution", "vanilla", "SUBSIM(index-free)",
-			"SUBSIM(bucket)", "SUBSIM(bucket+jump)", "speedup"},
+		Title:  fmt.Sprintf("Figure 2: time (s) to generate %d RR sets under skewed weights", c.Fig2Sets),
+		Header: []string{"Dataset", "Distribution", "vanilla", "SUBSIM(index-free)", "speedup"},
 	}
 	for _, d := range c.datasets() {
 		g, err := d.Generate()
@@ -237,27 +233,18 @@ func RunFig2(c Config, w io.Writer) (*Table, error) {
 			} else {
 				g.AssignWeibull(r)
 			}
-			gens := []struct {
-				name string
-				gen  rrset.Generator
-			}{
-				{"vanilla", rrset.NewVanilla(g)},
-				{"index-free", rrset.NewSubsim(g)},
-				{"bucket", rrset.NewSubsimBucketed(g, false)},
-				{"bucket+jump", rrset.NewSubsimBucketed(g, true)},
-			}
-			times := make([]float64, len(gens))
-			for i, gk := range gens {
+			gens := []rrset.Generator{rrset.NewVanilla(g), rrset.NewSubsim(g)}
+			var times [2]float64
+			for i, gen := range gens {
 				src := rng.New(c.Seed + 7)
 				start := time.Now()
 				for s := 0; s < c.Fig2Sets; s++ {
-					rrset.GenerateRandom(gk.gen, src, nil)
+					rrset.GenerateRandom(gen, src, nil)
 				}
 				times[i] = time.Since(start).Seconds()
 			}
 			speedup := times[0] / times[1]
-			t.AddRow(d.Name, dist, Seconds(times[0]), Seconds(times[1]),
-				Seconds(times[2]), Seconds(times[3]), fmt.Sprintf("%.1fx", speedup))
+			t.AddRow(d.Name, dist, Seconds(times[0]), Seconds(times[1]), fmt.Sprintf("%.1fx", speedup))
 		}
 	}
 	return t, t.Fprint(w)

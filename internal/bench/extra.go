@@ -62,7 +62,7 @@ func RunHeuristics(c Config, w io.Writer) (*Table, error) {
 func RunGeneratorAblation(c Config, w io.Writer) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Extra: RR generation kernels across weight models (%d sets each)", c.Fig2Sets),
-		Header: []string{"Dataset", "Model", "vanilla", "subsim", "bucketed", "bucketed+jump",
+		Header: []string{"Dataset", "Model", "vanilla", "subsim",
 			"vanilla edges/set", "subsim edges/set"},
 	}
 	for _, d := range c.datasets() {
@@ -81,12 +81,7 @@ func RunGeneratorAblation(c Config, w io.Writer) (*Table, error) {
 			case "Exponential":
 				g.AssignExponential(rngFor(c.Seed), 1)
 			}
-			gens := []rrset.Generator{
-				rrset.NewVanilla(g),
-				rrset.NewSubsim(g),
-				rrset.NewSubsimBucketed(g, false),
-				rrset.NewSubsimBucketed(g, true),
-			}
+			gens := []rrset.Generator{rrset.NewVanilla(g), rrset.NewSubsim(g)}
 			row := []string{d.Name, model}
 			var examined [2]float64
 			for i, gen := range gens {
@@ -96,10 +91,8 @@ func RunGeneratorAblation(c Config, w io.Writer) (*Table, error) {
 					rrset.GenerateRandom(gen, src, nil)
 				}
 				row = append(row, Seconds(time.Since(start).Seconds()))
-				if i < 2 {
-					st := gen.Stats()
-					examined[i] = float64(st.EdgesExamined) / float64(st.Sets)
-				}
+				st := gen.Stats()
+				examined[i] = float64(st.EdgesExamined) / float64(st.Sets)
 			}
 			row = append(row, Cell(examined[0]), Cell(examined[1]))
 			t.AddRow(row...)

@@ -119,73 +119,6 @@ func ThetaMaxOPIMC(n, k int, eps, delta float64) int64 {
 	return ceilTheta(t)
 }
 
-// Tightened sample-complexity budgets, after Sadeh, Cohen & Kaplan
-// ("Sample Complexity Bounds for Influence Maximization", ITCS 2020).
-// The classic θ_max constants split the failure probability δ across
-// six (OPIM-C) or nine (HIST's IM-sentinel) union-bound events because
-// they must also cover every intermediate doubling round. The tightened
-// analysis charges the sampling error of the *final, certified* seed
-// set only two ways — the greedy set's coverage under-estimating and
-// the optimum's coverage over-estimating — so ln(6/δ) / ln(9/δ) drops
-// to ln(2/δ) while the union bound over the C(n,k) candidate optima is
-// kept. Since ln is monotone, every tightened budget is ≤ its
-// worst-case counterpart, and it certifies the same
-// (1-1/e-ε, 1-δ) guarantee for the returned seed set. Algorithms run
-// both and stop at the smaller certified θ when Options.Bound selects
-// the tightened analysis.
-
-// ThetaMaxTight is the tightened counterpart of ThetaMaxOPIMC: the same
-// (a+b)² form with the two-sided failure budget ln(2/δ) in place of the
-// six-way split ln(6/δ). Always ≤ ThetaMaxOPIMC.
-func ThetaMaxTight(n, k int, eps, delta float64) int64 {
-	return ceilTheta(thetaTightFloat(n, k, eps, delta, float64(k)))
-}
-
-// ThetaTightOPT is ThetaMaxTight with the trivial OPT lower bound k
-// replaced by a certified lower bound optLB (in influence units, e.g.
-// Equation (1) evaluated on an independent validation collection).
-// Larger optLB ⇒ smaller budget; optLB is clamped below by k, the
-// influence any size-k set attains, so the result never exceeds
-// ThetaMaxTight.
-func ThetaTightOPT(n, k int, eps, delta, optLB float64) int64 {
-	if optLB < float64(k) {
-		optLB = float64(k)
-	}
-	return ceilTheta(thetaTightFloat(n, k, eps, delta, optLB))
-}
-
-// ThetaMaxSentinelTight tightens Equation (3) the same way: the
-// sentinel phase's 1-δ₁/3 guarantee needs only the two-sided final
-// budget, ln(2/δ₁) in place of ln(6/δ₁).
-func ThetaMaxSentinelTight(n, k int, eps1, delta1 float64) int64 {
-	ln2d := math.Log(2 / delta1)
-	a := math.Sqrt(ln2d)
-	b := math.Sqrt(LogChoose(n, k) + ln2d)
-	t := 2 * float64(n) * (a + b) * (a + b) / (eps1 * eps1 * float64(k))
-	return ceilTheta(t)
-}
-
-// ThetaMaxIMSentinelTight tightens Equation (4): ln(3/δ₂) in place of
-// the nine-way split ln(9/δ₂) (one third of the budget stays with the
-// sentinel-hit estimate, the rest is two-sided).
-func ThetaMaxIMSentinelTight(n, k, b int, eps2, delta2 float64) int64 {
-	ln3d := math.Log(3 / delta2)
-	alpha := math.Sqrt(ln3d)
-	beta := math.Sqrt((1 - 1/math.E) * (LogChoose(n-b, k-b) + ln3d))
-	t := 2 * float64(n) * (alpha + beta) * (alpha + beta) / (eps2 * eps2 * float64(k))
-	return ceilTheta(t)
-}
-
-// thetaTightFloat is the shared (a+b)²-form budget with failure budget
-// ln(2/δ) and OPT lower bound optLB.
-func thetaTightFloat(n, k int, eps, delta, optLB float64) float64 {
-	c := 1 - 1/math.E
-	ln2d := math.Log(2 / delta)
-	a := c * math.Sqrt(ln2d)
-	b := math.Sqrt(c * (LogChoose(n, k) + ln2d))
-	return 2 * float64(n) * (a + b) * (a + b) / (eps * eps * optLB)
-}
-
 // IMMTheta returns λ*/LB, the RR sample count IMM uses once a lower bound
 // LB on OPT_k is known, with failure exponent l (δ = n^{-l}).
 func IMMTheta(n, k int, eps, l, lb float64) int64 {

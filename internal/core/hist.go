@@ -22,10 +22,6 @@ const (
 	Vanilla GeneratorKind = iota
 	// Subsim is Algorithm 3 + the index-free general-IC fallback.
 	Subsim
-	// SubsimBucketed is the preprocessed general-IC sampler (Lemma 5).
-	SubsimBucketed
-	// SubsimBucketedJump adds the bucket-jump chain to SubsimBucketed.
-	SubsimBucketedJump
 	// LTGen is the Linear Threshold reverse random walk.
 	LTGen
 )
@@ -37,10 +33,6 @@ func (k GeneratorKind) String() string {
 		return "vanilla"
 	case Subsim:
 		return "subsim"
-	case SubsimBucketed:
-		return "subsim-bucketed"
-	case SubsimBucketedJump:
-		return "subsim-bucketed-jump"
 	case LTGen:
 		return "lt"
 	default:
@@ -53,10 +45,6 @@ func NewGenerator(g *graph.Graph, kind GeneratorKind) rrset.Generator {
 	switch kind {
 	case Subsim:
 		return rrset.NewSubsim(g)
-	case SubsimBucketed:
-		return rrset.NewSubsimBucketed(g, false)
-	case SubsimBucketedJump:
-		return rrset.NewSubsimBucketed(g, true)
 	case LTGen:
 		return rrset.NewLT(g)
 	default:
@@ -141,11 +129,6 @@ func sentinelSet(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.S
 
 	theta0 := bounds.Theta0(delta1)
 	thetaMax := bounds.ThetaMaxSentinel(n, k, eps1, delta1)
-	if opt.Bound == im.BoundTight {
-		if t := bounds.ThetaMaxSentinelTight(n, k, eps1, delta1); t < thetaMax {
-			thetaMax = t
-		}
-	}
 	iMax := ceilLog2Ratio(theta0, thetaMax)
 	deltaU := delta1 / (3 * float64(iMax))
 	deltaL := delta1 / (6 * float64(iMax))
@@ -247,15 +230,7 @@ func imSentinel(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Sp
 	sentinel := markSentinels(n, sb)
 
 	theta0 := bounds.Theta0(delta2)
-	thetaWorst := bounds.ThetaMaxIMSentinel(n, k, b, eps2, delta2)
-	thetaTight := bounds.ThetaMaxIMSentinelTight(n, k, b, eps2, delta2)
-	if thetaTight > thetaWorst {
-		thetaTight = thetaWorst
-	}
-	thetaMax := thetaWorst
-	if opt.Bound == im.BoundTight && thetaTight < thetaMax {
-		thetaMax = thetaTight
-	}
+	thetaMax := bounds.ThetaMaxIMSentinel(n, k, b, eps2, delta2)
 	iMax := ceilLog2Ratio(theta0, thetaMax)
 	deltaIter := delta2 / (3 * float64(iMax))
 	target := bounds.GreedyFactor(opt.Eps)
@@ -264,8 +239,8 @@ func imSentinel(gen rrset.Generator, opt im.Options, run *obs.Run, phase *obs.Sp
 	idx1 := im.NewEstimator(n, outDeg, opt, opt.Tracer.Metrics())
 	idx2 := im.NewEstimator(n, outDeg, opt, opt.Tracer.Metrics())
 
-	res := &im.Result{ThetaWorstCase: thetaWorst, ThetaTight: thetaTight}
-	run.Theta(thetaWorst, thetaTight, thetaMax)
+	res := &im.Result{ThetaWorstCase: thetaMax}
+	run.Theta(thetaMax)
 	theta := theta0
 	sp := phase.Child("sampling")
 	hits1, hits2, err := batch.FillPair(idx1, idx2, int(theta), sentinel)

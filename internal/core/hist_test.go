@@ -89,7 +89,7 @@ func TestHISTReducesAvgRRSize(t *testing.T) {
 func TestHISTAllGeneratorKinds(t *testing.T) {
 	g := highInfluenceGraph(t, 800)
 	opt := im.Options{K: 10, Eps: 0.3, Seed: 9, Workers: 2}
-	for _, kind := range []GeneratorKind{Vanilla, Subsim, SubsimBucketed, SubsimBucketedJump} {
+	for _, kind := range []GeneratorKind{Vanilla, Subsim} {
 		res, err := HIST(NewGenerator(g, kind), opt)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -172,8 +172,7 @@ func TestHISTStarPicksCentreAsSentinel(t *testing.T) {
 
 func TestGeneratorKindStrings(t *testing.T) {
 	want := map[GeneratorKind]string{
-		Vanilla: "vanilla", Subsim: "subsim", SubsimBucketed: "subsim-bucketed",
-		SubsimBucketedJump: "subsim-bucketed-jump", LTGen: "lt",
+		Vanilla: "vanilla", Subsim: "subsim", LTGen: "lt",
 		GeneratorKind(42): "unknown",
 	}
 	for k, s := range want {
@@ -190,12 +189,6 @@ func TestNewGeneratorKinds(t *testing.T) {
 	}
 	if _, ok := NewGenerator(g, Subsim).(*rrset.Subsim); !ok {
 		t.Error("Subsim kind wrong type")
-	}
-	if _, ok := NewGenerator(g, SubsimBucketed).(*rrset.SubsimBucketed); !ok {
-		t.Error("SubsimBucketed kind wrong type")
-	}
-	if _, ok := NewGenerator(g, SubsimBucketedJump).(*rrset.SubsimBucketed); !ok {
-		t.Error("SubsimBucketedJump kind wrong type")
 	}
 	if _, ok := NewGenerator(g, LTGen).(*rrset.LT); !ok {
 		t.Error("LT kind wrong type")
@@ -224,12 +217,12 @@ func TestMarkSentinels(t *testing.T) {
 	}
 }
 
-// TestHISTSketchBackend smokes the full HIST pipeline (sentinel
-// selection + IM-sentinel phase) under the tightened sample-complexity
-// bound, and checks that W=2 and W=8 pick the same seeds.
-func TestHISTSketchBackend(t *testing.T) {
+// TestHISTWorkerCountInvariance smokes the full HIST pipeline (sentinel
+// selection + IM-sentinel phase) and checks that W=2 and W=8 pick the
+// same seeds.
+func TestHISTWorkerCountInvariance(t *testing.T) {
 	g := highInfluenceGraph(t, 1500)
-	opt := im.Options{K: 20, Eps: 0.25, Seed: 5, Workers: 2, Bound: im.BoundTight}
+	opt := im.Options{K: 20, Eps: 0.25, Seed: 5, Workers: 2}
 	res, err := HIST(rrset.NewSubsim(g), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -240,9 +233,8 @@ func TestHISTSketchBackend(t *testing.T) {
 	if res.Influence <= 0 || res.Influence > float64(g.N()) {
 		t.Fatalf("influence %v out of range", res.Influence)
 	}
-	if res.ThetaWorstCase < 1 || res.ThetaTight < 1 || res.ThetaTight > res.ThetaWorstCase {
-		t.Fatalf("budgets not reported/ordered: worst %d tight %d",
-			res.ThetaWorstCase, res.ThetaTight)
+	if res.ThetaWorstCase < 1 {
+		t.Fatalf("sample budget not reported: worst %d", res.ThetaWorstCase)
 	}
 	// Same configuration must be deterministic across worker counts.
 	opt.Workers = 8

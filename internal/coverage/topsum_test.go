@@ -72,7 +72,7 @@ func restoreBucketShift(t *testing.T) {
 	t.Cleanup(func() { sparseBucketShift = old })
 }
 
-// TestCELFHeapTopSumProperty drives the exact engine's bucket queue —
+// TestBucketQueueTopSumProperty drives the exact engine's bucket queue —
 // which replaced its CELF heap — through random take / refresh
 // sequences, with heavy gain ties, zero gains, absent (excluded) keys
 // and keys filled in random order, reusing one queue across trials of
@@ -80,7 +80,7 @@ func restoreBucketShift(t *testing.T) {
 // checks the top against the (gain descending, key ascending) maximum of
 // the stored entries, and the top-L count walk against refTopSum over
 // the stored gains.
-func TestCELFHeapTopSumProperty(t *testing.T) {
+func TestBucketQueueTopSumProperty(t *testing.T) {
 	restoreBucketShift(t)
 	r := rng.New(41)
 	var q bucketQueue

@@ -6,28 +6,9 @@ import (
 )
 
 // This file provides the structural analysis utilities the experiment
-// harness and downstream users need around influence maximization:
-// strongly/weakly connected components, transposition, degree
-// distributions, reachability, and summary statistics.
-
-// Transpose returns a new graph with every edge reversed (probabilities
-// preserved). RR set generation on g is forward reachability on the
-// transpose; the utility mainly serves tests and external tooling.
-func (g *Graph) Transpose() *Graph {
-	b := NewBuilder(g.N())
-	for u := int32(0); u < g.n; u++ {
-		lo, hi := g.outOff[u], g.outOff[u+1]
-		for j := lo; j < hi; j++ {
-			if err := b.AddEdge(g.outAdj[j], u, g.outW[j]); err != nil {
-				// Unreachable: the source graph was validated.
-				panic(err)
-			}
-		}
-	}
-	t := b.Build()
-	t.model = g.model
-	return t
-}
+// harness and the heuristics need around influence maximization:
+// strongly/weakly connected components, degree ranking, core numbers,
+// and summary statistics.
 
 // SCC computes strongly connected components with an iterative Tarjan
 // algorithm (no recursion, so million-node graphs do not overflow the
@@ -163,25 +144,6 @@ func LargestComponentSize(comp []int32, count int) int {
 	return best
 }
 
-// OutDegreeHistogram returns the out-degree distribution: hist[d] is the
-// number of nodes with out-degree d.
-func (g *Graph) OutDegreeHistogram() map[int]int {
-	hist := map[int]int{}
-	for v := int32(0); v < g.n; v++ {
-		hist[g.OutDegree(v)]++
-	}
-	return hist
-}
-
-// InDegreeHistogram returns the in-degree distribution.
-func (g *Graph) InDegreeHistogram() map[int]int {
-	hist := map[int]int{}
-	for v := int32(0); v < g.n; v++ {
-		hist[g.InDegree(v)]++
-	}
-	return hist
-}
-
 // TopOutDegree returns the k nodes with the largest out-degree, in
 // descending order (ties by node id ascending). It is the classic degree
 // heuristic's seed set and the sentinel candidates' natural ordering.
@@ -205,29 +167,6 @@ func (g *Graph) TopOutDegree(k int) []int32 {
 		return nodes[i] < nodes[j]
 	})
 	return nodes[:k]
-}
-
-// ReachableFrom returns the number of nodes reachable from v along
-// directed edges (including v), the p=1 influence of {v}.
-func (g *Graph) ReachableFrom(v int32) int {
-	visited := make([]bool, g.N())
-	visited[v] = true
-	queue := []int32{v}
-	count := 1
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		lo, hi := g.outOff[u], g.outOff[u+1]
-		for j := lo; j < hi; j++ {
-			w := g.outAdj[j]
-			if !visited[w] {
-				visited[w] = true
-				count++
-				queue = append(queue, w)
-			}
-		}
-	}
-	return count
 }
 
 // KCore computes the core number of every node over the undirected

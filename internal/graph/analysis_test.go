@@ -6,35 +6,6 @@ import (
 	"subsim/internal/rng"
 )
 
-func TestTranspose(t *testing.T) {
-	g := mustBuild(t, 3, []Edge{{0, 1, 0.5}, {1, 2, 0.25}})
-	tr := g.Transpose()
-	if tr.N() != 3 || tr.M() != 2 {
-		t.Fatal("transpose size wrong")
-	}
-	if tr.OutDegree(1) != 1 || tr.OutDegree(2) != 1 || tr.InDegree(0) != 1 {
-		t.Fatal("transpose degrees wrong")
-	}
-	srcs, probs := tr.InNeighbors(0)
-	if len(srcs) != 1 || srcs[0] != 1 || probs[0] != 0.5 {
-		t.Fatalf("transpose edge wrong: %v %v", srcs, probs)
-	}
-	// Double transpose recovers the original edge multiset.
-	back := tr.Transpose()
-	sameEdges := map[Edge]int{}
-	for _, e := range g.Edges() {
-		sameEdges[e]++
-	}
-	for _, e := range back.Edges() {
-		sameEdges[e]--
-	}
-	for e, c := range sameEdges {
-		if c != 0 {
-			t.Fatalf("edge %v count off by %d", e, c)
-		}
-	}
-}
-
 func TestSCCRing(t *testing.T) {
 	g := GenRing(6, 1)
 	comp, count := g.SCC()
@@ -120,18 +91,6 @@ func TestWCC(t *testing.T) {
 	}
 }
 
-func TestDegreeHistograms(t *testing.T) {
-	g := GenStar(5, 0.5)
-	out := g.OutDegreeHistogram()
-	if out[4] != 1 || out[0] != 4 {
-		t.Fatalf("out histogram %v", out)
-	}
-	in := g.InDegreeHistogram()
-	if in[0] != 1 || in[1] != 4 {
-		t.Fatalf("in histogram %v", in)
-	}
-}
-
 func TestTopOutDegree(t *testing.T) {
 	g := mustBuild(t, 4, []Edge{{0, 1, 0.5}, {0, 2, 0.5}, {0, 3, 0.5}, {1, 2, 0.5}, {1, 3, 0.5}, {2, 3, 0.5}})
 	top := g.TopOutDegree(2)
@@ -143,16 +102,6 @@ func TestTopOutDegree(t *testing.T) {
 	}
 	if g.TopOutDegree(0) != nil {
 		t.Fatal("k=0 should be nil")
-	}
-}
-
-func TestReachableFrom(t *testing.T) {
-	g := GenLine(6, 1)
-	if got := g.ReachableFrom(2); got != 4 {
-		t.Fatalf("ReachableFrom(2) = %d, want 4", got)
-	}
-	if got := g.ReachableFrom(5); got != 1 {
-		t.Fatalf("ReachableFrom(5) = %d, want 1", got)
 	}
 }
 

@@ -168,18 +168,3 @@ func GenComplete(n int, p float64) *Graph {
 	}
 	return b.Build()
 }
-
-// GenBipartiteOut returns a graph where each of the first l nodes has
-// directed edges to all of the following r nodes, each with probability
-// p. It is the canonical max-coverage test topology.
-func GenBipartiteOut(l, r int, p float64) *Graph {
-	b := NewBuilder(l + r)
-	for u := int32(0); u < int32(l); u++ {
-		for v := int32(l); v < int32(l+r); v++ {
-			if err := b.AddEdge(u, v, p); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return b.Build()
-}

@@ -126,10 +126,6 @@ func (g *Graph) InAdj() []int32 { return g.inAdj }
 // is available.
 func (g *Graph) UniformIn() bool { return g.inHead != nil }
 
-// SortedIn reports whether each node's in-edges are sorted by descending
-// probability, the precondition of the index-free general-IC sampler.
-func (g *Graph) SortedIn() bool { return g.sortedIn }
-
 // SumInWeights returns the total probability mass on v's incoming edges,
 // the quantity the paper's θ(d_in(v)) bounds.
 func (g *Graph) SumInWeights(v int32) float64 {

@@ -338,9 +338,6 @@ func TestSortInEdges(t *testing.T) {
 		before[[2]int32{e.From, e.To}] = e.P
 	}
 	g.SortInEdges()
-	if !g.SortedIn() {
-		t.Fatal("SortedIn not set")
-	}
 	for v := int32(0); v < int32(g.N()); v++ {
 		srcs, probs := g.InNeighbors(v)
 		for i := 1; i < len(probs); i++ {
@@ -514,10 +511,6 @@ func TestDeterministicTopologies(t *testing.T) {
 	complete := GenComplete(4, 1)
 	if complete.M() != 12 {
 		t.Fatal("complete shape wrong")
-	}
-	bip := GenBipartiteOut(2, 3, 0.5)
-	if bip.M() != 6 || bip.OutDegree(0) != 3 || bip.InDegree(3) != 2 {
-		t.Fatal("bipartite shape wrong")
 	}
 	small := GenRing(1, 0.5)
 	if small.M() != 0 {

@@ -35,7 +35,6 @@ func TestVisitSteadyStateAllocFree(t *testing.T) {
 	}{
 		{"vanilla", rrset.NewVanilla(g)},
 		{"subsim", rrset.NewSubsim(g)},
-		{"bucketed", rrset.NewSubsimBucketed(g, true)},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			b := NewBatcher(mk.gen, 42, 1)

@@ -12,8 +12,8 @@ import (
 // equivCase pairs a generator with a graph whose weights exercise a
 // distinct traversal path: vanilla geometric skipping, SUBSIM's uniform
 // fast path (WC weights are uniform within each in-neighbourhood),
-// SUBSIM's sorted path (skewed exponential weights), the bucketed
-// sampler, and the LT generator.
+// SUBSIM's sorted path (skewed exponential weights), and the LT
+// generator.
 type equivCase struct {
 	name string
 	gen  func() rrset.Generator
@@ -40,7 +40,6 @@ func equivCases(t *testing.T) []equivCase {
 		{"vanilla_wc", func() rrset.Generator { return rrset.NewVanilla(wc) }},
 		{"subsim_uniform", func() rrset.Generator { return rrset.NewSubsim(wc) }},
 		{"subsim_sorted", func() rrset.Generator { return rrset.NewSubsim(skew) }},
-		{"bucketed", func() rrset.Generator { return rrset.NewSubsimBucketed(skew, true) }},
 		{"lt", func() rrset.Generator { return rrset.NewLT(lt) }},
 	}
 }
@@ -147,11 +146,7 @@ func TestPipelineEquivalence(t *testing.T) {
 // and requires bit-identical results: seeds, influence estimate and
 // both certified bounds.
 func TestCertifiedBoundsWorkerIndependent(t *testing.T) {
-	g, err := graph.GenPreferentialAttachment(1000, 5, false, rng.New(41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.AssignWC()
+	g := estimatorTestGraph(t)
 	opt := Options{K: 10, Eps: 0.3, Seed: 13, Workers: 1}
 	ref, err := OPIMC(rrset.NewSubsim(g), opt)
 	if err != nil {

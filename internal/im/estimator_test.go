@@ -74,79 +74,11 @@ func estimatorTestGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// runWith runs OPIM-C with the given bound and worker count.
-func runWith(t *testing.T, g *graph.Graph, bound BoundKind, workers int) *Result {
-	t.Helper()
-	res, err := OPIMC(rrset.NewSubsim(g), Options{
-		K: 10, Eps: 0.3, Seed: 13, Workers: workers, Bound: bound,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestExactBackendUnchangedByOptions proves the worker count leaves a
-// run bit-identical: runs at W=1, 2 and 8 match the W=1 zero-value
-// Options run exactly.
-func TestExactBackendUnchangedByOptions(t *testing.T) {
+// TestAlgorithmsRunOnEveryChassis smokes every algorithm chassis: valid
+// seeds, sane influence, and a reported sample budget.
+func TestAlgorithmsRunOnEveryChassis(t *testing.T) {
 	g := estimatorTestGraph(t)
-	ref, err := OPIMC(rrset.NewSubsim(g), Options{K: 10, Eps: 0.3, Seed: 13, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		res := runWith(t, g, BoundIMM, workers)
-		if len(res.Seeds) != len(ref.Seeds) {
-			t.Fatalf("workers=%d: %d seeds, want %d", workers, len(res.Seeds), len(ref.Seeds))
-		}
-		for i := range res.Seeds {
-			if res.Seeds[i] != ref.Seeds[i] {
-				t.Fatalf("workers=%d: seed %d is %d, want %d", workers, i, res.Seeds[i], ref.Seeds[i])
-			}
-		}
-		if res.Influence != ref.Influence ||
-			res.LowerBound != ref.LowerBound || res.UpperBound != ref.UpperBound {
-			t.Fatalf("workers=%d: results diverged from the seed path: %+v vs %+v", workers, res, ref)
-		}
-		if res.RRStats != ref.RRStats {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, res.RRStats, ref.RRStats)
-		}
-	}
-}
-
-// TestTightBoundSavesSamples runs the standard configuration under both
-// analyses: the tightened run must report θ_tight ≤ θ_worst, stay a
-// valid certified result, and both θs must be visible in the result.
-func TestTightBoundSavesSamples(t *testing.T) {
-	g := estimatorTestGraph(t)
-	worst := runWith(t, g, BoundIMM, 1)
-	tight := runWith(t, g, BoundTight, 1)
-	for name, res := range map[string]*Result{"worst": worst, "tight": tight} {
-		if res.ThetaWorstCase < 1 || res.ThetaTight < 1 {
-			t.Fatalf("%s run did not report both budgets: %+v", name, res)
-		}
-		if res.ThetaTight > res.ThetaWorstCase {
-			t.Fatalf("%s run: tightened θ %d exceeds worst-case %d",
-				name, res.ThetaTight, res.ThetaWorstCase)
-		}
-	}
-	if tight.LowerBound <= 0 || tight.Approx <= 0 {
-		t.Fatalf("tightened run certified no bounds: %+v", tight)
-	}
-	// The tightened budget must never make the run draw more samples.
-	if tight.RRStats.Sets > worst.RRStats.Sets {
-		t.Fatalf("tightened run drew more RR sets (%d) than worst-case (%d)",
-			tight.RRStats.Sets, worst.RRStats.Sets)
-	}
-}
-
-// TestAlgorithmsRunWithSketch smokes every algorithm chassis under the
-// tightened bound: valid seeds, sane influence, and both reported
-// budgets ordered.
-func TestAlgorithmsRunWithSketch(t *testing.T) {
-	g := estimatorTestGraph(t)
-	opt := Options{K: 5, Eps: 0.35, Seed: 7, Workers: 2, Bound: BoundTight}
+	opt := Options{K: 5, Eps: 0.35, Seed: 7, Workers: 2}
 	algs := map[string]func(rrset.Generator, Options) (*Result, error){
 		"opimc": OPIMC, "imm": IMM, "ssa": SSA, "timplus": TIMPlus,
 	}
@@ -162,9 +94,8 @@ func TestAlgorithmsRunWithSketch(t *testing.T) {
 			if res.Influence <= 0 || res.Influence > float64(g.N()) {
 				t.Fatalf("influence %v out of range", res.Influence)
 			}
-			if res.ThetaWorstCase < 1 || res.ThetaTight < 1 || res.ThetaTight > res.ThetaWorstCase {
-				t.Fatalf("budgets not reported/ordered: worst %d tight %d",
-					res.ThetaWorstCase, res.ThetaTight)
+			if res.ThetaWorstCase < 1 {
+				t.Fatalf("sample budget not reported: worst %d", res.ThetaWorstCase)
 			}
 		})
 	}

@@ -106,37 +106,6 @@ func TestFillRefusesPastMaxSets(t *testing.T) {
 	}
 }
 
-// TestShardedCertifiedBoundsWorkerIndependent is the algorithm-level pin
-// of the worker-independence invariant under the tightened sample
-// budget: a full OPIM-C run (doubling loop, Eq. 1/2 certification) with
-// Bound: BoundTight must be bit-identical at every worker count — seeds,
-// influence, both certified bounds, and merged RR stats.
-func TestShardedCertifiedBoundsWorkerIndependent(t *testing.T) {
-	g := estimatorTestGraph(t)
-	ref := runWith(t, g, BoundTight, 1)
-	if ref.LowerBound <= 0 || ref.UpperBound <= 0 {
-		t.Fatalf("reference run certified no bounds: %+v", ref)
-	}
-	for _, workers := range []int{2, 8} {
-		res := runWith(t, g, BoundTight, workers)
-		if len(res.Seeds) != len(ref.Seeds) {
-			t.Fatalf("workers=%d: %d seeds, want %d", workers, len(res.Seeds), len(ref.Seeds))
-		}
-		for i := range res.Seeds {
-			if res.Seeds[i] != ref.Seeds[i] {
-				t.Fatalf("workers=%d: seed %d is %d, want %d", workers, i, res.Seeds[i], ref.Seeds[i])
-			}
-		}
-		if res.Influence != ref.Influence ||
-			res.LowerBound != ref.LowerBound || res.UpperBound != ref.UpperBound {
-			t.Fatalf("workers=%d: results diverged from the workers=1 run: %+v vs %+v", workers, res, ref)
-		}
-		if res.RRStats != ref.RRStats {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, res.RRStats, ref.RRStats)
-		}
-	}
-}
-
 // TestShardedSentinelHits pins sentinel filtering on the direct fill
 // path, where sentinel-terminated sets are truncated in place
 // (Arena.DropLast) and per-shard kept counts really differ: for every

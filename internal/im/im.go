@@ -44,12 +44,6 @@ type Options struct {
 	// selection. The baselines default to the classic greedy; HIST
 	// always enables it.
 	Revised bool
-	// Bound selects the sample-complexity analysis that caps θ:
-	// BoundIMM (the zero value) keeps the worst-case IMM/OPIM-C
-	// constants and historic behavior; BoundTight lets algorithms stop
-	// at the smaller of the worst-case and the Sadeh–Cohen–Kaplan-style
-	// tightened budgets. Both budgets are reported either way.
-	Bound BoundKind
 	// Tracer receives phase spans (per doubling round: sampling,
 	// selection, bound-check) and low-overhead RR metrics, and produces
 	// Result.Report. Nil disables all instrumentation at zero cost —
@@ -60,41 +54,6 @@ type Options struct {
 	// default — is silent and allocation-free, mirroring the nil-tracer
 	// contract.
 	Logger *slog.Logger
-}
-
-// BoundKind selects the sample-complexity analysis used to cap θ.
-type BoundKind int
-
-const (
-	// BoundIMM is the baseline worst-case budget (the IMM/OPIM-C
-	// constants already in internal/bounds).
-	BoundIMM BoundKind = iota
-	// BoundTight engages the tightened two-sided budget
-	// (bounds.ThetaMaxTight / bounds.ThetaTightOPT): algorithms stop at
-	// the smaller certified θ.
-	BoundTight
-)
-
-// String returns the flag-level name of the bound.
-func (b BoundKind) String() string {
-	switch b {
-	case BoundTight:
-		return "tight"
-	default:
-		return "imm"
-	}
-}
-
-// ParseBound maps a flag value ("imm" | "tight") to its kind.
-func ParseBound(s string) (BoundKind, error) {
-	switch s {
-	case "imm", "":
-		return BoundIMM, nil
-	case "tight":
-		return BoundTight, nil
-	default:
-		return BoundIMM, fmt.Errorf("im: unknown bound %q (want imm or tight)", s)
-	}
 }
 
 // Normalize validates o for a graph of n nodes and fills in the
@@ -156,15 +115,11 @@ type Result struct {
 	SentinelSize int
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// ThetaWorstCase is the worst-case RR sample budget θ_max of the
-	// baseline IMM/OPIM-C analysis for this run's (n, k, ε, δ); 0 when
-	// the algorithm does not compute one.
+	// ThetaWorstCase is the worst-case RR sample budget θ_max that caps
+	// this run's sampling, from the IMM/OPIM-C analysis for its
+	// (n, k, ε, δ) (HIST: Equation 4 of its residual phase); 0 when the
+	// algorithm does not compute one.
 	ThetaWorstCase int64 `json:",omitempty"`
-	// ThetaTight is the tightened sample budget (Sadeh–Cohen–Kaplan
-	// style, see bounds.ThetaMaxTight) for the same parameters. It is
-	// reported whether or not Options.Bound engaged it, so runs always
-	// show how much the tightened analysis certifies; ≤ ThetaWorstCase.
-	ThetaTight int64 `json:",omitempty"`
 	// Report is the machine-readable observability report (span tree,
 	// histograms, counters) when Options.Tracer was set; nil otherwise.
 	Report *obs.Report `json:",omitempty"`

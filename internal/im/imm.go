@@ -82,20 +82,9 @@ func IMM(gen rrset.Generator, opt Options) (*Result, error) {
 	est1.SetFloat("opt_lower_bound", lb).End()
 
 	ns := run.Span().Child("node-selection")
-	thetaWorst := bounds.IMMTheta(n, opt.K, opt.Eps, l, lb)
-	// The OPT-estimation lower bound also feeds the tightened one-shot
-	// budget: both analyses certify (1-1/e-ε, 1-δ) for the greedy set
-	// over the final collection, so the smaller θ suffices.
-	thetaTight := bounds.ThetaTightOPT(n, opt.K, opt.Eps, opt.Delta, lb)
-	if thetaTight > thetaWorst {
-		thetaTight = thetaWorst
-	}
-	res.ThetaWorstCase, res.ThetaTight = thetaWorst, thetaTight
-	theta := thetaWorst
-	if opt.Bound == BoundTight && thetaTight < theta {
-		theta = thetaTight
-	}
-	run.Theta(thetaWorst, thetaTight, theta)
+	theta := bounds.IMMTheta(n, opt.K, opt.Eps, l, lb)
+	res.ThetaWorstCase = theta
+	run.Theta(theta)
 	if add := theta - int64(idx.NumSets()); add > 0 {
 		sp := ns.Child("sampling")
 		if _, err := b.Fill(idx, int(add), nil); err != nil {

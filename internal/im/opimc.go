@@ -23,12 +23,7 @@ func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	thetaWorst := bounds.ThetaMaxOPIMC(n, opt.K, opt.Eps, opt.Delta)
-	thetaTight := bounds.ThetaMaxTight(n, opt.K, opt.Eps, opt.Delta)
-	thetaMax := thetaWorst
-	if opt.Bound == BoundTight && thetaTight < thetaMax {
-		thetaMax = thetaTight
-	}
+	thetaMax := bounds.ThetaMaxOPIMC(n, opt.K, opt.Eps, opt.Delta)
 	theta0 := bounds.Theta0(opt.Delta)
 	iMax := doublingRounds(theta0, thetaMax)
 	deltaIter := opt.Delta / (3 * float64(iMax))
@@ -44,8 +39,8 @@ func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
 	idx1 := NewEstimator(n, outDeg, opt, tr.Metrics())
 	idx2 := NewEstimator(n, outDeg, opt, tr.Metrics())
 
-	res := &Result{ThetaWorstCase: thetaWorst, ThetaTight: thetaTight}
-	run.Theta(thetaWorst, thetaTight, thetaMax)
+	res := &Result{ThetaWorstCase: thetaMax}
+	run.Theta(thetaMax)
 	theta := theta0
 	sp := run.Span().Child("sampling")
 	if _, _, err := b.FillPair(idx1, idx2, int(theta), nil); err != nil {
@@ -71,19 +66,7 @@ func OPIMC(gen rrset.Generator, opt Options) (*Result, error) {
 		bc.End()
 		run.Round(rs, obs.RoundRecord{Round: i, Theta: int64(idx1.NumSets()),
 			Lower: res.LowerBound, Upper: res.UpperBound, Approx: res.Approx})
-		if opt.Bound == BoundTight && res.LowerBound > float64(opt.K) {
-			// The certified influence lower bound is an OPT lower bound,
-			// so the adaptive tightened budget may shrink θ_max further.
-			if t := bounds.ThetaTightOPT(n, opt.K, opt.Eps, opt.Delta, res.LowerBound); t < thetaMax {
-				thetaMax = t
-				run.Theta(thetaWorst, thetaTight, thetaMax)
-			}
-		}
-		stop := res.Approx > target || i >= iMax
-		if opt.Bound == BoundTight && int64(idx1.NumSets()) >= thetaMax {
-			stop = true
-		}
-		if stop {
+		if res.Approx > target || i >= iMax {
 			if res.Approx > target {
 				run.Crossed(i, res.Approx, target)
 			}

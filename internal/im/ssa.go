@@ -35,12 +35,7 @@ func SSA(gen rrset.Generator, opt Options) (*Result, error) {
 	eps2 := opt.Eps / 2
 	eps3 := opt.Eps / 3
 
-	thetaWorst := bounds.ThetaMaxOPIMC(n, opt.K, opt.Eps, opt.Delta)
-	thetaTight := bounds.ThetaMaxTight(n, opt.K, opt.Eps, opt.Delta)
-	thetaMax := thetaWorst
-	if opt.Bound == BoundTight && thetaTight < thetaMax {
-		thetaMax = thetaTight
-	}
+	thetaMax := bounds.ThetaMaxOPIMC(n, opt.K, opt.Eps, opt.Delta)
 	// Λ: initial sample size from the SSA paper (the ln C(n,k) term
 	// belongs only in the worst-case cap θ_max, not in the optimistic
 	// starting size).
@@ -68,8 +63,8 @@ func SSA(gen rrset.Generator, opt Options) (*Result, error) {
 	}
 	idx := NewEstimator(n, outDeg, opt, tr.Metrics())
 
-	res := &Result{ThetaWorstCase: thetaWorst, ThetaTight: thetaTight}
-	run.Theta(thetaWorst, thetaTight, thetaMax)
+	res := &Result{ThetaWorstCase: thetaMax}
+	run.Theta(thetaMax)
 	theta := lambda
 	for t := 1; ; t++ {
 		res.Rounds = t

@@ -126,22 +126,12 @@ func TIMPlus(gen rrset.Generator, opt Options) (*Result, error) {
 	ns := run.Span().Child("node-selection")
 	lambda := (8 + 2*opt.Eps) * float64(n) *
 		(l*logn + bounds.LogChoose(n, opt.K) + math.Ln2) / (opt.Eps * opt.Eps)
-	thetaWorst, err := setCount("theta", lambda/kpt)
+	theta, err := setCount("theta", lambda/kpt)
 	if err != nil {
 		return nil, err
 	}
-	// KPT* lower-bounds OPT, so it also feeds the tightened one-shot
-	// budget; both analyses certify the final greedy set.
-	thetaTightC := bounds.ThetaTightOPT(n, opt.K, opt.Eps, opt.Delta, kpt)
-	if thetaTightC > thetaWorst {
-		thetaTightC = thetaWorst
-	}
-	res.ThetaWorstCase, res.ThetaTight = thetaWorst, thetaTightC
-	theta := thetaWorst
-	if opt.Bound == BoundTight && thetaTightC < theta {
-		theta = thetaTightC
-	}
-	run.Theta(thetaWorst, thetaTightC, theta)
+	res.ThetaWorstCase = theta
+	run.Theta(theta)
 	if add := theta - int64(idx.NumSets()); add > 0 {
 		if _, err := b.Fill(idx, int(add), nil); err != nil {
 			return nil, err

@@ -14,7 +14,7 @@ var testParams = RunParams{N: 1000, M: 5000, K: 50, Eps: 0.1, Seed: 42, Workers:
 
 // driveRun reports one event of every kind on r, in schema order.
 func driveRun(r *Run) (time.Duration, *Report) {
-	r.Theta(1<<20, 1<<16, 1<<16)
+	r.Theta(1 << 20)
 	r.Round(r.Span().Child(Round(3)), RoundRecord{Round: 3, Theta: 4096, Lower: 120.5, Upper: 200, Approx: 0.6})
 	r.Crossed(3, 0.64, 0.53)
 	r.Phase("sentinel-phase")
@@ -85,7 +85,7 @@ func TestLoggerEventSchema(t *testing.T) {
 		attrs []string
 	}{
 		{"run.start", []string{"alg", "graph_n", "graph_m", "k", "eps", "seed", "workers"}},
-		{"theta.update", []string{"alg", "worst", "tight", "cap"}},
+		{"theta.update", []string{"alg", "worst"}},
 		{"round.done", []string{"alg", "round", "theta", "lower", "upper", "approx"}},
 		{"bound.crossed", []string{"alg", "round", "approx", "target"}},
 		{"phase.done", []string{"alg", "phase", "elapsed_ns"}},
@@ -132,31 +132,13 @@ func TestNewLoggerDisabledForms(t *testing.T) {
 		t.Errorf("logger-less run lost its root span or round gauge: %+v", rep)
 	}
 	// The round record is the one writer of the bound gauges, and the θ
-	// event of theta_saved_total.
+	// event of the θ gauge.
 	m := tr.Metrics()
 	if m.Round.Load() != 3 || m.Lower.Load() != 120.5 || m.Upper.Load() != 200 || m.Approx.Load() != 0.6 {
 		t.Errorf("bound gauges = round %d [%v, %v] %v", m.Round.Load(), m.Lower.Load(), m.Upper.Load(), m.Approx.Load())
 	}
-	if m.ThetaWorst.Load() != 1<<20 || m.ThetaTight.Load() != 1<<16 || m.ThetaSaved.Load() != 1<<20-1<<16 {
-		t.Errorf("theta instruments = %d/%d saved %d", m.ThetaWorst.Load(), m.ThetaTight.Load(), m.ThetaSaved.Load())
-	}
-}
-
-// TestRunThetaCreditsSavedBudgetOnce: a run that lowers its θ cap again
-// (OPIM-C's adaptive tightened budget) credits theta_saved_total with
-// the total reduction, never the same reduction twice.
-func TestRunThetaCreditsSavedBudgetOnce(t *testing.T) {
-	tr := NewTracer()
-	r := StartRun(tr, nil, "opimc", RunParams{})
-	r.Theta(1000, 400, 1000) // worst-case cap: nothing saved
-	if got := tr.Metrics().ThetaSaved.Load(); got != 0 {
-		t.Fatalf("worst-case cap credited %d", got)
-	}
-	r.Theta(1000, 400, 400)
-	r.Theta(1000, 400, 250)
-	r.Theta(1000, 400, 300) // a higher cap never takes credit back
-	if got := tr.Metrics().ThetaSaved.Load(); got != 750 {
-		t.Errorf("theta_saved_total = %d, want 750", got)
+	if m.ThetaWorst.Load() != 1<<20 {
+		t.Errorf("theta gauge = %d, want %d", m.ThetaWorst.Load(), 1<<20)
 	}
 }
 

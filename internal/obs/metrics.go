@@ -221,14 +221,9 @@ type MetricSet struct {
 	Approx Gauge
 	Round  IntGauge
 
-	// ThetaWorst and ThetaTight are the worst-case (IMM/OPIM-C) and
-	// tightened (Sadeh–Cohen–Kaplan style) RR sample budgets of the
-	// current run, published by Run.Theta through SetTheta. ThetaSaved
-	// accumulates the budget reduction actually engaged when
-	// Options.Bound selects the tightened analysis.
+	// ThetaWorst is the worst-case RR sample budget θ_max of the
+	// current run, published by Run.Theta through SetTheta.
 	ThetaWorst IntGauge
-	ThetaTight IntGauge
-	ThetaSaved Counter
 
 	// mu guards the per-worker totals, indexed by worker: RR sets
 	// generated and nanoseconds spent generating them. They change once
@@ -304,23 +299,11 @@ func (m *MetricSet) SetBounds(round int, lower, upper, approx float64) {
 	m.Round.Set(int64(round))
 }
 
-// SetTheta publishes the run's worst-case and tightened RR sample
-// budgets (Run.Theta is the one caller). Nil-safe, allocation-free: two
-// atomic stores.
-func (m *MetricSet) SetTheta(worst, tight int64) {
+// SetTheta publishes the run's worst-case RR sample budget (Run.Theta is
+// the one caller). Nil-safe, allocation-free: one atomic store.
+func (m *MetricSet) SetTheta(worst int64) {
 	if m == nil {
 		return
 	}
 	m.ThetaWorst.Set(worst)
-	m.ThetaTight.Set(tight)
-}
-
-// AddThetaSaved accumulates RR sample budget shaved off by an engaged
-// tightened bound (Run.Theta is the one caller). Nil-safe, like every
-// instrument entry point.
-func (m *MetricSet) AddThetaSaved(d int64) {
-	if m == nil || d <= 0 {
-		return
-	}
-	m.ThetaSaved.Add(d)
 }

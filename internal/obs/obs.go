@@ -213,16 +213,6 @@ func (s *Span) End() {
 	s.endNS.CompareAndSwap(0, s.tracer.now())
 }
 
-// EndNS returns the span's end offset in nanoseconds since the trace
-// epoch, or 0 while the span is still open. Safe to call concurrently
-// with the owning goroutine.
-func (s *Span) EndNS() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.endNS.Load()
-}
-
 // Name returns the span name ("" for a nil span).
 func (s *Span) Name() string {
 	if s == nil {

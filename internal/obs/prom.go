@@ -23,7 +23,6 @@ func (m *MetricSet) WritePrometheus(w io.Writer) error {
 		{"subsim_rr_edges_examined_total", "Edge examinations (Lemma 4 cost).", m.Edges.Load()},
 		{"subsim_sentinel_hits_total", "RR sets truncated by a sentinel.", m.SentinelHits.Load()},
 		{"subsim_index_entries_total", "Postings placed by CSR inverted-index builds.", m.IndexEntries.Load()},
-		{"subsim_theta_saved_total", "RR sample budget shaved off by the tightened bound.", m.ThetaSaved.Load()},
 	}
 	for _, c := range counters {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
@@ -40,7 +39,6 @@ func (m *MetricSet) WritePrometheus(w io.Writer) error {
 		{"subsim_bound_approx", "Live certified approximation ratio (lower/upper).", m.Approx.Load()},
 		{"subsim_round", "Doubling round of the latest bound-check.", float64(m.Round.Load())},
 		{"subsim_theta_worst", "Worst-case RR sample budget (IMM/OPIM-C analysis).", float64(m.ThetaWorst.Load())},
-		{"subsim_theta_tight", "Tightened RR sample budget (Sadeh-Cohen-Kaplan analysis).", float64(m.ThetaTight.Load())},
 	}
 	for _, g := range gauges {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",

@@ -98,7 +98,6 @@ func (t *Tracer) Report() *Report {
 		"rr_edges_examined_total": m.Edges.Load(),
 		"sentinel_hits_total":     m.SentinelHits.Load(),
 		"index_entries_total":     m.IndexEntries.Load(),
-		"theta_saved_total":       m.ThetaSaved.Load(),
 	}
 	if lower, upper, approx, round := m.Lower.Load(), m.Upper.Load(), m.Approx.Load(), m.Round.Load(); lower != 0 || upper != 0 || approx != 0 || round != 0 {
 		r.Gauges = map[string]float64{
@@ -108,12 +107,11 @@ func (t *Tracer) Report() *Report {
 			"round":       float64(round),
 		}
 	}
-	if tw, tt := m.ThetaWorst.Load(), m.ThetaTight.Load(); tw != 0 || tt != 0 {
+	if tw := m.ThetaWorst.Load(); tw != 0 {
 		if r.Gauges == nil {
 			r.Gauges = map[string]float64{}
 		}
 		r.Gauges["theta_worst"] = float64(tw)
-		r.Gauges["theta_tight"] = float64(tt)
 	}
 	r.Histograms = map[string]HistogramSnapshot{
 		"index_build_ns":          m.IndexBuild.Snapshot(),

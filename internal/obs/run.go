@@ -69,7 +69,6 @@ type Run struct {
 	tracer *Tracer
 	root   *Span
 	log    *slog.Logger
-	saved  int64 // θ budget credited to theta_saved_total so far
 
 	phase      *Span // the phase opened by Phase
 	phaseName  string
@@ -90,20 +89,11 @@ func StartRun(t *Tracer, log *slog.Logger, alg string, p RunParams) Run {
 // run's phase and round spans.
 func (r *Run) Span() *Span { return r.root }
 
-// Theta reports the RR sample budgets: the worst-case and tightened θ
-// (the theta gauges) and the cap the run enforces, which theta.update
-// logs each time the run sets or lowers it. A cap below the worst case
-// credits the difference to theta_saved_total; a later call with a
-// lower cap credits only the further reduction.
-func (r *Run) Theta(worst, tight, cap int64) {
-	m := r.tracer.Metrics()
-	m.SetTheta(worst, tight)
-	if d := worst - cap - r.saved; d > 0 {
-		m.AddThetaSaved(d)
-		r.saved += d
-	}
-	r.info(evTheta, slog.String("alg", r.alg), slog.Int64("worst", worst),
-		slog.Int64("tight", tight), slog.Int64("cap", cap))
+// Theta reports the worst-case RR sample budget θ_max that caps the
+// run's sampling: the theta gauge and one theta.update record.
+func (r *Run) Theta(worst int64) {
+	r.tracer.Metrics().SetTheta(worst)
+	r.info(evTheta, slog.String("alg", r.alg), slog.Int64("worst", worst))
 }
 
 // Round reports one counted round: θ on the round span, plus approx

@@ -22,8 +22,8 @@ import (
 // /metrics, /progress(?spans=1) and /report the whole time. Under -race
 // this proves the scrape path never trips over the run's span and metric
 // writes, and the assertions prove the scraped counters are monotone, the
-// published sample budgets are ordered, /progress tracks the live run,
-// and every body parses as the document it claims to be.
+// sample budget gets published, /progress tracks the live run, and every
+// body parses as the document it claims to be.
 func TestConcurrentScrapeDuringRun(t *testing.T) {
 	g, err := graph.GenPreferentialAttachment(3000, 4, false, rng.New(7))
 	if err != nil {
@@ -42,7 +42,7 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	var mu sync.Mutex
 	var scrapes int
 	var lastSets int64
-	var sawBudgets, sawLive bool
+	var sawBudget, sawLive bool
 	fail := func(format string, args ...any) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -111,16 +111,9 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 			lastSets = sets
 			mu.Unlock()
 		}
-		// Once the run publishes its sample budgets, the tightened one
-		// is ordered: 0 < theta_tight <= theta_worst.
-		worst, ok1 := series(body, "subsim_theta_worst")
-		tight, ok2 := series(body, "subsim_theta_tight")
-		if ok1 && ok2 && worst > 0 {
-			if tight < 1 || tight > worst {
-				fail("budgets not ordered: theta_tight %d, theta_worst %d", tight, worst)
-			}
+		if worst, ok := series(body, "subsim_theta_worst"); ok && worst > 0 {
 			mu.Lock()
-			sawBudgets = true
+			sawBudget = true
 			mu.Unlock()
 		}
 	}
@@ -153,7 +146,7 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 		scrape: func() { fetch("/progress", checkProgress) }}
 	p.RunStarted()
 	res, err := im.OPIMC(gen, im.Options{
-		K: 20, Eps: 0.3, Seed: 42, Workers: 8, Bound: im.BoundTight, Tracer: tr,
+		K: 20, Eps: 0.3, Seed: 42, Workers: 8, Tracer: tr,
 	})
 	close(stop)
 	wg.Wait()
@@ -166,10 +159,10 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	if scrapes == 0 {
 		t.Error("no scrape completed during the run")
 	}
-	// The budgets stay published after the run, so this scrape makes the
-	// ordering check hold even if no concurrent one saw them.
+	// The budget stays published after the run, so this scrape sees it
+	// even if no concurrent one did.
 	fetch("/metrics", checkMetrics)
-	if !sawBudgets {
+	if !sawBudget {
 		t.Error("no /metrics scrape showed subsim_theta_worst > 0")
 	}
 	if !sawLive {

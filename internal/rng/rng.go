@@ -118,11 +118,6 @@ func (r *Source) Intn(n int) int {
 	}
 }
 
-// Int31n returns a uniform int32 in [0, n). It panics if n <= 0.
-func (r *Source) Int31n(n int32) int32 {
-	return int32(r.Intn(int(n)))
-}
-
 // mul64 returns the 128-bit product of a and b as (hi, lo). It mirrors
 // math/bits.Mul64 but is written out so the package remains dependency
 // free at this level; the compiler recognises the pattern and emits a
@@ -164,14 +159,6 @@ func (r *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle randomises the order of n elements by repeatedly calling swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Exponential returns a variate from the exponential distribution with

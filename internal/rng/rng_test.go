@@ -161,16 +161,6 @@ func TestIntnPanics(t *testing.T) {
 	}
 }
 
-func TestInt31n(t *testing.T) {
-	r := New(12)
-	for i := 0; i < 10000; i++ {
-		v := r.Int31n(17)
-		if v < 0 || v >= 17 {
-			t.Fatalf("Int31n out of range: %d", v)
-		}
-	}
-}
-
 func TestMul64AgainstStdlib(t *testing.T) {
 	f := func(a, b uint64) bool {
 		hi, lo := mul64(a, b)
@@ -248,23 +238,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
 			t.Fatalf("Perm first element %d count %d far from %v", i, c, want)
 		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(17)
-	vals := []int{1, 2, 2, 3, 5, 8, 13}
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	got := 0
-	for _, v := range vals {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed contents: sum %d != %d", got, sum)
 	}
 }
 

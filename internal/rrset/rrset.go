@@ -13,8 +13,6 @@
 //     in-neighbor list when a node's incoming probabilities are equal
 //     (WC, WC variant, Uniform IC), falling back to the index-free
 //     sorted sampler for general weights.
-//   - SubsimBucketed: the preprocessed general-IC sampler of Lemma 5,
-//     optionally with the bucket-jump chain.
 //   - LT: the linear-threshold generator (a reverse random walk).
 //
 // Every generator accepts an optional sentinel set: the traversal stops

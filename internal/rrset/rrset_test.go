@@ -10,16 +10,10 @@ import (
 )
 
 // allGenerators returns every IC generator kind over g, keyed by name.
-// The bucketed ones are built first on purpose: NewSubsim sorts a skewed
-// graph's in-edges in place, and the bucketed samplers address in-edges
-// by position, so they must stay valid across that sort.
 func allGenerators(g *graph.Graph) map[string]Generator {
-	bucketed, jump := NewSubsimBucketed(g, false), NewSubsimBucketed(g, true)
 	return map[string]Generator{
-		"subsim":   NewSubsim(g),
-		"vanilla":  NewVanilla(g),
-		"bucketed": bucketed,
-		"jump":     jump,
+		"subsim":  NewSubsim(g),
+		"vanilla": NewVanilla(g),
 	}
 }
 

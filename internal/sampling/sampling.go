@@ -9,11 +9,8 @@
 //     O(1+hp) expected (Algorithm 3) — the WC / Uniform IC fast path.
 //   - SortedSkip: the index-free general-IC sampler over probabilities
 //     sorted in descending order, O(1+μ+log h) expected (Section 3.3).
-//   - Bucketed: the preprocessed general-IC sampler that groups
-//     probabilities into powers-of-two buckets (Bringmann & Panagiotou;
-//     paper Lemma 5), O(1+μ+log h) expected per draw after O(h)
-//     preprocessing, with an optional bucket-jump chain that removes the
-//     log h term.
+//     It is the one general-IC kernel; the paper recommends it over the
+//     preprocessed (Lemma 5) sampler on sparse graphs.
 //
 // All kernels report sampled indices through a yield callback so the hot
 // paths allocate nothing.

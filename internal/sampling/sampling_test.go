@@ -225,141 +225,16 @@ func TestIsSortedDesc(t *testing.T) {
 	}
 }
 
-func TestBucketedMarginals(t *testing.T) {
-	probs := []float64{0.9, 0.51, 0.5, 0.26, 0.25, 0.13, 0.01, 0.001, 0, 1}
-	b := NewBucketed(probs)
-	if b.H() != len(probs) {
-		t.Fatalf("H = %d", b.H())
-	}
-	checkMarginals(t, probs, 150000, b.Sample)
-}
-
-func TestBucketedJumpMarginals(t *testing.T) {
-	probs := []float64{0.9, 0.51, 0.5, 0.26, 0.25, 0.13, 0.01, 0.001, 0, 1}
-	b := NewBucketedJump(probs)
-	checkMarginals(t, probs, 150000, b.Sample)
-}
-
-func TestBucketedTinyProbabilities(t *testing.T) {
-	probs := make([]float64, 100)
-	for i := range probs {
-		probs[i] = 1e-4
-	}
-	for _, jump := range []bool{false, true} {
-		var b *Bucketed
-		if jump {
-			b = NewBucketedJump(probs)
-		} else {
-			b = NewBucketed(probs)
-		}
-		r := rng.New(8)
-		const draws = 200000
-		total := 0
-		for d := 0; d < draws; d++ {
-			b.Sample(r, func(int) bool { total++; return true })
-		}
-		want := b.Mu() * draws
-		if math.Abs(float64(total)-want) > 6*math.Sqrt(want) {
-			t.Fatalf("jump=%v: total inclusions %d, want ~%v", jump, total, want)
-		}
-	}
-}
-
-func TestBucketedMu(t *testing.T) {
-	probs := []float64{0.5, 0.25, 0.25}
-	b := NewBucketed(probs)
-	if math.Abs(b.Mu()-1.0) > 1e-12 {
-		t.Fatalf("Mu = %v", b.Mu())
-	}
-}
-
-func TestBucketedEmpty(t *testing.T) {
-	for _, b := range []*Bucketed{NewBucketed(nil), NewBucketedJump(nil), NewBucketed([]float64{0, 0})} {
-		r := rng.New(9)
-		b.Sample(r, func(int) bool {
-			t.Fatal("empty sampler yielded")
-			return false
-		})
-	}
-}
-
-func TestBucketedEarlyStop(t *testing.T) {
-	probs := []float64{1, 1, 1, 1, 1, 1}
-	for _, jump := range []bool{false, true} {
-		var b *Bucketed
-		if jump {
-			b = NewBucketedJump(probs)
-		} else {
-			b = NewBucketed(probs)
-		}
-		r := rng.New(10)
-		n := 0
-		b.Sample(r, func(int) bool { n++; return n < 2 })
-		if n != 2 {
-			t.Fatalf("jump=%v: early stop yielded %d", jump, n)
-		}
-	}
-}
-
-// TestBucketedPropertyRandomVectors quick-checks marginals of both
-// bucketed variants on random probability vectors, including exact
-// powers of two (the bucket-boundary edge cases).
-func TestBucketedPropertyRandomVectors(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		h := 1 + r.Intn(30)
-		probs := make([]float64, h)
-		for i := range probs {
-			switch r.Intn(4) {
-			case 0:
-				probs[i] = math.Pow(2, -float64(r.Intn(10))) // exact powers of two
-			case 1:
-				probs[i] = 0
-			default:
-				probs[i] = r.Float64()
-			}
-		}
-		for _, jump := range []bool{false, true} {
-			var b *Bucketed
-			if jump {
-				b = NewBucketedJump(probs)
-			} else {
-				b = NewBucketed(probs)
-			}
-			const draws = 15000
-			counts := make([]int, h)
-			for d := 0; d < draws; d++ {
-				b.Sample(r, func(i int) bool { counts[i]++; return true })
-			}
-			for i, p := range probs {
-				got := float64(counts[i]) / draws
-				tol := 6*math.Sqrt(p*(1-p)/draws) + 1.5e-3
-				if math.Abs(got-p) > tol {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestKernelsAgreeOnSizeMean cross-checks all four kernels on a shared
+// TestKernelsAgreeOnSizeMean cross-checks all three kernels on a shared
 // probability vector: the expected subset size must agree.
 func TestKernelsAgreeOnSizeMean(t *testing.T) {
 	probs := []float64{0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7}
 	sorted := append([]float64(nil), probs...) // already descending
 	logP := math.Log1p(-0.7)
-	bb := NewBucketed(probs)
-	bj := NewBucketedJump(probs)
 	kernels := map[string]func(r *rng.Source, y func(int) bool){
 		"naive":  func(r *rng.Source, y func(int) bool) { Naive(r, probs, y) },
 		"equal":  func(r *rng.Source, y func(int) bool) { EqualSkip(r, len(probs), 0.7, logP, y) },
 		"sorted": func(r *rng.Source, y func(int) bool) { SortedSkip(r, sorted, y) },
-		"bucket": bb.Sample,
-		"jump":   bj.Sample,
 	}
 	want := 0.7 * float64(len(probs))
 	for name, kernel := range kernels {

@@ -12,9 +12,10 @@ import (
 
 // TestRunLogsOneRecordPerRound: every counted round reports exactly one
 // round record, so a run's JSON log holds Result.Rounds round.done
-// records, and no other record carries the bounds. The HIST input runs
-// sentinel-phase rounds before its residual phase, and the SSA input
-// ends on its θ-cap round.
+// records, and no other record carries the bounds. The run reports its
+// θ cap once: one theta.update record whose worst is
+// Result.ThetaWorstCase. The HIST input runs sentinel-phase rounds
+// before its residual phase, and the SSA input ends on its θ-cap round.
 func TestRunLogsOneRecordPerRound(t *testing.T) {
 	pa, err := subsim.GenPreferentialAttachment(3000, 4, false, 23)
 	if err != nil {
@@ -47,15 +48,21 @@ func TestRunLogsOneRecordPerRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rounds := 0
+			rounds, thetas := 0, 0
 			for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 				var rec map[string]any
 				if err := json.Unmarshal([]byte(line), &rec); err != nil {
 					t.Fatalf("record is not JSON: %v\n%s", err, line)
 				}
-				if rec["msg"] == "round.done" {
+				switch rec["msg"] {
+				case "round.done":
 					rounds++
 					continue
+				case "theta.update":
+					thetas++
+					if w, _ := rec["worst"].(float64); int64(w) != res.ThetaWorstCase || res.ThetaWorstCase < 1 {
+						t.Errorf("theta.update worst = %v, Result.ThetaWorstCase = %d", rec["worst"], res.ThetaWorstCase)
+					}
 				}
 				if _, ok := rec["lower"]; ok {
 					t.Errorf("bounds logged outside the round record: %s", line)
@@ -63,6 +70,9 @@ func TestRunLogsOneRecordPerRound(t *testing.T) {
 			}
 			if rounds != res.Rounds {
 				t.Errorf("log holds %d round.done records, Result.Rounds = %d", rounds, res.Rounds)
+			}
+			if thetas != 1 {
+				t.Errorf("log holds %d theta.update records, want 1", thetas)
 			}
 		})
 	}

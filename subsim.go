@@ -84,24 +84,6 @@ type Options = im.Options
 // attached.
 type Result = im.Result
 
-// BoundKind selects the sample-complexity analysis capping θ via
-// Options.Bound: the worst-case IMM/OPIM-C constants (the zero value)
-// or the Sadeh–Cohen–Kaplan-style tightened budget, which lets
-// algorithms stop at the smaller certified θ. Both are reported in
-// Result.ThetaWorstCase / Result.ThetaTight either way.
-type BoundKind = im.BoundKind
-
-// Sample-complexity bounds.
-const (
-	// BoundIMM keeps the worst-case IMM/OPIM-C budget (default).
-	BoundIMM = im.BoundIMM
-	// BoundTight engages the tightened budget.
-	BoundTight = im.BoundTight
-)
-
-// ParseBound maps a flag value ("imm" | "tight") to its kind.
-func ParseBound(s string) (BoundKind, error) { return im.ParseBound(s) }
-
 // Tracer records phase spans and low-overhead RR-generation metrics for
 // a run; construct one with NewTracer and attach it to Options.Tracer.
 // A nil *Tracer disables all instrumentation at zero cost.
@@ -151,11 +133,6 @@ const (
 	// GenSubsim is the paper's subset-sampling generator (Algorithm 3,
 	// with the index-free general-IC fallback of Section 3.3).
 	GenSubsim = core.Subsim
-	// GenSubsimBucketed is the preprocessed general-IC sampler
-	// (Lemma 5).
-	GenSubsimBucketed = core.SubsimBucketed
-	// GenSubsimBucketedJump adds the bucket-jump chain.
-	GenSubsimBucketedJump = core.SubsimBucketedJump
 	// GenLT is the Linear Threshold reverse random walk.
 	GenLT = core.LTGen
 )
@@ -241,8 +218,8 @@ func Maximize(g *Graph, alg Algorithm, opt Options) (*Result, error) {
 }
 
 // MaximizeWith runs an algorithm chassis over an explicit RR generator,
-// for callers that want a non-default pairing (e.g. IMM+SUBSIM, or HIST
-// over the bucketed general-IC sampler).
+// for callers that want a non-default pairing (e.g. IMM+SUBSIM, or
+// OPIM-C over the LT generator).
 func MaximizeWith(gen RRGenerator, alg Algorithm, opt Options) (*Result, error) {
 	switch alg {
 	case AlgIMM:
